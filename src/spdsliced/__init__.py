@@ -63,7 +63,6 @@ _EXPORTS = {
     "midpoint_quantile_levels": "kernels",
     # adaptation
     "LabeledSpdDataset": "adaptation",
-    "TransformChain": "adaptation",
     "AdaptationConfig": "adaptation",
     "AdaptationTrace": "adaptation",
     "loss_and_gradient_particles": "adaptation",

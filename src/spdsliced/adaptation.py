@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 from scipy.linalg import expm, expm_frechet
@@ -26,10 +26,13 @@ from .errors import (
 )
 from .baselines import EXACT_SIZE_CAP, CostMatrix, exact_wasserstein, sinkhorn
 from .linalg import (
+    eigh_stack,
     exp_frechet_sym,
     exp_stack,
     log_frechet_stack,
-    pd_tolerance,
+    log_stack,
+    pairwise_sq_dists,
+    reconstruct,
     symmetrize,
     vech_isometric,
 )
@@ -61,45 +64,6 @@ class LabeledSpdDataset:
             object.__setattr__(self, "labels", lab)
 
 
-@dataclass(frozen=True)
-class Translation:
-    """Step C -> W^T C W with W positive definite."""
-
-    w: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.w, dtype=float)
-        eigs = np.linalg.eigvalsh(symmetrize(w))
-        if eigs[0] <= pd_tolerance(eigs):
-            raise ValueError("translation matrix must be positive definite")
-        object.__setattr__(self, "w", w)
-
-
-@dataclass(frozen=True)
-class Rotation:
-    """Step C -> R^T C R with R in SO(d)."""
-
-    r: np.ndarray
-
-    def __post_init__(self):
-        r = np.asarray(self.r, dtype=float)
-        if np.linalg.norm(r.T @ r - np.eye(r.shape[0])) > 1e-10:
-            raise ValueError("rotation matrix must be orthogonal (1e-10)")
-        if np.linalg.det(r) <= 0.0:
-            raise ValueError("rotation matrix must have positive determinant")
-        object.__setattr__(self, "r", r)
-
-
-@dataclass(frozen=True)
-class TransformChain:
-    """Ordered congruence steps applied left to right."""
-
-    steps: tuple
-
-    def matrices(self) -> list[np.ndarray]:
-        return [s.w if isinstance(s, Translation) else s.r for s in self.steps]
-
-
 # Unconstrained chain parametrization: translations through the matrix
 # exponential of a symmetric matrix, rotations through the exponential of
 # a skew-symmetric one.  Both maps are onto, and gradients live in plain
@@ -127,14 +91,6 @@ class ChainParam:
 
 def identity_chain_params(d: int, kinds=("translation", "rotation")) -> list[ChainParam]:
     return [ChainParam(kind, np.zeros((d, d))) for kind in kinds]
-
-
-def materialize_chain(params: list[ChainParam]) -> TransformChain:
-    steps = []
-    for p in params:
-        w = p.materialize()
-        steps.append(Translation(w) if p.kind == "translation" else Rotation(w))
-    return TransformChain(steps=tuple(steps))
 
 
 def apply_chain_matrices(mats: list[np.ndarray], points: np.ndarray) -> np.ndarray:
@@ -167,19 +123,16 @@ def _sliced_loss_grad(
     order_s = np.argsort(cs, axis=-1)
     ss = np.take_along_axis(cs, order_s, axis=-1)
     st = np.sort(ct, axis=-1)
+    loss = float(np.mean(_wpp_rows(ss, st, p)))
+    if not want_grad:
+        return loss, None
     n, m = ss.shape[-1], st.shape[-1]
     if n == m:
         diff = ss - st
-        loss = float(np.mean(_wpp_rows(ss, st, p)))
-        if not want_grad:
-            return loss, None
         g_sorted = (p / n) * np.abs(diff) ** (p - 1.0) * np.sign(diff)
     else:
         lens, ix, iy = _merged_quantile_grid(n, m)
         diff = ss[:, ix] - st[:, iy]
-        loss = float(np.mean((np.abs(diff) ** p) @ lens))
-        if not want_grad:
-            return loss, None
         contrib = lens * p * np.abs(diff) ** (p - 1.0) * np.sign(diff)
         g_sorted = np.zeros_like(ss)
         rows = np.arange(ss.shape[0])[:, None]
@@ -210,10 +163,7 @@ def _transport_loss_grad(
     """Squared log-Euclidean transport loss through a fixed plan (exact
     plan for ``lew``, converged Sinkhorn plan for ``les``); the gradient
     treats the plan as constant (envelope theorem)."""
-    vs = vech_isometric(source_logs)
-    vt = vech_isometric(target_logs)
-    diff = vs[:, None, :] - vt[None, :, :]
-    sq = np.einsum("ijk,ijk->ij", diff, diff)
+    sq = pairwise_sq_dists(vech_isometric(source_logs), vech_isometric(target_logs))
     cost = CostMatrix(entries=sq, ground_metric="log_euclidean", power=2.0)
     plan = _plan_for(cost, loss_kind, epsilon, exact_size_cap)
     loss = float(np.sum(plan * sq))
@@ -223,6 +173,18 @@ def _transport_loss_grad(
     pulled = np.einsum("ij,jab->iab", plan, target_logs)
     grads = 2.0 * (row_mass[:, None, None] * source_logs - pulled)
     return loss, grads
+
+
+def _log_loss_grad(logs, target_logs, basis, p, loss_kind, epsilon, exact_size_cap, want_grad):
+    """Loss of a source log stack against the target logs, with its
+    gradient per source log when ``want_grad``."""
+    if loss_kind in ("spdsw", "logsw"):
+        return _sliced_loss_grad(logs, target_logs, basis, p, want_grad)
+    if loss_kind in ("lew", "les"):
+        return _transport_loss_grad(
+            logs, target_logs, loss_kind, epsilon, exact_size_cap, want_grad
+        )
+    raise ValueError(f"unknown loss kind {loss_kind!r}")
 
 
 def loss_and_gradient_particles(
@@ -268,20 +230,11 @@ def loss_and_gradient_transform(
         inputs.append(w.T @ inputs[-1] @ w)
     transformed = inputs[-1]
 
-    w_eig, q_eig = np.linalg.eigh(transformed)
-    tol = pd_tolerance(w_eig)
-    if np.any(w_eig[:, 0] <= tol):
-        raise NotPositiveDefinite("a transformed source matrix lost positive definiteness")
-    logs = np.einsum("bik,bk,bjk->bij", q_eig, np.log(w_eig), q_eig)
-
-    if loss_kind in ("spdsw", "logsw"):
-        loss, grad_logs = _sliced_loss_grad(logs, target.logs, basis, p, want_grad=True)
-    elif loss_kind in ("lew", "les"):
-        loss, grad_logs = _transport_loss_grad(
-            logs, target.logs, loss_kind, epsilon, exact_size_cap, want_grad=True
-        )
-    else:
-        raise ValueError(f"unknown loss kind {loss_kind!r}")
+    w_eig, q_eig = eigh_stack(transformed)
+    loss, grad_logs = _log_loss_grad(
+        reconstruct(np.log(w_eig), q_eig), target.logs, basis, p, loss_kind, epsilon,
+        exact_size_cap, want_grad=True,
+    )
 
     grad_pts = log_frechet_stack(w_eig, q_eig, grad_logs)
     param_grads: list[np.ndarray | None] = [None] * len(params)
@@ -300,16 +253,10 @@ def loss_and_gradient_transform(
 
 def _chain_loss_only(params, source, target, basis, p, loss_kind, epsilon, exact_size_cap):
     mats = [prm.materialize() for prm in params]
-    from .linalg import log_stack
-
     logs = log_stack(apply_chain_matrices(mats, source.points))
-    if loss_kind in ("spdsw", "logsw"):
-        loss, _ = _sliced_loss_grad(logs, target.logs, basis, p, want_grad=False)
-    else:
-        loss, _ = _transport_loss_grad(
-            logs, target.logs, loss_kind, epsilon, exact_size_cap, want_grad=False
-        )
-    return loss
+    return _log_loss_grad(
+        logs, target.logs, basis, p, loss_kind, epsilon, exact_size_cap, want_grad=False
+    )[0]
 
 
 # -- descent driver -----------------------------------------------------------
@@ -332,17 +279,7 @@ class AdaptationConfig:
     exact_size_cap: int = EXACT_SIZE_CAP
 
     def as_dict(self) -> dict:
-        return {
-            "loss_kind": self.loss_kind,
-            "num_projections": self.num_projections,
-            "epochs": self.epochs,
-            "learning_rate": self.learning_rate,
-            "seed": self.seed,
-            "p": self.p,
-            "safeguard": self.safeguard,
-            "max_halvings": self.max_halvings,
-            "epsilon": self.epsilon,
-        }
+        return {k: v for k, v in asdict(self).items() if k != "exact_size_cap"}
 
 
 @dataclass(frozen=True)
@@ -431,21 +368,14 @@ def run_adaptation(
 
     if mode == "particles":
 
-        def loss_grad(state):
-            if config.loss_kind in ("spdsw", "logsw"):
-                return _sliced_loss_grad(state, target_logs, basis, config.p, want_grad=True)
-            return _transport_loss_grad(
-                state, target_logs, config.loss_kind, config.epsilon,
-                config.exact_size_cap, want_grad=True,
+        def loss_grad(state, want_grad=True):
+            return _log_loss_grad(
+                state, target_logs, basis, config.p, config.loss_kind, config.epsilon,
+                config.exact_size_cap, want_grad,
             )
 
         def loss_only(state):
-            if config.loss_kind in ("spdsw", "logsw"):
-                return _sliced_loss_grad(state, target_logs, basis, config.p, want_grad=False)[0]
-            return _transport_loss_grad(
-                state, target_logs, config.loss_kind, config.epsilon,
-                config.exact_size_cap, want_grad=False,
-            )[0]
+            return loss_grad(state, want_grad=False)[0]
 
         state0 = measure.logs.copy()
         final_state, losses, lr = _descend(
@@ -476,8 +406,8 @@ def run_adaptation(
                 replace(p, matrix=p.matrix + d) for p, d in zip(ps, deltas)
             ],
         )
-        chain = materialize_chain(final_params)
-        adapted = EmpiricalSpdMeasure(apply_chain_matrices(chain.matrices(), measure.points))
+        mats = [prm.materialize() for prm in final_params]
+        adapted = EmpiricalSpdMeasure(apply_chain_matrices(mats, measure.points))
 
     return AdaptationTrace(
         losses=losses,

@@ -15,7 +15,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.special import logsumexp
 
 from .errors import DimensionMismatch, InstanceTooLarge, NotPositiveDefinite
-from .linalg import eigh_stack, pd_tolerance, vech_isometric
+from .linalg import eigh_stack, pairwise_sq_dists, pd_tolerance, reconstruct, vech_isometric
 from .sliced import EmpiricalSpdMeasure
 
 GROUND_METRICS = ("log_euclidean", "affine_invariant")
@@ -25,13 +25,6 @@ EXACT_SIZE_CAP = 512 * 512
 
 # Largest replicated-grid size for unequal-size exact transport.
 _LCM_CAP = 4096
-
-# Beyond this many cost entries the pairwise distances switch from exact
-# elementwise differences to the BLAS-backed Gram expansion.
-_DIRECT_COST_ENTRIES = 250_000
-
-# Row-chunk size for the direct path, bounding the (chunk, m, D) temporary.
-_DIRECT_CHUNK_ELEMS = 8_000_000
 
 
 @dataclass(frozen=True)
@@ -83,28 +76,11 @@ class TransportPlan:
         object.__setattr__(self, "plan", g)
 
 
-def _pairwise_sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between row vectors; exact elementwise
-    path at desk scale (chunked over rows to bound memory), Gram expansion
-    (clipped at zero) beyond."""
-    n, m = x.shape[0], y.shape[0]
-    if n * m <= _DIRECT_COST_ENTRIES:
-        out = np.empty((n, m))
-        step = max(1, _DIRECT_CHUNK_ELEMS // (m * x.shape[1]))
-        for start in range(0, n, step):
-            stop = min(start + step, n)
-            diff = x[start:stop, None, :] - y[None, :, :]
-            out[start:stop] = np.einsum("ijk,ijk->ij", diff, diff)
-        return out
-    sq = (x * x).sum(axis=1)[:, None] + (y * y).sum(axis=1)[None, :] - 2.0 * (x @ y.T)
-    return np.maximum(sq, 0.0)
-
-
 def _ai_distances(mu: EmpiricalSpdMeasure, nu: EmpiricalSpdMeasure) -> np.ndarray:
     wx, qx = eigh_stack(mu.points)
+    inv_sqrts = reconstruct(1.0 / np.sqrt(wx), qx)
     out = np.empty((len(mu), len(nu)))
-    for i in range(len(mu)):
-        inv_sqrt = (qx[i] / np.sqrt(wx[i])) @ qx[i].T
+    for i, inv_sqrt in enumerate(inv_sqrts):
         whitened = inv_sqrt @ nu.points @ inv_sqrt
         w = np.linalg.eigvalsh(0.5 * (whitened + np.swapaxes(whitened, -2, -1)))
         if np.any(w[:, 0] <= pd_tolerance(w)):
@@ -123,7 +99,7 @@ def build_cost_matrix(
     if mu.dim != nu.dim:
         raise DimensionMismatch(f"dimensions differ: {mu.dim} vs {nu.dim}")
     if metric == "log_euclidean":
-        sq = _pairwise_sq_dists(vech_isometric(mu.logs), vech_isometric(nu.logs))
+        sq = pairwise_sq_dists(vech_isometric(mu.logs), vech_isometric(nu.logs))
         entries = sq if p == 2.0 else sq ** (p / 2.0)
     elif metric == "affine_invariant":
         dist = _ai_distances(mu, nu)

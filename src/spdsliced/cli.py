@@ -1,7 +1,7 @@
 """Command-line driver for the synthetic experiments.
 
-Exit codes: 0 success, 2 usage error, 3 data validation error,
-4 numerical failure.
+Exit codes: 0 success, 2 usage error (out-of-range arguments included),
+3 data validation error, 4 numerical failure.
 
 Heavy imports happen after argument parsing so --threads (or the
 SPDSLICED_THREADS environment variable) can pin the BLAS thread pools
@@ -11,6 +11,7 @@ before any numerical library loads.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -23,11 +24,34 @@ _THREAD_ENV_VARS = (
 )
 
 
+def _bounded(convert, low: float, strict: bool, what: str):
+    """An argparse type: ``convert(text)``, finite and >= ``low`` (> when
+    ``strict``)."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}") from None
+        if not math.isfinite(value) or value < low or (strict and value == low):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _bounded(int, 0, True, "a positive integer")
+_nonnegative_int = _bounded(int, 0, False, "a nonnegative integer")
+_order = _bounded(float, 1.0, False, "a number >= 1")
+_positive_float = _bounded(float, 0.0, True, "a positive number")
+
+
 def _int_list(text: str) -> list[int]:
-    try:
-        return [int(v) for v in text.split(",") if v]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected a comma-separated integer list: {exc}")
+    """Comma-separated positive integers (sizes, dimensions, counts)."""
+    values = [_positive_int(v) for v in text.split(",") if v]
+    if not values:
+        raise argparse.ArgumentTypeError("expected a comma-separated list of positive integers")
+    return values
 
 
 def _str_list(text: str) -> list[str]:
@@ -39,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="spdsliced",
         description="Sliced optimal-transport discrepancies between distributions of SPD matrices.",
     )
-    parser.add_argument("--threads", type=int, default=None,
+    parser.add_argument("--threads", type=_positive_int, default=None,
                         help="cap worker threads (fallback: SPDSLICED_THREADS)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -48,17 +72,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file_b")
     p.add_argument("--metric", required=True,
                    choices=["spdsw", "logsw", "hspdsw", "lew", "les", "aiw"])
-    p.add_argument("--projections", type=int, default=200)
-    p.add_argument("--order", type=float, default=2.0)
+    p.add_argument("--projections", type=_positive_int, default=200)
+    p.add_argument("--order", type=_order, default=2.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sampler", choices=["eig", "fast"], default="eig")
-    p.add_argument("--epsilon", type=float, default=1.0)
+    p.add_argument("--epsilon", type=_positive_float, default=1.0)
     _output_flags(p)
 
     p = sub.add_parser("gen-wishart", help="generate Wishart dataset files")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--dof", type=int, required=True)
+    p.add_argument("--d", type=_positive_int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--dof", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--scale", default="identity",
                    help="'identity' or a dataset file whose first matrix is the scale")
@@ -75,24 +99,24 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("benchmark-runtime", help="runtime scaling versus sample count")
     p.add_argument("--n-grid", type=_int_list,
                    default=[100, 215, 464, 1000, 2154, 4641, 10000, 21544, 46415, 100000])
-    p.add_argument("--d", type=int, default=20)
-    p.add_argument("--projections", type=int, default=200)
+    p.add_argument("--d", type=_positive_int, default=20)
+    p.add_argument("--projections", type=_positive_int, default=200)
     p.add_argument("--metrics", type=_str_list, default=["spdsw", "logsw", "lew", "les"])
-    p.add_argument("--repeats", type=int, default=20)
+    p.add_argument("--repeats", type=_positive_int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epsilon", type=float, default=1.0)
-    p.add_argument("--max-cost-bytes", type=float, default=2e8)
-    p.add_argument("--dof", type=int, default=None)
+    p.add_argument("--epsilon", type=_positive_float, default=1.0)
+    p.add_argument("--max-cost-bytes", type=_positive_float, default=2e8)
+    p.add_argument("--dof", type=_positive_int, default=None)
     _output_flags(p)
 
     p = sub.add_parser("sample-complexity", help="estimator error versus sample count")
     p.add_argument("--dims", type=_int_list, default=[2, 20])
-    p.add_argument("--max-dim", type=int, default=20,
+    p.add_argument("--max-dim", type=_positive_int, default=20,
                    help="guard on the largest allowed dimension")
     p.add_argument("--n-grid", type=_int_list, default=[10, 31, 100, 316, 1000])
-    p.add_argument("--repeats", type=int, default=100)
+    p.add_argument("--repeats", type=_positive_int, default=100)
     p.add_argument("--metrics", type=_str_list, default=["spdsw", "lew"])
-    p.add_argument("--projections", type=int, default=1000)
+    p.add_argument("--projections", type=_positive_int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     _output_flags(p)
 
@@ -100,9 +124,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", type=_int_list, default=[2, 20])
     p.add_argument("--L-grid", dest="l_grid", type=_int_list,
                    default=[1, 3, 10, 32, 100, 316, 1000])
-    p.add_argument("--L-star", dest="l_star", type=int, default=10000)
-    p.add_argument("--repeats", type=int, default=100)
-    p.add_argument("--n", type=int, default=500)
+    p.add_argument("--L-star", dest="l_star", type=_positive_int, default=10000)
+    p.add_argument("--repeats", type=_positive_int, default=100)
+    p.add_argument("--n", type=_positive_int, default=500)
     p.add_argument("--seed", type=int, default=0)
     _output_flags(p)
 
@@ -111,12 +135,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True)
     p.add_argument("--mode", choices=["particles", "transform"], default="particles")
     p.add_argument("--loss", choices=["spdsw", "logsw", "lew", "les"], default="spdsw")
-    p.add_argument("--epochs", type=int, default=500)
-    p.add_argument("--lr", type=float, default=None,
+    p.add_argument("--epochs", type=_nonnegative_int, default=500)
+    p.add_argument("--lr", type=_positive_float, default=None,
                    help="learning rate; defaults depend on mode and loss")
-    p.add_argument("--projections", type=int, default=500)
+    p.add_argument("--projections", type=_positive_int, default=500)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epsilon", type=float, default=10.0)
+    p.add_argument("--epsilon", type=_positive_float, default=10.0)
     p.add_argument("--no-safeguard", action="store_true",
                    help="plain fixed-step descent without step halving")
     p.add_argument("--evaluate", action="store_true",
@@ -128,10 +152,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", required=True, help="manifest of datasets and targets")
     p.add_argument("--test", default=None)
     p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--projections", type=int, default=100)
-    p.add_argument("--quantiles", type=int, default=100)
+    p.add_argument("--projections", type=_positive_int, default=100)
+    p.add_argument("--quantiles", type=_positive_int, default=100)
     p.add_argument("--sigma", default="median", help="'median' or a positive number")
-    p.add_argument("--alpha", type=float, default=1e-6)
+    p.add_argument("--alpha", type=_positive_float, default=1e-6)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output-predictions", default=None)
     _output_flags(p)

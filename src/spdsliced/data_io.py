@@ -19,8 +19,7 @@ import numpy as np
 
 from . import __version__
 from .adaptation import LabeledSpdDataset
-from .errors import DataValidationError
-from .linalg import pd_tolerance
+from .errors import DataValidationError, NotPositiveDefinite
 from .sliced import EmpiricalSpdMeasure
 
 FORMAT_VERSION = "1"
@@ -67,8 +66,10 @@ def save_spd_dataset(path: str, points, labels=None) -> None:
 def load_spd_dataset(path: str) -> LabeledSpdDataset:
     """Read and validate a dataset file.
 
-    Validation failures (schema, asymmetry beyond 1e-8, non-SPD matrices)
-    raise DataValidationError.
+    Validation failures (schema, asymmetry beyond 1e-8, non-SPD matrices,
+    labels that are not ``count`` nonnegative integers) raise
+    DataValidationError.  Positive definiteness is checked by filling the
+    measure's log cache, so each matrix is decomposed once.
     """
     try:
         with open(path) as handle:
@@ -94,17 +95,19 @@ def load_spd_dataset(path: str) -> LabeledSpdDataset:
     asym = np.max(np.abs(pts - np.swapaxes(pts, -2, -1)))
     if asym > SYMMETRY_TOLERANCE:
         raise DataValidationError(f"{path!r}: asymmetry {asym:.3e} exceeds {SYMMETRY_TOLERANCE}")
-    pts = 0.5 * (pts + np.swapaxes(pts, -2, -1))
-    eigvals = np.linalg.eigvalsh(pts)
-    if np.any(eigvals[:, 0] <= pd_tolerance(eigvals)):
-        bad = int(np.argmax(eigvals[:, 0] <= pd_tolerance(eigvals)))
-        raise DataValidationError(f"{path!r}: matrix {bad} is not positive definite")
     labels = doc.get("labels")
     if labels is not None:
-        if len(labels) != n:
-            raise DataValidationError(f"{path!r}: labels length {len(labels)} != count {n}")
+        if not isinstance(labels, list) or len(labels) != n:
+            raise DataValidationError(f"{path!r}: labels must be a list of length count {n}")
+        if not all(type(v) is int and v >= 0 for v in labels):
+            raise DataValidationError(f"{path!r}: labels must be nonnegative integers")
         labels = np.asarray(labels, dtype=int)
-    return LabeledSpdDataset(measure=EmpiricalSpdMeasure(pts), labels=labels)
+    measure = EmpiricalSpdMeasure(pts)
+    try:
+        measure.logs
+    except NotPositiveDefinite as exc:
+        raise DataValidationError(f"{path!r}: not positive definite: {exc}") from exc
+    return LabeledSpdDataset(measure=measure, labels=labels)
 
 
 @dataclass

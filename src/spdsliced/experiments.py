@@ -13,14 +13,15 @@ import time
 import numpy as np
 from scipy.linalg import expm
 
+from . import sliced
 from .adaptation import (
     AdaptationConfig,
     evaluate_transfer,
     run_adaptation,
     train_log_linear_classifier,
 )
-from .baselines import build_cost_matrix, exact_wasserstein, sinkhorn
-from .data_io import ExperimentReport, load_spd_dataset, save_spd_dataset
+from .baselines import EXACT_SIZE_CAP, build_cost_matrix, exact_wasserstein, sinkhorn
+from .data_io import ExperimentReport, load_spd_dataset, save_spd_dataset, write_report
 from .errors import DataValidationError, DimensionMismatch, MissingLabels
 from .kernels import (
     cross_sq_distances,
@@ -35,15 +36,14 @@ from .kernels import (
 from .linalg import exp_stack, log_stack, symmetrize
 from .sampling import RngState, build_projection_basis, wishart_stack
 from .sliced import (
+    SLICED_ESTIMATORS,
     DiscrepancyReport,
     EmpiricalSpdMeasure,
-    hspdsw,
-    log_sw,
     mc_error_estimate,
     spdsw,
 )
 
-SLICED_METRICS = ("spdsw", "logsw", "hspdsw")
+SLICED_METRICS = tuple(SLICED_ESTIMATORS)
 COST_METRICS = ("lew", "les", "aiw")
 ALL_METRICS = SLICED_METRICS + COST_METRICS
 
@@ -77,20 +77,16 @@ def compute_distance(
     exact_size_cap: int | None = None,
 ) -> DiscrepancyReport:
     """Evaluate one discrepancy between two measures."""
-    if metric in SLICED_METRICS:
-        if metric == "logsw":
-            kind = "vec_sphere"
-        elif metric == "hspdsw":
-            kind = "eig_uniform"
-        else:
-            kind = _SAMPLER_FLAG[sampler]
-        basis = build_projection_basis(RngState(seed), mu.dim, projections, kind)
-        func = {"spdsw": spdsw, "logsw": log_sw, "hspdsw": hspdsw}[metric]
-        return func(mu, nu, basis, order)
+    if metric in SLICED_ESTIMATORS:
+        name, kind = SLICED_ESTIMATORS[metric]
+        basis = build_projection_basis(
+            RngState(seed), mu.dim, projections, kind or _SAMPLER_FLAG[sampler]
+        )
+        return getattr(sliced, name)(mu, nu, basis, order)
     t0 = time.perf_counter()
     ground = "affine_invariant" if metric == "aiw" else "log_euclidean"
     cost = build_cost_matrix(mu, nu, ground, order)
-    cap = exact_size_cap if exact_size_cap is not None else 512 * 512
+    cap = exact_size_cap if exact_size_cap is not None else EXACT_SIZE_CAP
     if metric == "les":
         plan, converged = sinkhorn(cost, epsilon=epsilon)
         return DiscrepancyReport(
@@ -515,6 +511,13 @@ def _fit_predict(band_feats_train, band_feats_test, targets_train, sigma_flag, a
     return cross @ fit.coefficients + fit.intercept, sigmas
 
 
+def _scores(preds: np.ndarray, truth: np.ndarray) -> dict:
+    ss_res = float(np.sum((preds - truth) ** 2))
+    ss_tot = float(np.sum((truth - truth.mean()) ** 2))
+    return {"mae": float(np.mean(np.abs(preds - truth))),
+            "r2": 1.0 - ss_res / ss_tot if ss_tot > 0 else float("nan")}
+
+
 def run_kernel_ridge(
     train_manifest: str,
     test_manifest: str | None = None,
@@ -545,12 +548,7 @@ def run_kernel_ridge(
         preds, sigmas = _fit_predict(
             train_feats, test_feats, targets[train_idx], sigma, alpha
         )
-        truth = targets[test_idx]
-        mae = float(np.mean(np.abs(preds - truth)))
-        ss_res = float(np.sum((preds - truth) ** 2))
-        ss_tot = float(np.sum((truth - truth.mean()) ** 2))
-        r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else float("nan")
-        rows.append({"record": "fold", "fold": fold, "mae": mae, "r2": r2,
+        rows.append({"record": "fold", "fold": fold, **_scores(preds, targets[test_idx]),
                      "sigma": sigmas[0] if len(sigmas) == 1 else None})
         predictions.extend(
             {"record": "prediction", "fold": fold, "index": int(i),
@@ -563,15 +561,10 @@ def run_kernel_ridge(
         test_feats = _band_features(test_entries, basis, levels)
         preds, _ = _fit_predict(band_feats, test_feats, targets, sigma, alpha)
         truth = np.array([e["target"] for e in test_entries])
-        mae = float(np.mean(np.abs(preds - truth)))
-        ss_tot = float(np.sum((truth - truth.mean()) ** 2))
-        r2 = 1.0 - float(np.sum((preds - truth) ** 2)) / ss_tot if ss_tot > 0 else float("nan")
-        rows.append({"record": "test", "fold": None, "mae": mae, "r2": r2, "sigma": None})
+        rows.append({"record": "test", "fold": None, **_scores(preds, truth), "sigma": None})
 
     rows_all = rows + predictions
     if output_predictions is not None:
-        from .data_io import write_report
-
         write_report(
             ExperimentReport(experiment="kernel_ridge_predictions",
                              config={"train_manifest": train_manifest},

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BasisMismatch, IllConditioned, SizeMismatch
+from .linalg import pairwise_sq_dists
 from .sampling import ProjectionBasis
 from .sliced import EmpiricalSpdMeasure
 
@@ -95,16 +96,14 @@ def feature_sq_distances(features: list[QuantileFeature]) -> np.ndarray:
     sliced distance between the underlying measures)."""
     _check_shared_grid(features)
     flat = np.stack([f.flat() for f in features])
-    diff = flat[:, None, :] - flat[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    return pairwise_sq_dists(flat, flat)
 
 
 def cross_sq_distances(left: list[QuantileFeature], right: list[QuantileFeature]) -> np.ndarray:
     _check_shared_grid(list(left) + list(right))
-    a = np.stack([f.flat() for f in left])
-    b = np.stack([f.flat() for f in right])
-    diff = a[:, None, :] - b[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    return pairwise_sq_dists(
+        np.stack([f.flat() for f in left]), np.stack([f.flat() for f in right])
+    )
 
 
 def median_heuristic_bandwidth(features: list[QuantileFeature]) -> float:

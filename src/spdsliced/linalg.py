@@ -3,7 +3,10 @@
 Everything here reduces to one numerical kernel: the eigendecomposition of a
 real symmetric matrix (delegated to LAPACK through ``numpy.linalg.eigh``).
 Matrix log/exp, the two geodesic distances, the Daleckii-Krein derivative of
-the log, and the UDU factorization are built on top of it.
+the log, and the UDU factorization are built on top of it.  Every matrix
+function rebuilt from eigenpairs, single or stacked, goes through
+:func:`reconstruct`; pairwise squared distances between vector rows go
+through :func:`pairwise_sq_dists`.
 """
 
 from __future__ import annotations
@@ -26,6 +29,14 @@ EXP_CAP = 700.0
 # log switches to its limit value 1/lambda.
 LOEWNER_GAP_FACTOR = 1e-10
 
+# Beyond this many pairs, squared distances switch from exact elementwise
+# differences to the BLAS-backed Gram expansion.
+_DIRECT_PAIRS = 250_000
+
+# Element budget of the temporaries of the blocked stack helpers
+# (:func:`reconstruct`, :func:`pairwise_sq_dists`).
+_BLOCK_ELEMS = 1_000_000
+
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
     """Return (A + A^T)/2, batched over leading axes."""
@@ -47,8 +58,21 @@ class EigenPair:
     eigenvectors: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
-        q = self.eigenvectors
-        return (q * self.eigenvalues) @ q.T
+        return reconstruct(self.eigenvalues, self.eigenvectors)
+
+
+def reconstruct(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Q diag(f) Q^T from eigenvectors Q and (transformed) eigenvalues f, for
+    one matrix (d, d) or a stack (b, d, d).  A stack is rebuilt by batched
+    matmul in blocks, so the scaled copy of Q stays within ``_BLOCK_ELEMS``."""
+    if vectors.ndim == 2:
+        return reconstruct(values[None], vectors[None])[0]
+    out = np.empty(vectors.shape)
+    step = max(1, _BLOCK_ELEMS // vectors[0].size)
+    for i in range(0, len(vectors), step):
+        q = vectors[i:i + step]
+        np.matmul(q * values[i:i + step, None, :], np.swapaxes(q, -2, -1), out=out[i:i + step])
+    return out
 
 
 class SymMatrix:
@@ -112,8 +136,7 @@ class SpdMatrix(SymMatrix):
         """Matrix logarithm, computed once and cached."""
         cached = object.__getattribute__(self, "_log")
         if cached is None:
-            w, q = self.eig.eigenvalues, self.eig.eigenvectors
-            cached = SymMatrix((q * np.log(w)) @ q.T)
+            cached = SymMatrix(reconstruct(np.log(self.eig.eigenvalues), self.eig.eigenvectors))
             object.__setattr__(self, "_log", cached)
         return cached
 
@@ -147,7 +170,7 @@ def sym_exp(s) -> SpdMatrix:
             f"eigenvalue {w[-1]:.3e} exceeds the exponential cap {EXP_CAP}"
         )
     ew = np.exp(w)
-    return SpdMatrix((q * ew) @ q.T, _eig=EigenPair(ew, q))
+    return SpdMatrix(reconstruct(ew, q), _eig=EigenPair(ew, q))
 
 
 def dist_log_euclidean(x, y) -> float:
@@ -162,8 +185,7 @@ def dist_affine_invariant(x, y) -> float:
     ||log(X^{-1/2} Y X^{-1/2})||_F."""
     x, y = as_spd(x), as_spd(y)
     _check_same_dim(x, y)
-    wx, qx = x.eig.eigenvalues, x.eig.eigenvectors
-    inv_sqrt = (qx / np.sqrt(wx)) @ qx.T
+    inv_sqrt = reconstruct(1.0 / np.sqrt(x.eig.eigenvalues), x.eig.eigenvectors)
     inner = symmetrize(inv_sqrt @ y.array @ inv_sqrt)
     w = np.linalg.eigh(inner)[0]
     if w[0] <= pd_tolerance(w):
@@ -270,7 +292,7 @@ def eigh_stack(mats: np.ndarray, require_pd: bool = True) -> tuple[np.ndarray, n
 def log_stack(mats: np.ndarray) -> np.ndarray:
     """Matrix logarithms of a stack of SPD matrices (b, d, d)."""
     w, q = eigh_stack(mats)
-    return np.einsum("bik,bk,bjk->bij", q, np.log(w), q)
+    return reconstruct(np.log(w), q)
 
 
 def exp_stack(mats: np.ndarray) -> np.ndarray:
@@ -278,7 +300,7 @@ def exp_stack(mats: np.ndarray) -> np.ndarray:
     w, q = np.linalg.eigh(symmetrize(mats))
     if np.any(w > EXP_CAP):
         raise OverflowError("eigenvalue exceeds the exponential cap")
-    return np.einsum("bik,bk,bjk->bij", q, np.exp(w), q)
+    return reconstruct(np.exp(w), q)
 
 
 def log_frechet_stack(w: np.ndarray, q: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -287,6 +309,27 @@ def log_frechet_stack(w: np.ndarray, q: np.ndarray, h: np.ndarray) -> np.ndarray
     inner = np.einsum("bki,bkl,blj->bij", q, h, q)
     g = _log_divided_differences(w)
     return np.einsum("bik,bkl,bjl->bij", q, g * inner, q)
+
+
+def pairwise_sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of x (n, D) and y (m, D).
+
+    Up to ``_DIRECT_PAIRS`` pairs the differences are formed exactly, in
+    blocks of at most ``_BLOCK_ELEMS`` elements (at least one row pair);
+    beyond, the Gram expansion is clipped at zero.
+    """
+    n, m, dim = x.shape[0], y.shape[0], x.shape[1]
+    if n * m > _DIRECT_PAIRS:
+        sq = (x * x).sum(axis=1)[:, None] + (y * y).sum(axis=1)[None, :] - 2.0 * (x @ y.T)
+        return np.maximum(sq, 0.0)
+    out = np.empty((n, m))
+    cols = min(m, max(1, _BLOCK_ELEMS // dim))
+    rows = max(1, _BLOCK_ELEMS // (cols * dim))
+    for i in range(0, n, rows):
+        for j in range(0, m, cols):
+            diff = x[i:i + rows, None, :] - y[None, j:j + cols, :]
+            out[i:i + rows, j:j + cols] = np.einsum("ijk,ijk->ij", diff, diff)
+    return out
 
 
 # Isometric vectorization of symmetric matrices: off-diagonal entries are

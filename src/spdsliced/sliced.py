@@ -90,11 +90,6 @@ class EmpiricalSpdMeasure(EmpiricalSymMeasure):
         out._logs = None
         return out
 
-    @classmethod
-    def from_matrices(cls, mats) -> "EmpiricalSpdMeasure":
-        arrays = [m.array if isinstance(m, SymMatrix) else np.asarray(m, float) for m in mats]
-        return cls(np.stack(arrays))
-
 
 @dataclass(frozen=True)
 class ProjectedMeasure:
@@ -143,12 +138,7 @@ def _check_unit_direction(a: SymMatrix) -> SymMatrix:
 def geodesic_project(a, m) -> SpdMatrix:
     """Projection of M onto the geodesic {exp(tA)} through the identity,
     exp(<A, log M>_F A)."""
-    a = _check_unit_direction(as_sym(a))
-    m = as_spd(m)
-    if a.dim != m.dim:
-        raise DimensionMismatch(f"dimensions differ: {a.dim} vs {m.dim}")
-    t = float(np.sum(a.array * m.log.array))
-    return sym_exp(t * a.array)
+    return sym_exp(geodesic_coordinate(a, m) * as_sym(a).array)
 
 
 def geodesic_coordinate(a, m) -> float:
@@ -179,9 +169,7 @@ def busemann_coordinate_ai(a, m) -> float:
     theta, p = _sorted_descending_eigenbasis(a.array)
     if a.dim > 1 and np.min(theta[:-1] - theta[1:]) < DEGENERATE_GAP:
         raise DegenerateDirection("direction has (near-)repeated eigenvalues")
-    m_tilde = p.T @ m.array @ p
-    _, diag = udu_stack(m_tilde[None])
-    return -float(theta @ np.log(diag[0]))
+    return float(_busemann_coords_stack(m.array[None], p, theta)[0])
 
 
 # -- 1D Wasserstein ----------------------------------------------------------
@@ -200,31 +188,13 @@ def _merged_quantile_grid(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.nd
     return lens, ix, iy
 
 
-def _wpp_rows_equal(xs: np.ndarray, ys: np.ndarray, p: float) -> np.ndarray:
-    diff = np.abs(xs - ys)
-    if p == 2.0:
-        return np.mean(diff * diff, axis=-1)
-    if p == 1.0:
-        return np.mean(diff, axis=-1)
-    return np.mean(diff**p, axis=-1)
-
-
-def _wpp_rows_unequal(xs: np.ndarray, ys: np.ndarray, p: float, grid) -> np.ndarray:
-    lens, ix, iy = grid
-    diff = np.abs(xs[..., ix] - ys[..., iy])
-    if p == 2.0:
-        return (diff * diff) @ lens
-    if p == 1.0:
-        return diff @ lens
-    return (diff**p) @ lens
-
-
 def _wpp_rows(xs_sorted: np.ndarray, ys_sorted: np.ndarray, p: float) -> np.ndarray:
     """W_p^p along the last axis of pre-sorted coordinate rows."""
     n, m = xs_sorted.shape[-1], ys_sorted.shape[-1]
     if n == m:
-        return _wpp_rows_equal(xs_sorted, ys_sorted, p)
-    return _wpp_rows_unequal(xs_sorted, ys_sorted, p, _merged_quantile_grid(n, m))
+        return np.mean(np.abs(xs_sorted - ys_sorted) ** p, axis=-1)
+    lens, ix, iy = _merged_quantile_grid(n, m)
+    return (np.abs(xs_sorted[..., ix] - ys_sorted[..., iy]) ** p) @ lens
 
 
 def wasserstein_1d(x, y, p: float = 2.0) -> float:
@@ -245,8 +215,26 @@ def wasserstein_1d(x, y, p: float = 2.0) -> float:
 
 # -- Sliced estimators -------------------------------------------------------
 
+# Metric name -> (estimator function name, required sampler kind; None
+# accepts any kind).  Names are resolved at call time, so whatever is bound
+# under them in this module is what runs.
+SLICED_ESTIMATORS = {
+    "spdsw": ("spdsw", None),
+    "logsw": ("log_sw", "vec_sphere"),
+    "hspdsw": ("hspdsw", "eig_uniform"),
+}
 
-def _check_pair(mu: EmpiricalSymMeasure, nu: EmpiricalSymMeasure, basis: ProjectionBasis, p: float):
+
+def _check_pair(
+    estimator: str,
+    mu: EmpiricalSymMeasure,
+    nu: EmpiricalSymMeasure,
+    basis: ProjectionBasis,
+    p: float,
+):
+    name, kind = SLICED_ESTIMATORS.get(estimator, (estimator, None))
+    if kind is not None and basis.sampler_kind != kind:
+        raise ValueError(f"{name} requires a {kind!r} basis, got {basis.sampler_kind!r}")
     if p < 1.0:
         raise ValueError("order p must be >= 1")
     if mu.dim != nu.dim or mu.dim != basis.dim:
@@ -255,63 +243,54 @@ def _check_pair(mu: EmpiricalSymMeasure, nu: EmpiricalSymMeasure, basis: Project
         )
 
 
+def _report(estimator: str, basis: ProjectionBasis, p: float, value: float, t0: float,
+            resampled: int = 0) -> DiscrepancyReport:
+    return DiscrepancyReport(
+        value=value,
+        estimator=estimator,
+        order_p=p,
+        num_projections=basis.count,
+        seed=basis.seed,
+        wall_time_seconds=time.perf_counter() - t0,
+        degenerate_resampled=resampled,
+    )
+
+
 def _sliced_mean(coords_mu: np.ndarray, coords_nu: np.ndarray, p: float) -> float:
     coords_mu = np.sort(coords_mu, axis=-1)
     coords_nu = np.sort(coords_nu, axis=-1)
     return float(np.mean(_wpp_rows(coords_mu, coords_nu, p)))
 
 
+def _frobenius_sliced(estimator: str, mu, nu, basis: ProjectionBasis, p: float,
+                      support) -> DiscrepancyReport:
+    """The linear estimators: slice ``support(measure)`` (an (n, d, d)
+    symmetric stack) through <A, .>_F."""
+    t0 = time.perf_counter()
+    _check_pair(estimator, mu, nu, basis, p)
+    value = _sliced_mean(
+        basis.project_symmetric(support(mu)), basis.project_symmetric(support(nu)), p
+    )
+    return _report(estimator, basis, p, value, t0)
+
+
 def spdsw(mu: EmpiricalSpdMeasure, nu: EmpiricalSpdMeasure, basis: ProjectionBasis, p: float = 2.0) -> DiscrepancyReport:
     """Sliced discrepancy between SPD-valued measures: average over the
     basis directions of W_p^p between geodesic-coordinate pushforwards."""
-    t0 = time.perf_counter()
-    _check_pair(mu, nu, basis, p)
-    value = _sliced_mean(basis.project_symmetric(mu.logs), basis.project_symmetric(nu.logs), p)
-    return DiscrepancyReport(
-        value=value,
-        estimator="spdsw",
-        order_p=p,
-        num_projections=basis.count,
-        seed=basis.seed,
-        wall_time_seconds=time.perf_counter() - t0,
-    )
+    return _frobenius_sliced("spdsw", mu, nu, basis, p, lambda m: m.logs)
 
 
 def sym_sw(mu_log: EmpiricalSymMeasure, nu_log: EmpiricalSymMeasure, basis: ProjectionBasis, p: float = 2.0) -> DiscrepancyReport:
     """Sliced discrepancy between measures of symmetric matrices, slicing
     through the Frobenius inner product <A, B>."""
-    t0 = time.perf_counter()
-    _check_pair(mu_log, nu_log, basis, p)
-    value = _sliced_mean(
-        basis.project_symmetric(mu_log.points), basis.project_symmetric(nu_log.points), p
-    )
-    return DiscrepancyReport(
-        value=value,
-        estimator="symsw",
-        order_p=p,
-        num_projections=basis.count,
-        seed=basis.seed,
-        wall_time_seconds=time.perf_counter() - t0,
-    )
+    return _frobenius_sliced("symsw", mu_log, nu_log, basis, p, lambda m: m.points)
 
 
 def log_sw(mu: EmpiricalSpdMeasure, nu: EmpiricalSpdMeasure, basis: ProjectionBasis, p: float = 2.0) -> DiscrepancyReport:
     """Euclidean sliced Wasserstein on the log-mapped measures, with
     directions drawn uniformly on the sphere of the isometric
     vectorization (``vec_sphere`` basis)."""
-    t0 = time.perf_counter()
-    if basis.sampler_kind != "vec_sphere":
-        raise ValueError("log_sw requires a vec_sphere basis")
-    _check_pair(mu, nu, basis, p)
-    value = _sliced_mean(basis.project_symmetric(mu.logs), basis.project_symmetric(nu.logs), p)
-    return DiscrepancyReport(
-        value=value,
-        estimator="logsw",
-        order_p=p,
-        num_projections=basis.count,
-        seed=basis.seed,
-        wall_time_seconds=time.perf_counter() - t0,
-    )
+    return _frobenius_sliced("logsw", mu, nu, basis, p, lambda m: m.logs)
 
 
 def _busemann_coords_stack(points: np.ndarray, p_tilde: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -331,9 +310,7 @@ def hspdsw(mu: EmpiricalSpdMeasure, nu: EmpiricalSpdMeasure, basis: ProjectionBa
     are redrawn from a reserved substream of the basis seed and counted.
     """
     t0 = time.perf_counter()
-    if basis.sampler_kind != "eig_uniform":
-        raise ValueError("hspdsw requires an eig_uniform basis")
-    _check_pair(mu, nu, basis, p)
+    _check_pair("hspdsw", mu, nu, basis, p)
 
     eigvals, eigvecs = np.linalg.eigh(basis.directions)
     resampled = 0
@@ -354,22 +331,7 @@ def hspdsw(mu: EmpiricalSpdMeasure, nu: EmpiricalSpdMeasure, basis: ProjectionBa
         cm = np.sort(_busemann_coords_stack(mu.points, vecs, theta))
         cn = np.sort(_busemann_coords_stack(nu.points, vecs, theta))
         values[i] = _wpp_rows(cm[None], cn[None], p)[0]
-    return DiscrepancyReport(
-        value=float(np.mean(values)),
-        estimator="hspdsw",
-        order_p=p,
-        num_projections=basis.count,
-        seed=basis.seed,
-        wall_time_seconds=time.perf_counter() - t0,
-        degenerate_resampled=resampled,
-    )
-
-
-ESTIMATOR_FUNCS = {
-    "spdsw": spdsw,
-    "logsw": log_sw,
-    "hspdsw": hspdsw,
-}
+    return _report("hspdsw", basis, p, float(np.mean(values)), t0, resampled)
 
 
 def mc_error_estimate(

@@ -15,12 +15,9 @@ from spdsliced import (
 )
 from spdsliced.adaptation import (
     ChainParam,
-    Rotation,
-    Translation,
     _chain_loss_only,
     _sliced_loss_grad,
     identity_chain_params,
-    materialize_chain,
 )
 from spdsliced.errors import (
     DimensionMismatch,
@@ -189,17 +186,9 @@ class TestTransformLossGradient:
 
     def test_materialize_chain_validates(self):
         params = identity_chain_params(3)
-        chain = materialize_chain(params)
-        assert isinstance(chain.steps[0], Translation)
-        assert isinstance(chain.steps[1], Rotation)
-        assert np.allclose(chain.steps[0].w, np.eye(3))
-        assert np.allclose(chain.steps[1].r, np.eye(3))
-
-    def test_rotation_validation(self):
-        with pytest.raises(ValueError):
-            Rotation(np.diag([1.0, -1.0]))  # reflection, det < 0
-        with pytest.raises(ValueError):
-            Rotation(2.0 * np.eye(2))
+        assert [prm.kind for prm in params] == ["translation", "rotation"]
+        for prm in params:
+            assert np.array_equal(prm.materialize(), np.eye(3))
 
 
 class TestRunAdaptation:

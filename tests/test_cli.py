@@ -5,7 +5,11 @@ import sys
 
 import pytest
 
+import spdsliced
 from spdsliced import RngState, load_spd_dataset, save_spd_dataset, wishart_stack
+from spdsliced.adaptation import PARTICLE_LOSSES
+from spdsliced.cli import build_parser, main
+from spdsliced.experiments import ALL_METRICS
 
 
 def run_cli(*args):
@@ -189,3 +193,41 @@ class TestSmallExperimentCommands:
         rows = json.loads(out.stdout)["rows"]
         test_row = [r for r in rows if r["record"] == "test"][0]
         assert test_row["r2"] >= 1.0 - 1e-6
+
+
+def _choices(command, flag):
+    sub = next(a for a in build_parser()._actions if a.dest == "command").choices[command]
+    return next(a for a in sub._actions if flag in a.option_strings).choices
+
+
+class TestArgumentRanges:
+    @pytest.mark.parametrize("argv", [
+        ["distance", "a.json", "b.json", "--metric", "spdsw", "--projections", "0"],
+        ["distance", "a.json", "b.json", "--metric", "spdsw", "--order", "0.5"],
+        ["distance", "a.json", "b.json", "--metric", "les", "--epsilon", "0"],
+        ["distance", "a.json", "b.json", "--metric", "les", "--epsilon", "-1"],
+        ["projection-complexity", "--dims", "0"],
+        ["benchmark-runtime", "--repeats", "0"],
+        ["gen-wishart", "--d", "2", "--n", "0", "--dof", "4", "--output", "{out}"],
+        ["adapt", "--source", "s.json", "--target", "t.json", "--epochs", "-1"],
+    ], ids=["projections-0", "order-0.5", "epsilon-0", "epsilon-neg", "dims-0",
+            "repeats-0", "n-0", "epochs-neg"])
+    def test_out_of_range_is_usage_error(self, argv, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(out=out) for a in argv])
+        assert exc.value.code == 2
+        assert "expected" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestPublicSurface:
+    def test_all_names_resolve(self):
+        for name in spdsliced.__all__:
+            getattr(spdsliced, name)
+
+    def test_metric_choices_match_experiments_table(self):
+        assert tuple(_choices("distance", "--metric")) == ALL_METRICS
+
+    def test_loss_choices_match_particle_losses(self):
+        assert tuple(_choices("adapt", "--loss")) == PARTICLE_LOSSES

@@ -101,6 +101,27 @@ class TestDatasetValidation:
         with pytest.raises(DataValidationError):
             load_spd_dataset(self._write(tmp_path / "x.json", doc))
 
+    @pytest.mark.parametrize("labels", [[-1, 0], ["x", 0], 3, [0.5, 1.7], [True, 0]])
+    def test_rejects_malformed_labels(self, tmp_path, labels):
+        doc = self._valid_doc()
+        doc["count"] = 2
+        doc["matrices"] = doc["matrices"] * 2
+        doc["labels"] = labels
+        with pytest.raises(DataValidationError):
+            load_spd_dataset(self._write(tmp_path / "x.json", doc))
+
+    def test_non_spd_message_names_the_matrix(self, tmp_path):
+        doc = self._valid_doc()
+        doc["count"] = 2
+        doc["matrices"] = [[2.0, 0.1, 0.1, 1.0], [1.0, 2.0, 2.0, 1.0]]
+        with pytest.raises(DataValidationError, match="matrix 1"):
+            load_spd_dataset(self._write(tmp_path / "x.json", doc))
+
+    def test_logs_filled_at_load(self, tmp_path):
+        path = self._write(tmp_path / "x.json", self._valid_doc())
+        measure = load_spd_dataset(path).measure
+        assert measure._logs is not None
+
     def test_rejects_label_length(self, tmp_path):
         doc = self._valid_doc()
         doc["labels"] = [0, 1]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from spdsliced import (
     sum_kernels,
 )
 from spdsliced.errors import BasisMismatch, IllConditioned, SizeMismatch
-from spdsliced.kernels import GramMatrix, kfold_indices
+from spdsliced.kernels import GramMatrix, feature_sq_distances, kfold_indices
 
 from conftest import random_spd, wishart_measure
 
@@ -223,3 +225,17 @@ class TestKfold:
             kfold_indices(5, 1)
         with pytest.raises(ValueError):
             kfold_indices(5, 6)
+
+
+def test_feature_sq_distances_memory_is_bounded():
+    # 60 features of M = L = 100: a full (60, 60, 10^4) difference is 288 MB.
+    basis = build_projection_basis(RngState(9), 3, 100)
+    feats = features_for(range(60), basis, midpoint_quantile_levels(100), n=20)
+    tracemalloc.start()
+    try:
+        sq = feature_sq_distances(feats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sq.shape == (60, 60)
+    assert peak < 100e6

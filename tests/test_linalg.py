@@ -5,25 +5,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spdsliced import (
+    RngState,
     SpdMatrix,
     SymMatrix,
+    build_projection_basis,
     dist_affine_invariant,
     dist_log_euclidean,
     log_frechet_derivative,
+    quantile_feature,
     sym_exp,
     sym_log,
     udu_decompose,
+    wishart_stack,
 )
 from spdsliced.errors import DimensionMismatch, NotPositiveDefinite
 from spdsliced.linalg import (
     EXP_CAP,
     exp_frechet_sym,
+    exp_stack,
+    log_stack,
+    pairwise_sq_dists,
+    reconstruct,
     udu_stack,
     unvech_isometric,
     vech_isometric,
 )
 
-from conftest import random_spd, random_sym
+from conftest import random_spd, random_sym, wishart_measure
 
 
 class TestTypes:
@@ -244,3 +252,50 @@ class TestVectorization:
     def test_roundtrip(self, nprng):
         s = random_sym(nprng, 4)
         assert np.allclose(unvech_isometric(vech_isometric(s)), s, atol=1e-14)
+
+
+def _einsum_reconstruct(w, q):
+    return np.einsum("bik,bk,bjk->bij", q, w, q)
+
+
+def _plain_sq_dists(x, y):
+    diff = x[:, None, :] - y[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+class TestStackReconstruction:
+    def test_log_stack_matches_einsum_form(self, nprng):
+        mats = np.stack([random_spd(nprng, 6) for _ in range(50)])
+        w, q = np.linalg.eigh(mats)
+        want = _einsum_reconstruct(np.log(w), q)
+        got = log_stack(mats)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_exp_stack_matches_einsum_form(self, nprng):
+        mats = np.stack([random_sym(nprng, 6) for _ in range(50)])
+        w, q = np.linalg.eigh(mats)
+        want = _einsum_reconstruct(np.exp(w), q)
+        got = exp_stack(mats)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+    def test_blocks_match_one_batched_matmul(self):
+        mats = wishart_stack(RngState(3), 3000, 20, 40)  # two blocks of Q
+        w, q = np.linalg.eigh(mats)
+        whole = (q * np.log(w)[:, None, :]) @ np.swapaxes(q, 1, 2)
+        assert np.array_equal(reconstruct(np.log(w), q), whole)
+
+
+class TestPairwiseSqDists:
+    def test_bit_identical_on_kernel_features(self):
+        basis = build_projection_basis(RngState(5), 3, 100)
+        flat = np.stack([quantile_feature(wishart_measure(s, 30, 3), basis).flat()
+                         for s in range(25)])
+        assert flat.shape[1] == 10_000  # several column blocks per row
+        assert np.array_equal(pairwise_sq_dists(flat, flat), _plain_sq_dists(flat, flat))
+        assert np.array_equal(pairwise_sq_dists(flat[:7], flat), _plain_sq_dists(flat[:7], flat))
+
+    def test_bit_identical_on_adaptation_vech_logs(self):
+        vs = vech_isometric(log_stack(wishart_stack(RngState(1), 150, 20, 40)))
+        vt = vech_isometric(log_stack(wishart_stack(RngState(2), 120, 20, 40)))
+        assert np.array_equal(pairwise_sq_dists(vs, vt), _plain_sq_dists(vs, vt))
