@@ -38,6 +38,7 @@ from .linalg import (
 )
 from .sampling import ProjectionBasis, RngState, build_projection_basis
 from .sliced import (
+    SLICED_ESTIMATORS,
     EmpiricalSpdMeasure,
     _merged_quantile_grid,
     _wpp_rows,
@@ -302,11 +303,10 @@ class AdaptationTrace:
 
 
 def _basis_for(config: AdaptationConfig, d: int) -> ProjectionBasis | None:
-    if config.loss_kind == "spdsw":
-        return build_projection_basis(RngState(config.seed), d, config.num_projections, "eig_uniform")
-    if config.loss_kind == "logsw":
-        return build_projection_basis(RngState(config.seed), d, config.num_projections, "vec_sphere")
-    return None
+    if config.loss_kind not in SLICED_ESTIMATORS:
+        return None
+    kind = SLICED_ESTIMATORS[config.loss_kind][1] or "eig_uniform"
+    return build_projection_basis(RngState(config.seed), d, config.num_projections, kind)
 
 
 def _descend(state, loss_grad, loss_only, config: AdaptationConfig, scale_step, add_step):
@@ -439,13 +439,16 @@ class LogLinearClassifier:
         return np.hstack([feats, np.ones((feats.shape[0], 1))])
 
     def predict_proba(self, measure: EmpiricalSpdMeasure) -> np.ndarray:
-        z = self._design(measure) @ self.weights.T
-        z -= z.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        return e / e.sum(axis=1, keepdims=True)
+        return _softmax(self._design(measure) @ self.weights.T)
 
     def predict(self, measure: EmpiricalSpdMeasure) -> np.ndarray:
         return self.classes[np.argmax(self.predict_proba(measure), axis=1)]
+
+
+def _softmax(z: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of logits (n, K), shifted by the row maximum."""
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def _multinomial_objective(w, x, y_onehot, l2, n):
@@ -485,19 +488,13 @@ def train_log_linear_classifier(
     y_onehot = np.zeros((n, k))
     y_onehot[np.arange(n), y_idx] = 1.0
 
-    def softmax_probs(weights):
-        z = x @ weights.T
-        z -= z.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        return e / e.sum(axis=1, keepdims=True)
-
     w = np.zeros((k, dplus))
     penalty_mask = np.ones((k, dplus))
     penalty_mask[:, -1] = 0.0  # bias unpenalized
     objective = _multinomial_objective(w, x, y_onehot, l2_penalty, n)
     converged = False
     for _ in range(max_iter):
-        probs = softmax_probs(w)
+        probs = _softmax(x @ w.T)
         grad = (probs - y_onehot).T @ x / n + l2_penalty * w * penalty_mask
         if np.linalg.norm(grad) <= grad_tol:
             converged = True

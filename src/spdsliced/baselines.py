@@ -14,8 +14,8 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.special import logsumexp
 
-from .errors import DimensionMismatch, InstanceTooLarge, NotPositiveDefinite
-from .linalg import eigh_stack, pairwise_sq_dists, pd_tolerance, reconstruct, vech_isometric
+from .errors import DimensionMismatch, InstanceTooLarge
+from .linalg import pairwise_ai_dists, pairwise_sq_dists, vech_isometric
 from .sliced import EmpiricalSpdMeasure
 
 GROUND_METRICS = ("log_euclidean", "affine_invariant")
@@ -76,19 +76,6 @@ class TransportPlan:
         object.__setattr__(self, "plan", g)
 
 
-def _ai_distances(mu: EmpiricalSpdMeasure, nu: EmpiricalSpdMeasure) -> np.ndarray:
-    wx, qx = eigh_stack(mu.points)
-    inv_sqrts = reconstruct(1.0 / np.sqrt(wx), qx)
-    out = np.empty((len(mu), len(nu)))
-    for i, inv_sqrt in enumerate(inv_sqrts):
-        whitened = inv_sqrt @ nu.points @ inv_sqrt
-        w = np.linalg.eigvalsh(0.5 * (whitened + np.swapaxes(whitened, -2, -1)))
-        if np.any(w[:, 0] <= pd_tolerance(w)):
-            raise NotPositiveDefinite("whitened matrix lost positive definiteness")
-        out[i] = np.sqrt(np.sum(np.log(w) ** 2, axis=1))
-    return out
-
-
 def build_cost_matrix(
     mu: EmpiricalSpdMeasure,
     nu: EmpiricalSpdMeasure,
@@ -102,7 +89,7 @@ def build_cost_matrix(
         sq = pairwise_sq_dists(vech_isometric(mu.logs), vech_isometric(nu.logs))
         entries = sq if p == 2.0 else sq ** (p / 2.0)
     elif metric == "affine_invariant":
-        dist = _ai_distances(mu, nu)
+        dist = pairwise_ai_dists(mu.points, nu.points)
         entries = dist * dist if p == 2.0 else dist**p
     else:
         raise ValueError(f"unknown ground metric {metric!r}")

@@ -42,8 +42,14 @@ def _bounded(convert, low: float, strict: bool, what: str):
 
 _positive_int = _bounded(int, 0, True, "a positive integer")
 _nonnegative_int = _bounded(int, 0, False, "a nonnegative integer")
+_fold_count = _bounded(int, 2, False, "an integer >= 2")
 _order = _bounded(float, 1.0, False, "a number >= 1")
 _positive_float = _bounded(float, 0.0, True, "a positive number")
+
+# Restated so they are checked before the numerical modules load; tests
+# keep them equal to the tables of the same names in ``experiments``.
+ALL_METRICS = ("spdsw", "logsw", "hspdsw", "lew", "les", "aiw")
+SAMPLE_COMPLEXITY_METRICS = ("spdsw", "lew")
 
 
 def _int_list(text: str) -> list[int]:
@@ -54,8 +60,21 @@ def _int_list(text: str) -> list[int]:
     return values
 
 
-def _str_list(text: str) -> list[str]:
-    return [v.strip() for v in text.split(",") if v.strip()]
+def _metric_list(allowed: tuple[str, ...]):
+    """An argparse type: comma-separated metric names, each in ``allowed``."""
+
+    def parse(text: str) -> list[str]:
+        values = [v.strip() for v in text.split(",") if v.strip()]
+        if not values or not set(values) <= set(allowed):
+            raise argparse.ArgumentTypeError(f"expected names from {allowed}, got {text!r}")
+        return values
+
+    return parse
+
+
+def _bandwidth(text: str):
+    """'median' or a positive finite number."""
+    return text if text == "median" else _positive_float(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -70,8 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("distance", help="discrepancy between two dataset files")
     p.add_argument("file_a")
     p.add_argument("file_b")
-    p.add_argument("--metric", required=True,
-                   choices=["spdsw", "logsw", "hspdsw", "lew", "les", "aiw"])
+    p.add_argument("--metric", required=True, choices=ALL_METRICS)
     p.add_argument("--projections", type=_positive_int, default=200)
     p.add_argument("--order", type=_order, default=2.0)
     p.add_argument("--seed", type=int, default=0)
@@ -101,7 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default=[100, 215, 464, 1000, 2154, 4641, 10000, 21544, 46415, 100000])
     p.add_argument("--d", type=_positive_int, default=20)
     p.add_argument("--projections", type=_positive_int, default=200)
-    p.add_argument("--metrics", type=_str_list, default=["spdsw", "logsw", "lew", "les"])
+    p.add_argument("--metrics", type=_metric_list(ALL_METRICS),
+                   default=["spdsw", "logsw", "lew", "les"])
     p.add_argument("--repeats", type=_positive_int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epsilon", type=_positive_float, default=1.0)
@@ -115,7 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="guard on the largest allowed dimension")
     p.add_argument("--n-grid", type=_int_list, default=[10, 31, 100, 316, 1000])
     p.add_argument("--repeats", type=_positive_int, default=100)
-    p.add_argument("--metrics", type=_str_list, default=["spdsw", "lew"])
+    p.add_argument("--metrics", type=_metric_list(SAMPLE_COMPLEXITY_METRICS),
+                   default=list(SAMPLE_COMPLEXITY_METRICS))
     p.add_argument("--projections", type=_positive_int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     _output_flags(p)
@@ -151,10 +171,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kernel-ridge", help="distribution regression with sliced kernels")
     p.add_argument("--train", required=True, help="manifest of datasets and targets")
     p.add_argument("--test", default=None)
-    p.add_argument("--folds", type=int, default=5)
+    p.add_argument("--folds", type=_fold_count, default=5)
     p.add_argument("--projections", type=_positive_int, default=100)
     p.add_argument("--quantiles", type=_positive_int, default=100)
-    p.add_argument("--sigma", default="median", help="'median' or a positive number")
+    p.add_argument("--sigma", type=_bandwidth, default="median",
+                   help="'median' or a positive number")
     p.add_argument("--alpha", type=_positive_float, default=1e-6)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output-predictions", default=None)
@@ -226,15 +247,9 @@ def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser):
             require_evaluation=args.evaluate,
         )
     if args.command == "kernel-ridge":
-        sigma = args.sigma
-        if sigma != "median":
-            try:
-                sigma = float(sigma)
-            except ValueError:
-                parser.error("--sigma must be 'median' or a number")
         return experiments.run_kernel_ridge(
             train_manifest=args.train, test_manifest=args.test, folds=args.folds,
-            projections=args.projections, quantiles=args.quantiles, sigma=sigma,
+            projections=args.projections, quantiles=args.quantiles, sigma=args.sigma,
             alpha=args.alpha, seed=args.seed, output_predictions=args.output_predictions,
         )
     parser.error(f"unknown command {args.command!r}")

@@ -46,6 +46,7 @@ from .sliced import (
 SLICED_METRICS = tuple(SLICED_ESTIMATORS)
 COST_METRICS = ("lew", "les", "aiw")
 ALL_METRICS = SLICED_METRICS + COST_METRICS
+SAMPLE_COMPLEXITY_METRICS = ("spdsw", "lew")
 
 _SAMPLER_FLAG = {"eig": "eig_uniform", "fast": "fast_symmetric"}
 
@@ -83,25 +84,23 @@ def compute_distance(
             RngState(seed), mu.dim, projections, kind or _SAMPLER_FLAG[sampler]
         )
         return getattr(sliced, name)(mu, nu, basis, order)
+    if metric not in COST_METRICS:
+        raise ValueError(f"unknown metric {metric!r}")
     t0 = time.perf_counter()
     ground = "affine_invariant" if metric == "aiw" else "log_euclidean"
     cost = build_cost_matrix(mu, nu, ground, order)
-    cap = exact_size_cap if exact_size_cap is not None else EXACT_SIZE_CAP
+    converged = None
     if metric == "les":
         plan, converged = sinkhorn(cost, epsilon=epsilon)
-        return DiscrepancyReport(
-            value=plan.cost,
-            estimator="le_sinkhorn",
-            order_p=order,
-            wall_time_seconds=time.perf_counter() - t0,
-            converged=converged,
-        )
-    value = exact_wasserstein(cost, size_cap=cap).cost
+    else:
+        cap = exact_size_cap if exact_size_cap is not None else EXACT_SIZE_CAP
+        plan = exact_wasserstein(cost, size_cap=cap)
     return DiscrepancyReport(
-        value=value,
-        estimator="lew_exact" if metric == "lew" else "aiw_exact",
+        value=plan.cost,
+        estimator={"lew": "lew_exact", "les": "le_sinkhorn", "aiw": "aiw_exact"}[metric],
         order_p=order,
         wall_time_seconds=time.perf_counter() - t0,
+        converged=converged,
     )
 
 
@@ -153,6 +152,12 @@ def run_distance(
 # -- synthetic data provisioning ----------------------------------------------
 
 
+def _with_norm(a: np.ndarray, size: float) -> np.ndarray:
+    """``a`` rescaled to Frobenius norm ``size`` (zero if either is zero)."""
+    norm = np.linalg.norm(a)
+    return a * (size / norm) if size != 0.0 and norm > 0.0 else np.zeros_like(a)
+
+
 def run_gen_wishart(
     output: str,
     d: int,
@@ -199,17 +204,8 @@ def run_gen_wishart(
         else:
             gen = rng.substream(10_000).generator()
             omega = gen.standard_normal((d, d))
-            omega = 0.5 * (omega - omega.T)
-            if shift_angle != 0.0 and np.linalg.norm(omega) > 0.0:
-                omega *= shift_angle / np.linalg.norm(omega)
-            else:
-                omega[:] = 0.0
-            rotation = expm(omega)
-            rand_sym = symmetrize(gen.standard_normal((d, d)))
-            if shift_random != 0.0 and np.linalg.norm(rand_sym) > 0.0:
-                rand_sym *= shift_random / np.linalg.norm(rand_sym)
-            else:
-                rand_sym[:] = 0.0
+            rotation = expm(_with_norm(0.5 * (omega - omega.T), shift_angle))
+            rand_sym = _with_norm(symmetrize(gen.standard_normal((d, d))), shift_random)
             translation = shift_identity * np.eye(d) + rand_sym
             logs = log_stack(points)
             shifted_logs = np.einsum("ba,nbc,cd->nad", rotation, logs, rotation) + translation
@@ -480,16 +476,20 @@ def _load_manifest(path: str) -> list[dict]:
     return out
 
 
-def _band_features(entries, basis, levels):
-    bands = len(entries[0]["paths"])
+def _band_features(entries, levels, make_basis):
+    """Quantile features per band and entry, and the slicing basis that
+    ``make_basis(dim)`` builds from the first loaded measure."""
+    basis = None
     features = []
-    for b in range(bands):
+    for b in range(len(entries[0]["paths"])):
         feats = []
         for e in entries:
             measure = load_spd_dataset(e["paths"][b]).measure
+            if basis is None:
+                basis = make_basis(measure.dim)
             feats.append(quantile_feature(measure, basis, levels))
         features.append(feats)
-    return features
+    return features, basis
 
 
 def _fit_predict(band_feats_train, band_feats_test, targets_train, sigma_flag, alpha):
@@ -534,10 +534,13 @@ def run_kernel_ridge(
     manifest (and optionally scored on a held-out test manifest)."""
     t0 = time.perf_counter()
     entries = _load_manifest(train_manifest)
-    first = load_spd_dataset(entries[0]["paths"][0]).measure
-    basis = build_projection_basis(RngState(seed), first.dim, projections, "eig_uniform")
+    if folds > len(entries):
+        raise DataValidationError(f"{folds} folds exceed the {len(entries)} manifest entries")
     levels = midpoint_quantile_levels(quantiles)
-    band_feats = _band_features(entries, basis, levels)
+    band_feats, basis = _band_features(
+        entries, levels,
+        lambda dim: build_projection_basis(RngState(seed), dim, projections, "eig_uniform"),
+    )
     targets = np.array([e["target"] for e in entries])
 
     rows = []
@@ -558,7 +561,7 @@ def run_kernel_ridge(
 
     if test_manifest is not None:
         test_entries = _load_manifest(test_manifest)
-        test_feats = _band_features(test_entries, basis, levels)
+        test_feats, _ = _band_features(test_entries, levels, lambda dim: basis)
         preds, _ = _fit_predict(band_feats, test_feats, targets, sigma, alpha)
         truth = np.array([e["target"] for e in test_entries])
         rows.append({"record": "test", "fold": None, **_scores(preds, truth), "sigma": None})

@@ -2,9 +2,11 @@
 
 Everything here reduces to one numerical kernel: the eigendecomposition of a
 real symmetric matrix (delegated to LAPACK through ``numpy.linalg.eigh``).
-Matrix log/exp, the two geodesic distances, the Daleckii-Krein derivative of
-the log, and the UDU factorization are built on top of it.  Every matrix
-function rebuilt from eigenpairs, single or stacked, goes through
+Matrix log/exp, the two geodesic distances and the Daleckii-Krein
+derivatives are built on top of it; the UDU^T factorization is read off a
+Cholesky factor of the index-reversed matrix.  Each operation has one
+batched kernel, and the single-matrix functions are stack-of-one calls of
+it.  Every matrix function rebuilt from eigenpairs goes through
 :func:`reconstruct`; pairwise squared distances between vector rows go
 through :func:`pairwise_sq_dists`.
 """
@@ -99,9 +101,6 @@ class SymMatrix:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def frobenius_norm(self) -> float:
-        return float(np.linalg.norm(self.array))
-
     def __repr__(self):
         return f"{type(self).__name__}(dim={self.dim})"
 
@@ -161,16 +160,18 @@ def sym_log(m) -> SymMatrix:
     return as_spd(m).log
 
 
+def _exp_eig(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs (exp w, Q) of the exponentials of a symmetric stack (b, d, d)."""
+    w, q = np.linalg.eigh(mats)
+    if np.any(w > EXP_CAP):
+        raise OverflowError(f"eigenvalue {np.max(w):.3e} exceeds the exponential cap {EXP_CAP}")
+    return np.exp(w), q
+
+
 def sym_exp(s) -> SpdMatrix:
     """Matrix exponential of a symmetric matrix, positive definite by construction."""
-    s = as_sym(s)
-    w, q = np.linalg.eigh(s.array)
-    if w[-1] > EXP_CAP:
-        raise OverflowError(
-            f"eigenvalue {w[-1]:.3e} exceeds the exponential cap {EXP_CAP}"
-        )
-    ew = np.exp(w)
-    return SpdMatrix(reconstruct(ew, q), _eig=EigenPair(ew, q))
+    ew, q = _exp_eig(as_sym(s).array[None])
+    return SpdMatrix(reconstruct(ew[0], q[0]), _eig=EigenPair(ew[0], q[0]))
 
 
 def dist_log_euclidean(x, y) -> float:
@@ -181,16 +182,24 @@ def dist_log_euclidean(x, y) -> float:
 
 
 def dist_affine_invariant(x, y) -> float:
-    """Affine-invariant geodesic distance, computed stably as
-    ||log(X^{-1/2} Y X^{-1/2})||_F."""
+    """Affine-invariant geodesic distance ||log(X^{-1/2} Y X^{-1/2})||_F."""
     x, y = as_spd(x), as_spd(y)
     _check_same_dim(x, y)
-    inv_sqrt = reconstruct(1.0 / np.sqrt(x.eig.eigenvalues), x.eig.eigenvectors)
-    inner = symmetrize(inv_sqrt @ y.array @ inv_sqrt)
-    w = np.linalg.eigh(inner)[0]
-    if w[0] <= pd_tolerance(w):
-        raise NotPositiveDefinite("whitened matrix lost positive definiteness")
-    return float(np.sqrt(np.sum(np.log(w) ** 2)))
+    return float(pairwise_ai_dists(x.array[None], y.array[None])[0, 0])
+
+
+def pairwise_ai_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Affine-invariant distances (n, m) between the SPD stacks x (n, d, d)
+    and y (m, d, d), through the whitened stacks X^{-1/2} Y X^{-1/2}."""
+    wx, qx = eigh_stack(x)
+    inv_sqrts = reconstruct(1.0 / np.sqrt(wx), qx)
+    out = np.empty((len(x), len(y)))
+    for i, inv_sqrt in enumerate(inv_sqrts):
+        w = np.linalg.eigvalsh(symmetrize(inv_sqrt @ y @ inv_sqrt))
+        if np.any(w[:, 0] <= pd_tolerance(w)):
+            raise NotPositiveDefinite("whitened matrix lost positive definiteness")
+        out[i] = np.sqrt(np.sum(np.log(w) ** 2, axis=1))
+    return out
 
 
 def _log_divided_differences(w: np.ndarray) -> np.ndarray:
@@ -222,14 +231,20 @@ def _exp_divided_differences(w: np.ndarray) -> np.ndarray:
     return np.where(zero, np.exp(wi), g)
 
 
+def _daleckii_krein(q: np.ndarray, g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Q (G o Q^T H Q) Q^T for stacks of eigenvectors Q, Loewner matrices G
+    and symmetric directions H, all (b, d, d)."""
+    inner = np.einsum("bki,bkl,blj->bij", q, h, q)
+    return np.einsum("bik,bkl,bjl->bij", q, g * inner, q)
+
+
 def log_frechet_derivative(m, h) -> SymMatrix:
     """Directional derivative of the matrix log at M along symmetric H
     (Daleckii-Krein first divided differences)."""
     m, h = as_spd(m), as_sym(h)
     _check_same_dim(m, h)
     w, q = m.eig.eigenvalues, m.eig.eigenvectors
-    inner = q.T @ h.array @ q
-    return SymMatrix(q @ (_log_divided_differences(w) * inner) @ q.T)
+    return SymMatrix(log_frechet_stack(w[None], q[None], h.array[None])[0])
 
 
 def exp_frechet_sym(s, h) -> SymMatrix:
@@ -237,9 +252,8 @@ def exp_frechet_sym(s, h) -> SymMatrix:
     symmetric H. Same divided-difference scheme as the log derivative."""
     s, h = as_sym(s), as_sym(h)
     _check_same_dim(s, h)
-    w, q = np.linalg.eigh(s.array)
-    inner = q.T @ h.array @ q
-    return SymMatrix(q @ (_exp_divided_differences(w) * inner) @ q.T)
+    w, q = np.linalg.eigh(s.array[None])
+    return SymMatrix(_daleckii_krein(q, _exp_divided_differences(w), h.array[None])[0])
 
 
 def udu_decompose(m) -> tuple[np.ndarray, np.ndarray]:
@@ -248,29 +262,26 @@ def udu_decompose(m) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(U, D)`` with D as a length-d vector of diagonal entries.
     Raises NotPositiveDefinite on a nonpositive pivot.
     """
-    m = as_spd(m)
-    u, d = udu_stack(m.array[None, :, :])
+    u, d = udu_stack(as_spd(m).array[None])
     return u[0], d[0]
 
 
 def udu_stack(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Batched UDU^T factorization of a stack of SPD matrices (b, d, d).
 
-    Backward (bottom-right first) analogue of the LDL^T elimination; each
-    column update is vectorized over the batch.
+    With J the index reversal, J M J = L L^T gives M = R R^T for the upper
+    triangular R = J L J, so U = R diag(R)^-1.  D is formed as
+    D_j = M_jj - sum_{k>j} R_jk^2, which is exact on diagonal input.
     """
     m = np.asarray(mats, dtype=float)
-    b, d, _ = m.shape
-    u = np.broadcast_to(np.eye(d), (b, d, d)).copy()
-    diag = np.zeros((b, d))
-    for j in range(d - 1, -1, -1):
-        tail = slice(j + 1, d)
-        diag[:, j] = m[:, j, j] - np.sum(u[:, j, tail] ** 2 * diag[:, tail], axis=-1)
-        if np.any(diag[:, j] <= 0.0):
-            raise NotPositiveDefinite(f"nonpositive pivot in column {j}")
-        if j > 0:
-            acc = np.einsum("bik,bk,bk->bi", u[:, :j, tail], diag[:, tail], u[:, j, tail])
-            u[:, :j, j] = (m[:, :j, j] - acc) / diag[:, j, None]
+    try:
+        r = np.linalg.cholesky(m[:, ::-1, ::-1])[:, ::-1, ::-1]
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefinite("a matrix in the stack is not positive definite") from None
+    u = r / np.diagonal(r, axis1=1, axis2=2)[:, None, :]
+    diag = np.diagonal(m, axis1=1, axis2=2) - np.sum(np.triu(r, 1) ** 2, axis=-1)
+    if np.any(diag <= 0.0):
+        raise NotPositiveDefinite("nonpositive pivot in the UDU factorization")
     return u, diag
 
 
@@ -297,18 +308,13 @@ def log_stack(mats: np.ndarray) -> np.ndarray:
 
 def exp_stack(mats: np.ndarray) -> np.ndarray:
     """Matrix exponentials of a stack of symmetric matrices (b, d, d)."""
-    w, q = np.linalg.eigh(symmetrize(mats))
-    if np.any(w > EXP_CAP):
-        raise OverflowError("eigenvalue exceeds the exponential cap")
-    return reconstruct(np.exp(w), q)
+    return reconstruct(*_exp_eig(symmetrize(mats)))
 
 
 def log_frechet_stack(w: np.ndarray, q: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Batched Dlog at matrices given by their eigendecompositions (w, q),
     applied along the stack of symmetric directions ``h``."""
-    inner = np.einsum("bki,bkl,blj->bij", q, h, q)
-    g = _log_divided_differences(w)
-    return np.einsum("bik,bkl,bjl->bij", q, g * inner, q)
+    return _daleckii_krein(q, _log_divided_differences(w), h)
 
 
 def pairwise_sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -15,20 +15,17 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateSample, DimensionMismatch, NotUnitNorm
+from .errors import DegenerateSample, DimensionMismatch, NotPositiveDefinite, NotUnitNorm
 from .linalg import (
     SpdMatrix,
     SymMatrix,
     as_spd,
-    pd_tolerance,
     sym_dim,
     symmetrize,
     unvech_isometric,
 )
 
 _UINT64_MAX = 2**64 - 1
-
-SAMPLER_KINDS = ("eig_uniform", "fast_symmetric", "vec_sphere")
 
 
 @dataclass(frozen=True)
@@ -102,7 +99,7 @@ def sample_haar_orthogonal(rng, d: int) -> np.ndarray:
 
 def _lambda_s_from(gen: np.random.Generator, d: int) -> np.ndarray:
     # Draw order is part of the determinism contract: theta first, then P.
-    theta = sample_sphere_batch(gen, d, 1)[0]
+    theta = sample_sphere(gen, d)
     p = sample_haar_orthogonal(gen, d)
     a = symmetrize((p * theta) @ p.T)
     return a / np.linalg.norm(a)
@@ -115,14 +112,12 @@ def sample_lambda_s(rng, d: int) -> SymMatrix:
 
 
 def _fast_symmetric_from(gen: np.random.Generator, d: int) -> np.ndarray:
-    z = gen.standard_normal((d, d))
-    a = z + z.T
-    norm = np.linalg.norm(a)
-    while norm == 0.0:  # probability-zero guard
+    while True:  # a zero draw has probability zero; redraw it
         z = gen.standard_normal((d, d))
         a = z + z.T
         norm = np.linalg.norm(a)
-    return a / norm
+        if norm > 0.0:
+            return a / norm
 
 
 def sample_fast_symmetric(rng, d: int) -> SymMatrix:
@@ -135,21 +130,19 @@ def sample_fast_symmetric(rng, d: int) -> SymMatrix:
 
 
 def _vec_sphere_from(gen: np.random.Generator, d: int) -> np.ndarray:
-    u = sample_sphere_batch(gen, sym_dim(d), 1)[0]
-    return unvech_isometric(u)
+    return unvech_isometric(sample_sphere(gen, sym_dim(d)))
 
 
 def sample_wishart(rng, d: int, dof: int, scale=None) -> SpdMatrix:
-    """Normalized Wishart draw (1/dof) sum_k z_k z_k^T with z_k ~ N(0, scale)."""
-    if dof < d:
-        raise ValueError(f"dof ({dof}) must be at least the dimension ({d})")
+    """Normalized Wishart draw (1/dof) sum_k z_k z_k^T with z_k ~ N(0, scale):
+    a stack of one, redrawn once if it fails the positive-definiteness check."""
     gen = _as_generator(rng)
-    factor = _scale_factor(d, scale)
-    for attempt in range(2):
-        w = _wishart_from(gen, d, dof, factor)
-        eigvals = np.linalg.eigvalsh(w)
-        if eigvals[0] > pd_tolerance(eigvals):
-            return SpdMatrix(w)
+    for _ in range(2):
+        draw = wishart_stack(gen, 1, d, dof, scale)[0]
+        try:
+            return SpdMatrix(draw)
+        except NotPositiveDefinite:
+            pass
     raise DegenerateSample("Wishart sample failed the positive-definiteness check twice")
 
 
@@ -161,12 +154,6 @@ def _scale_factor(d: int, scale) -> np.ndarray | None:
         raise DimensionMismatch(f"scale has dim {scale.dim}, expected {d}")
     w, q = scale.eig.eigenvalues, scale.eig.eigenvectors
     return q * np.sqrt(w)  # factor F with F F^T = scale
-
-
-def _wishart_from(gen, d, dof, factor):
-    g = gen.standard_normal((dof, d))
-    z = g if factor is None else g @ factor.T
-    return symmetrize(z.T @ z) / dof
 
 
 def wishart_stack(rng, count: int, d: int, dof: int, scale=None, chunk_elems: int = 20_000_000) -> np.ndarray:
@@ -211,7 +198,7 @@ class ProjectionBasis:
         norms = np.linalg.norm(dirs.reshape(self.count, -1), axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-12):
             raise NotUnitNorm("every direction must have unit Frobenius norm (1e-12)")
-        if self.sampler_kind not in SAMPLER_KINDS:
+        if self.sampler_kind not in _SAMPLER_FUNCS:
             raise ValueError(f"unknown sampler kind {self.sampler_kind!r}")
         dirs.flags.writeable = False
         object.__setattr__(self, "directions", dirs)

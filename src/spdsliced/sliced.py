@@ -24,6 +24,7 @@ from .errors import (
 from .linalg import (
     SpdMatrix,
     SymMatrix,
+    _check_same_dim,
     as_spd,
     as_sym,
     log_stack,
@@ -145,14 +146,17 @@ def geodesic_coordinate(a, m) -> float:
     """Signed coordinate <A, log M>_F of M along the geodesic {exp(tA)}."""
     a = _check_unit_direction(as_sym(a))
     m = as_spd(m)
-    if a.dim != m.dim:
-        raise DimensionMismatch(f"dimensions differ: {a.dim} vs {m.dim}")
+    _check_same_dim(a, m)
     return float(np.sum(a.array * m.log.array))
 
 
-def _sorted_descending_eigenbasis(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    w, q = np.linalg.eigh(a)
-    return w[::-1], q[:, ::-1]
+def _busemann_frames(directions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each direction of a stack (L, d, d): its eigenvalues sorted descending,
+    the matching eigenvectors, and whether a gap between them is below DEGENERATE_GAP."""
+    w, q = np.linalg.eigh(directions)
+    theta, frames = w[:, ::-1], q[:, :, ::-1]
+    degenerate = np.any(theta[:, :-1] - theta[:, 1:] < DEGENERATE_GAP, axis=1)
+    return theta, frames, degenerate
 
 
 def busemann_coordinate_ai(a, m) -> float:
@@ -164,12 +168,11 @@ def busemann_coordinate_ai(a, m) -> float:
     """
     a = _check_unit_direction(as_sym(a))
     m = as_spd(m)
-    if a.dim != m.dim:
-        raise DimensionMismatch(f"dimensions differ: {a.dim} vs {m.dim}")
-    theta, p = _sorted_descending_eigenbasis(a.array)
-    if a.dim > 1 and np.min(theta[:-1] - theta[1:]) < DEGENERATE_GAP:
+    _check_same_dim(a, m)
+    (theta,), (frame,), (degenerate,) = _busemann_frames(a.array[None])
+    if degenerate:
         raise DegenerateDirection("direction has (near-)repeated eigenvalues")
-    return float(_busemann_coords_stack(m.array[None], p, theta)[0])
+    return float(_busemann_coords_stack(m.array[None], frame, theta)[0])
 
 
 # -- 1D Wasserstein ----------------------------------------------------------
@@ -312,12 +315,13 @@ def hspdsw(mu: EmpiricalSpdMeasure, nu: EmpiricalSpdMeasure, basis: ProjectionBa
     t0 = time.perf_counter()
     _check_pair("hspdsw", mu, nu, basis, p)
 
-    eigvals, eigvecs = np.linalg.eigh(basis.directions)
+    thetas, frames, degenerate = _busemann_frames(basis.directions)
     resampled = 0
-    values = np.empty(basis.count)
+    coords_mu = np.empty((basis.count, len(mu)))
+    coords_nu = np.empty((basis.count, len(nu)))
     for i in range(basis.count):
-        theta, vecs = eigvals[i][::-1], eigvecs[i][:, ::-1]
-        while mu.dim > 1 and np.min(theta[:-1] - theta[1:]) < DEGENERATE_GAP:
+        theta, frame, bad = thetas[i], frames[i], degenerate[i]
+        while bad:
             if basis.seed is None:
                 raise DegenerateDirection(
                     f"direction {i} has (near-)repeated eigenvalues and the basis "
@@ -326,12 +330,11 @@ def hspdsw(mu: EmpiricalSpdMeasure, nu: EmpiricalSpdMeasure, basis: ProjectionBa
             redraw = build_projection_basis(
                 basis.seed.substream(_RESAMPLE_STREAM_OFFSET + resampled), mu.dim, 1, "eig_uniform"
             )
-            theta, vecs = _sorted_descending_eigenbasis(redraw.directions[0])
+            (theta,), (frame,), (bad,) = _busemann_frames(redraw.directions)
             resampled += 1
-        cm = np.sort(_busemann_coords_stack(mu.points, vecs, theta))
-        cn = np.sort(_busemann_coords_stack(nu.points, vecs, theta))
-        values[i] = _wpp_rows(cm[None], cn[None], p)[0]
-    return _report("hspdsw", basis, p, float(np.mean(values)), t0, resampled)
+        coords_mu[i] = _busemann_coords_stack(mu.points, frame, theta)
+        coords_nu[i] = _busemann_coords_stack(nu.points, frame, theta)
+    return _report("hspdsw", basis, p, _sliced_mean(coords_mu, coords_nu, p), t0, resampled)
 
 
 def mc_error_estimate(

@@ -6,10 +6,10 @@ import sys
 import pytest
 
 import spdsliced
-from spdsliced import RngState, load_spd_dataset, save_spd_dataset, wishart_stack
+from spdsliced import RngState, cli, load_spd_dataset, save_spd_dataset, wishart_stack
 from spdsliced.adaptation import PARTICLE_LOSSES
 from spdsliced.cli import build_parser, main
-from spdsliced.experiments import ALL_METRICS
+from spdsliced.experiments import ALL_METRICS, SAMPLE_COMPLEXITY_METRICS
 
 
 def run_cli(*args):
@@ -210,8 +210,18 @@ class TestArgumentRanges:
         ["benchmark-runtime", "--repeats", "0"],
         ["gen-wishart", "--d", "2", "--n", "0", "--dof", "4", "--output", "{out}"],
         ["adapt", "--source", "s.json", "--target", "t.json", "--epochs", "-1"],
+        ["benchmark-runtime", "--metrics", "foo"],
+        ["benchmark-runtime", "--metrics", "spdsw,foo"],
+        ["sample-complexity", "--metrics", "foo"],
+        ["sample-complexity", "--metrics", "lew,les"],
+        ["kernel-ridge", "--train", "m.json", "--folds", "1"],
+        ["kernel-ridge", "--train", "m.json", "--sigma", "-1"],
+        ["kernel-ridge", "--train", "m.json", "--sigma", "nan"],
+        ["kernel-ridge", "--train", "m.json", "--sigma", "wide"],
     ], ids=["projections-0", "order-0.5", "epsilon-0", "epsilon-neg", "dims-0",
-            "repeats-0", "n-0", "epochs-neg"])
+            "repeats-0", "n-0", "epochs-neg", "metrics-unknown", "metrics-one-unknown",
+            "sample-metrics-unknown", "sample-metrics-les", "folds-1", "sigma-neg",
+            "sigma-nan", "sigma-word"])
     def test_out_of_range_is_usage_error(self, argv, tmp_path, capsys):
         out = tmp_path / "out.json"
         with pytest.raises(SystemExit) as exc:
@@ -221,6 +231,22 @@ class TestArgumentRanges:
         assert not out.exists()
 
 
+def test_sigma_parses_median_or_positive_number():
+    parse = build_parser().parse_args
+    assert parse(["kernel-ridge", "--train", "m.json"]).sigma == "median"
+    assert parse(["kernel-ridge", "--train", "m.json", "--sigma", "0.5"]).sigma == 0.5
+
+
+def test_more_folds_than_entries_is_data_error(tmp_path, capsys):
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps(
+        [{"path": str(tmp_path / f"d{i}.json"), "target": float(i)} for i in range(6)]
+    ))
+    assert main(["kernel-ridge", "--train", str(manifest), "--folds", "9"]) == 3
+    err = capsys.readouterr().err
+    assert "9 folds" in err and "6 manifest entries" in err
+
+
 class TestPublicSurface:
     def test_all_names_resolve(self):
         for name in spdsliced.__all__:
@@ -228,6 +254,10 @@ class TestPublicSurface:
 
     def test_metric_choices_match_experiments_table(self):
         assert tuple(_choices("distance", "--metric")) == ALL_METRICS
+
+    def test_metric_lists_match_experiments_tables(self):
+        assert cli.ALL_METRICS == ALL_METRICS
+        assert cli.SAMPLE_COMPLEXITY_METRICS == SAMPLE_COMPLEXITY_METRICS
 
     def test_loss_choices_match_particle_losses(self):
         assert tuple(_choices("adapt", "--loss")) == PARTICLE_LOSSES

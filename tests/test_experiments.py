@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from spdsliced import RngState, save_spd_dataset, wishart_stack
+from spdsliced import RngState, experiments, load_spd_dataset, save_spd_dataset, wishart_stack
 from spdsliced.errors import DataValidationError
 from spdsliced.experiments import (
+    compute_distance,
     fit_loglog_slope,
     run_adapt,
     run_benchmark_runtime,
@@ -51,6 +52,12 @@ class TestReproducibility:
         r1 = run_projection_complexity(**kwargs)
         r2 = run_projection_complexity(**kwargs)
         assert r1.rows == r2.rows
+
+
+def test_compute_distance_rejects_unknown_metric(dataset_pair):
+    mu, nu = (load_spd_dataset(p).measure for p in dataset_pair)
+    with pytest.raises(ValueError, match="unknown metric"):
+        compute_distance(mu, nu, "foo")
 
 
 class TestBenchmarkRuntime:
@@ -139,3 +146,33 @@ class TestKernelRidgeManifests:
         folds = [r for r in report.rows if r["record"] == "fold"]
         assert len(folds) == 2
         assert all(np.isfinite(r["mae"]) for r in folds)
+
+    def test_more_folds_than_entries_names_both_counts(self, tmp_path):
+        # Rejected from the manifest alone: the listed files are never read.
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps(
+            [{"path": str(tmp_path / f"missing{i}.json"), "target": float(i)} for i in range(6)]
+        ))
+        with pytest.raises(DataValidationError, match=r"9 folds exceed the 6 manifest entries"):
+            run_kernel_ridge(str(manifest), folds=9)
+
+    def test_each_dataset_loaded_once(self, tmp_path, monkeypatch):
+        entries = []
+        for i in range(6):
+            p = tmp_path / f"m{i}.json"
+            save_spd_dataset(str(p), wishart_stack(RngState(60 + i), 12, 2, 6))
+            entries.append({"path": str(p), "target": float(i)})
+        train, test = tmp_path / "train.json", tmp_path / "test.json"
+        train.write_text(json.dumps(entries[:4]))
+        test.write_text(json.dumps(entries[4:]))
+        loaded = []
+        real_load = experiments.load_spd_dataset
+
+        def counting_load(path):
+            loaded.append(path)
+            return real_load(path)
+
+        monkeypatch.setattr(experiments, "load_spd_dataset", counting_load)
+        run_kernel_ridge(str(train), str(test), folds=2, projections=10, quantiles=10,
+                         alpha=1e-6, seed=1)
+        assert sorted(loaded) == sorted(e["path"] for e in entries)

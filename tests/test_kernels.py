@@ -239,3 +239,20 @@ def test_feature_sq_distances_memory_is_bounded():
         tracemalloc.stop()
     assert sq.shape == (60, 60)
     assert peak < 100e6
+
+
+def test_kernel_ridge_memory_is_bounded():
+    # 200 features of M = L = 100: a full (200, 200, 10^4) difference is 3.2 GB.
+    basis = build_projection_basis(RngState(9), 3, 100)
+    feats = features_for(range(200), basis, midpoint_quantile_levels(100), n=20)
+    targets = np.linspace(0.0, 1.0, 200)
+    sigma = median_heuristic_bandwidth(feats)
+    tracemalloc.start()
+    try:
+        fit = kernel_ridge_fit(gaussian_kernel(feats, sigma), targets, 1e-3)
+        preds = kernel_ridge_predict(feats, fit, feats, sigma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert preds.shape == (200,)
+    assert peak < 100e6

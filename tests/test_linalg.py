@@ -5,9 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spdsliced import (
+    EmpiricalSpdMeasure,
     RngState,
     SpdMatrix,
     SymMatrix,
+    build_cost_matrix,
     build_projection_basis,
     dist_affine_invariant,
     dist_log_euclidean,
@@ -160,6 +162,13 @@ class TestDistances:
             moved = dist_affine_invariant(g @ x @ g.T, g @ y @ g.T)
             assert abs(base - moved) <= 1e-8 * max(1.0, base)
 
+    def test_ai_equals_cost_matrix_entry(self, nprng):
+        for _ in range(10):
+            x, y = random_spd(nprng, 4), random_spd(nprng, 4)
+            cost = build_cost_matrix(EmpiricalSpdMeasure(x[None]), EmpiricalSpdMeasure(y[None]),
+                                     "affine_invariant", 1.0)
+            assert dist_affine_invariant(x, y) == cost.entries[0, 0]
+
 
 class TestLogFrechetDerivative:
     def test_identity_base_point(self, nprng):
@@ -208,7 +217,46 @@ class TestLogFrechetDerivative:
         assert np.linalg.norm(back - h) <= 1e-9 * max(1.0, np.linalg.norm(h))
 
 
+def _udu_by_elimination(mats):
+    """Independent oracle: backward column elimination (bottom-right pivot
+    first), the UDU^T analogue of the LDL^T algorithm."""
+    m = np.asarray(mats, dtype=float)
+    b, d, _ = m.shape
+    u = np.broadcast_to(np.eye(d), (b, d, d)).copy()
+    diag = np.zeros((b, d))
+    for j in range(d - 1, -1, -1):
+        tail = slice(j + 1, d)
+        diag[:, j] = m[:, j, j] - np.sum(u[:, j, tail] ** 2 * diag[:, tail], axis=-1)
+        if j > 0:
+            acc = np.einsum("bik,bk,bk->bi", u[:, :j, tail], diag[:, tail], u[:, j, tail])
+            u[:, :j, j] = (m[:, :j, j] - acc) / diag[:, j, None]
+    return u, diag
+
+
+def _spd_with_condition(rng, count, d, cond):
+    q = np.linalg.qr(rng.standard_normal((count, d, d)))[0]
+    w = np.exp(rng.uniform(0.0, np.log(cond), (count, d)))
+    w[:, 0], w[:, -1] = 1.0, cond
+    a = (q * w[:, None, :]) @ np.swapaxes(q, 1, 2)
+    return 0.5 * (a + np.swapaxes(a, 1, 2))
+
+
 class TestUdu:
+    def test_matches_elimination_oracle(self, nprng):
+        for d in (1, 2, 5, 10):
+            for cond in (1.0, 10.0, 100.0):
+                mats = _spd_with_condition(nprng, 40, d, cond)
+                u, diag = udu_stack(mats)
+                u_ref, diag_ref = _udu_by_elimination(mats)
+                assert np.max(np.abs(u - u_ref)) <= 1e-13 * np.max(np.abs(u_ref))
+                assert np.max(np.abs(diag - diag_ref)) <= 1e-13 * np.max(diag_ref)
+
+    def test_stack_with_one_indefinite_raises(self, nprng):
+        mats = _spd_with_condition(nprng, 8, 4, 10.0)
+        mats[5] = np.diag([1.0, 2.0, -0.5, 3.0])
+        with pytest.raises(NotPositiveDefinite):
+            udu_stack(mats)
+
     def test_diagonal_input(self):
         u, d = udu_decompose(np.diag([3.0, 5.0, 7.0]))
         assert np.array_equal(u, np.eye(3))

@@ -11,7 +11,7 @@ from spdsliced import (
     sample_wishart,
     wishart_stack,
 )
-from spdsliced.errors import NotUnitNorm
+from spdsliced.errors import NotPositiveDefinite, NotUnitNorm
 from spdsliced.linalg import pd_tolerance
 from spdsliced.sampling import ProjectionBasis, sample_sphere_batch
 
@@ -156,6 +156,10 @@ class TestWishart:
     def test_dof_below_dim_rejected(self):
         with pytest.raises(ValueError):
             sample_wishart(RngState(0), 3, 2)
+
+    def test_indefinite_scale_rejected(self):
+        with pytest.raises(NotPositiveDefinite):
+            sample_wishart(RngState(0), 2, 4, scale=np.diag([1.0, -1.0]))
 
     def test_stack_matches_sequential_stream(self):
         stacked = wishart_stack(RngState(9), 5, 3, 7)
