@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from spdsliced import (
     wishart_stack,
 )
 from spdsliced.errors import NotPositiveDefinite, NotUnitNorm
-from spdsliced.linalg import pd_tolerance
+from spdsliced.linalg import pd_tolerance, sym_dim, unvech_isometric
 from spdsliced.sampling import ProjectionBasis, sample_sphere_batch
 
 
@@ -38,6 +40,80 @@ class TestRngState:
             RngState(-1)
         with pytest.raises(ValueError):
             RngState(0, 2**64)
+
+
+_MAX = 2**64 - 1
+
+# SHA-256 of ``directions.tobytes()`` for (sampler kind, seed, stream_id, d, L).
+# Pinned from the per-index ``Philox(...).jumped(i)`` implementation (numpy 2.4,
+# OpenBLAS 0.3.31); later implementations must reproduce these bases bit for
+# bit. The d=20, L=600 rows span several chunks of the batched build.
+GOLDEN_BASES = [
+    ("eig_uniform", 0, 0, 1, 1, "6c3c396ed6b5c36dcae172271f462051b1266b851e92df3deea8ac65478fd712"),
+    ("eig_uniform", _MAX, 0, 1, 7, "4bd4dfbbea44772cba5a4da49ce3feb2796414ecd7f8906a4e4d94ae8eaedf64"),
+    ("eig_uniform", _MAX, _MAX, 2, 5, "570a24ca1c925d712308cb19e5d9d97dbea203c42dcb4980a3236fe4369da4e6"),
+    ("eig_uniform", 3, 1, 2, 1000, "c0c6cc1e86f68896dc0c34d186d93ee0a7e2f9865c2c1d0d11dedcbe5ea39837"),
+    ("eig_uniform", 11, 0, 5, 40, "914100fce62ee6039138530a1e79aa1984ba06a1fdeda72ec472b016459fd6bd"),
+    ("eig_uniform", 7, 3, 10, 25, "ec1db25798c9e5cde5519a8604a13a8cbddf21566a04b4b0232e42b9ac15bdcc"),
+    ("eig_uniform", 123, 9, 20, 16, "fd5f09bda287f215198423d4f28d18df4dd9251fd01e183917b9a69c1c0a883b"),
+    ("eig_uniform", 5, 2, 20, 600, "f6e08c6a840393c2a9407acfc9fd18404e8ca953422576584af8815744b087f9"),
+    ("fast_symmetric", 0, 0, 1, 1, "6c3c396ed6b5c36dcae172271f462051b1266b851e92df3deea8ac65478fd712"),
+    ("fast_symmetric", _MAX, 0, 1, 7, "4bd4dfbbea44772cba5a4da49ce3feb2796414ecd7f8906a4e4d94ae8eaedf64"),
+    ("fast_symmetric", _MAX, _MAX, 2, 5, "e7982025fc3ab1f831fc0c73a01a018a2811af81cf84ced2afcb76ba9fb2a06d"),
+    ("fast_symmetric", 3, 1, 2, 1000, "cbf83d59c679a00c1209eef44a04ec874915ce070a31c29cf954b35524b450e2"),
+    ("fast_symmetric", 11, 0, 5, 40, "5a359e5e7ab2340bdfa6888054ac6816d44785fee1733813987ec3801081d8fc"),
+    ("fast_symmetric", 7, 3, 10, 25, "edc70349083457d8f45872e62d2d2726946fff2f83559109b14f5dee4ae7d903"),
+    ("fast_symmetric", 123, 9, 20, 16, "e4ad0137d3cd0d6cbea6423d6d1051216f1bfedd131241d6a2c88abb5c5377c9"),
+    ("fast_symmetric", 5, 2, 20, 600, "08bcb73ea6045a739e61c6565f29a575cc358d860b34f0f27cbf3ae7f7a0e970"),
+    ("vec_sphere", 0, 0, 1, 1, "6c3c396ed6b5c36dcae172271f462051b1266b851e92df3deea8ac65478fd712"),
+    ("vec_sphere", _MAX, 0, 1, 7, "4bd4dfbbea44772cba5a4da49ce3feb2796414ecd7f8906a4e4d94ae8eaedf64"),
+    ("vec_sphere", _MAX, _MAX, 2, 5, "0524a41975325df8c9732ac63453cf31c859954c49e087c3a093103182770aed"),
+    ("vec_sphere", 3, 1, 2, 1000, "bce4b4d45e4dbc5cb7d957ae8f64f8802c904eeebf68d9de211a97a076d3c304"),
+    ("vec_sphere", 11, 0, 5, 40, "07573679c12f21087e97327b3d225c002dc96e3a8eded6948abe878884c6213c"),
+    ("vec_sphere", 7, 3, 10, 25, "b2b30e4b97246e29b0a64e52093899588831d0eef7f15e22121c5f99a2a1d915"),
+    ("vec_sphere", 123, 9, 20, 16, "8d5d3e752c2e968a27e126c88bb2525eea89336b6afc99c89681642afb242b00"),
+    ("vec_sphere", 5, 2, 20, 600, "83737907a0c75b47341390f9b4cd5259e5d4158699454c112fb7e9b2225b1835"),
+]
+
+
+@pytest.mark.parametrize("kind,seed,stream,d,count,digest", GOLDEN_BASES)
+def test_golden_basis_digests(kind, seed, stream, d, count, digest):
+    basis = build_projection_basis(RngState(seed, stream), d, count, kind)
+    assert hashlib.sha256(basis.directions.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("seed,stream", [(0, 0), (5, 3), (_MAX, _MAX)])
+def test_generator_blocks_match_jumped(seed, stream):
+    # Independent oracle: jumping a fresh Philox i times of 2^128 draws.
+    key = np.array([seed, stream], dtype=np.uint64)
+    for i in (0, 1, 7, 10_000):
+        expected = np.random.Generator(np.random.Philox(key=key).jumped(i))
+        got = RngState(seed, stream).generator(jump=i)
+        assert np.array_equal(got.standard_normal(64), expected.standard_normal(64))
+        assert np.array_equal(got.random(5), expected.random(5))
+
+
+@pytest.mark.parametrize("seed,stream,d", [(0, 0, 1), (4, 1, 2), (_MAX, 6, 5), (9, _MAX, 12)])
+def test_scalar_samplers_are_basis_index_zero(seed, stream, d):
+    state = RngState(seed, stream)
+
+    def first(kind):
+        return build_projection_basis(state, d, 3, kind).directions[0]
+
+    assert np.array_equal(sample_lambda_s(state, d).array, first("eig_uniform"))
+    assert np.array_equal(sample_fast_symmetric(state, d).array, first("fast_symmetric"))
+    assert np.array_equal(unvech_isometric(sample_sphere(state, sym_dim(d))), first("vec_sphere"))
+
+
+@pytest.mark.parametrize("d", [1, 3, 8])
+def test_haar_matches_sign_fixed_qr(d):
+    # Independent oracle: QR of the first d*d normals of the stream, with
+    # the sign convention diag(R) > 0.
+    state = RngState(21, d)
+    q, r = np.linalg.qr(state.generator().standard_normal((d, d)))
+    signs = np.sign(np.diag(r))
+    signs[signs == 0.0] = 1.0
+    assert np.array_equal(sample_haar_orthogonal(state, d), q * signs)
 
 
 class TestSphere:
