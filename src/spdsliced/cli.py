@@ -42,9 +42,10 @@ def _bounded(convert, low: float, strict: bool, what: str):
 
 _positive_int = _bounded(int, 0, True, "a positive integer")
 _nonnegative_int = _bounded(int, 0, False, "a nonnegative integer")
-_fold_count = _bounded(int, 2, False, "an integer >= 2")
+_at_least_two = _bounded(int, 2, False, "an integer >= 2")
 _order = _bounded(float, 1.0, False, "a number >= 1")
 _positive_float = _bounded(float, 0.0, True, "a positive number")
+_finite_float = _bounded(float, -math.inf, False, "a finite number")
 
 # Restated so they are checked before the numerical modules load; tests
 # keep them equal to the tables of the same names in ``experiments``.
@@ -104,8 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--scale", default="identity",
                    help="'identity' or a dataset file whose first matrix is the scale")
-    p.add_argument("--classes", type=int, default=None)
-    p.add_argument("--class-scale-step", type=float, default=1.0)
+    p.add_argument("--classes", type=_at_least_two, default=None)
+    p.add_argument("--class-scale-step", type=_finite_float, default=1.0)
     p.add_argument("--shift-angle", type=float, default=0.0)
     p.add_argument("--shift-identity", type=float, default=0.0)
     p.add_argument("--shift-random", type=float, default=0.0)
@@ -171,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kernel-ridge", help="distribution regression with sliced kernels")
     p.add_argument("--train", required=True, help="manifest of datasets and targets")
     p.add_argument("--test", default=None)
-    p.add_argument("--folds", type=_fold_count, default=5)
+    p.add_argument("--folds", type=_at_least_two, default=5)
     p.add_argument("--projections", type=_positive_int, default=100)
     p.add_argument("--quantiles", type=_positive_int, default=100)
     p.add_argument("--sigma", type=_bandwidth, default="median",
@@ -210,6 +211,12 @@ def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser):
     if args.command == "gen-wishart":
         if args.dof < args.d:
             parser.error("--dof must be at least --d")
+        # Class k has scale factor 1 + step*k; the last class is the smallest.
+        if args.classes is not None and 1.0 + args.class_scale_step * (args.classes - 1) <= 0.0:
+            parser.error(
+                f"--class-scale-step {args.class_scale_step} gives class {args.classes - 1} "
+                "a scale factor <= 0; expected 1 + step*k > 0 for every class k"
+            )
         return experiments.run_gen_wishart(
             output=args.output, d=args.d, n=args.n, dof=args.dof, seed=args.seed,
             scale_path=None if args.scale == "identity" else args.scale,

@@ -3,9 +3,12 @@ unit-sphere vectors, and Wishart SPD matrices for synthetic data.
 
 Determinism contract: every sampler is a pure function of an :class:`RngState`
 backed by the counter-based Philox generator keyed on (seed, stream_id).
-Projection bases map each direction index to a disjoint counter block
-(``jumped``), so parallel generation would produce exactly the sequential
-result.
+A projection basis gives each direction index i one Philox counter block,
+``counter=[0, 0, i, 0]``: index i draws its normals from that block alone, so
+any chunking or parallel order of generation reproduces the sequential basis.
+The draws are per index; everything after them (sphere normalisation, QR,
+products, norms) runs batched over memory-bounded chunks of directions, and
+the scalar samplers are stacks of one through the same kernels.
 """
 
 from __future__ import annotations
@@ -26,6 +29,12 @@ from .linalg import (
 )
 
 _UINT64_MAX = 2**64 - 1
+# Matrix elements per chunk of a batched basis build: bounds its temporaries.
+_CHUNK_ELEMS = 100_000
+
+
+def _block_counter(index: int) -> np.ndarray:
+    return np.array([0, 0, index, 0], dtype=np.uint64)
 
 
 @dataclass(frozen=True)
@@ -45,13 +54,15 @@ class RngState:
             if not (0 <= int(v) <= _UINT64_MAX):
                 raise ValueError(f"{name} must fit in an unsigned 64-bit integer")
 
+    @property
+    def _key(self) -> np.ndarray:
+        return np.array([self.seed, self.stream_id], dtype=np.uint64)
+
     def generator(self, jump: int = 0) -> np.random.Generator:
-        """Fresh generator for this state, optionally jumped ahead by
-        ``jump`` disjoint 2^128-draw counter blocks."""
-        bitgen = np.random.Philox(key=np.array([self.seed, self.stream_id], dtype=np.uint64))
-        if jump:
-            bitgen = bitgen.jumped(jump)
-        return np.random.Generator(bitgen)
+        """Fresh generator on counter block ``jump`` of this state: one Philox
+        counter block per index, ``counter=[0, 0, jump, 0]`` under the key
+        (seed, stream_id).  Blocks start 2^128 draws apart."""
+        return np.random.Generator(np.random.Philox(key=self._key, counter=_block_counter(jump)))
 
     def substream(self, offset: int) -> "RngState":
         """Derived state on a shifted stream id (wraps modulo 2^64)."""
@@ -66,22 +77,49 @@ def _as_generator(rng) -> np.random.Generator:
     raise TypeError(f"expected RngState or numpy Generator, got {type(rng).__name__}")
 
 
+def _unit_rows(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of ``g`` scaled to unit norm, and the mask of zero rows."""
+    norms = np.linalg.norm(g, axis=1)
+    return g / norms[:, None], norms == 0.0
+
+
+def _frobenius_normalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stack (n, d, d) scaled to unit Frobenius norm, and the mask of zero
+    matrices.  The per-matrix (1, k) @ (k, 1) product is the dot-product
+    summation of ``np.linalg.norm(a[i])``, bit for bit."""
+    flat = a.reshape(a.shape[0], 1, -1)
+    norms = np.sqrt((flat @ np.swapaxes(flat, -2, -1))[:, 0, 0])
+    return a / norms[:, None, None], norms == 0.0
+
+
+def _haar_stack(z: np.ndarray) -> np.ndarray:
+    """Q factors of the stack z with the sign convention diag(R) > 0."""
+    q, r = np.linalg.qr(z)
+    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
+    signs[signs == 0.0] = 1.0
+    return q * signs[:, None, :]
+
+
+def _lambda_s_stack(theta: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """A = P diag(theta) P^T / ||.||_F for stacks theta (n, d) and P (n, d, d)."""
+    return _frobenius_normalize(symmetrize((p * theta[:, None, :]) @ np.swapaxes(p, -2, -1)))[0]
+
+
 def sample_sphere(rng, d: int) -> np.ndarray:
     """Uniform point on the unit sphere S^{d-1} (normalized Gaussian)."""
     return sample_sphere_batch(rng, d, 1)[0]
 
 
 def sample_sphere_batch(rng, d: int, count: int) -> np.ndarray:
+    """``count`` sphere points drawn in sequence from one stream; zero rows
+    (probability zero) are redrawn from the same stream, in row order."""
     if d < 1:
         raise ValueError("dimension must be >= 1")
     gen = _as_generator(rng)
-    g = gen.standard_normal((count, d))
-    norms = np.linalg.norm(g, axis=1)
-    while np.any(norms == 0.0):  # probability-zero guard
-        bad = norms == 0.0
-        g[bad] = gen.standard_normal((int(bad.sum()), d))
-        norms = np.linalg.norm(g, axis=1)
-    return g / norms[:, None]
+    out, zero = _unit_rows(gen.standard_normal((count, d)))
+    while np.any(zero):
+        out[zero], zero[zero] = _unit_rows(gen.standard_normal((int(zero.sum()), d)))
+    return out
 
 
 def sample_haar_orthogonal(rng, d: int) -> np.ndarray:
@@ -89,20 +127,20 @@ def sample_haar_orthogonal(rng, d: int) -> np.ndarray:
     sign convention diag(R) > 0."""
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    gen = _as_generator(rng)
-    z = gen.standard_normal((d, d))
-    q, r = np.linalg.qr(z)
-    signs = np.sign(np.diag(r))
-    signs[signs == 0.0] = 1.0
-    return q * signs
+    return _haar_stack(_as_generator(rng).standard_normal((1, d, d)))[0]
 
 
 def _lambda_s_from(gen: np.random.Generator, d: int) -> np.ndarray:
     # Draw order is part of the determinism contract: theta first, then P.
     theta = sample_sphere(gen, d)
     p = sample_haar_orthogonal(gen, d)
-    a = symmetrize((p * theta) @ p.T)
-    return a / np.linalg.norm(a)
+    return _lambda_s_stack(theta[None], p[None])[0]
+
+
+def _lambda_s_rows(normals: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    theta, zero = _unit_rows(normals[:, :d])
+    p = _haar_stack(normals[:, d:].reshape(-1, d, d))
+    return _lambda_s_stack(theta, p), zero
 
 
 def sample_lambda_s(rng, d: int) -> SymMatrix:
@@ -111,13 +149,16 @@ def sample_lambda_s(rng, d: int) -> SymMatrix:
     return SymMatrix(_lambda_s_from(_as_generator(rng), d))
 
 
+def _fast_symmetric_rows(normals: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    z = normals.reshape(-1, d, d)
+    return _frobenius_normalize(z + np.swapaxes(z, -2, -1))
+
+
 def _fast_symmetric_from(gen: np.random.Generator, d: int) -> np.ndarray:
     while True:  # a zero draw has probability zero; redraw it
-        z = gen.standard_normal((d, d))
-        a = z + z.T
-        norm = np.linalg.norm(a)
-        if norm > 0.0:
-            return a / norm
+        a, zero = _fast_symmetric_rows(gen.standard_normal((1, d * d)), d)
+        if not zero[0]:
+            return a[0]
 
 
 def sample_fast_symmetric(rng, d: int) -> SymMatrix:
@@ -127,6 +168,11 @@ def sample_fast_symmetric(rng, d: int) -> SymMatrix:
     and no equivalence is claimed.
     """
     return SymMatrix(_fast_symmetric_from(_as_generator(rng), d))
+
+
+def _vec_sphere_rows(normals: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    v, zero = _unit_rows(normals)
+    return unvech_isometric(v), zero
 
 
 def _vec_sphere_from(gen: np.random.Generator, d: int) -> np.ndarray:
@@ -198,7 +244,7 @@ class ProjectionBasis:
         norms = np.linalg.norm(dirs.reshape(self.count, -1), axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-12):
             raise NotUnitNorm("every direction must have unit Frobenius norm (1e-12)")
-        if self.sampler_kind not in _SAMPLER_FUNCS:
+        if self.sampler_kind not in _SAMPLERS:
             raise ValueError(f"unknown sampler kind {self.sampler_kind!r}")
         dirs.flags.writeable = False
         object.__setattr__(self, "directions", dirs)
@@ -217,23 +263,57 @@ class ProjectionBasis:
         return self.flat @ m.reshape(m.shape[0], -1).T
 
 
-_SAMPLER_FUNCS = {
-    "eig_uniform": _lambda_s_from,
-    "fast_symmetric": _fast_symmetric_from,
-    "vec_sphere": _vec_sphere_from,
+# Each sampler kind is (normals per direction, batched kernel, guarded draw).
+# The kernel maps one row of normals per direction to the directions and the
+# mask of rows that hit a probability-zero degenerate draw.  The guarded draw
+# is the same law from one generator, redrawing until the draw is usable; it
+# replays a masked index from that index's own counter block, in the same
+# draw order.
+_SAMPLERS = {
+    "eig_uniform": (lambda d: d + d * d, _lambda_s_rows, _lambda_s_from),
+    "fast_symmetric": (lambda d: d * d, _fast_symmetric_rows, _fast_symmetric_from),
+    "vec_sphere": (sym_dim, _vec_sphere_rows, _vec_sphere_from),
 }
 
 
+def _block_normals(rng: RngState, start: int, stop: int, width: int) -> np.ndarray:
+    """Row j holds the first ``width`` standard normals of counter block
+    start + j.  One Philox is re-seated on each block: the same state as
+    ``rng.generator(jump=start + j)`` without constructing a new one."""
+    bitgen = np.random.Philox(key=rng._key)
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state  # fresh: empty buffer, nothing cached
+    out = np.empty((stop - start, width))
+    for j in range(stop - start):
+        state["state"]["counter"] = _block_counter(start + j)
+        bitgen.state = state
+        gen.standard_normal(out=out[j])
+    return out
+
+
+def _chunk_directions(rng: RngState, start: int, stop: int, d: int, sampler_kind: str) -> np.ndarray:
+    """Directions start..stop-1 in one batch.  An index whose draw was
+    degenerate is replayed by the guarded draw on its own counter block."""
+    width, rows, draw = _SAMPLERS[sampler_kind]
+    block, redraw = rows(_block_normals(rng, start, stop, width(d)), d)
+    for j in np.flatnonzero(redraw):
+        block[j] = draw(rng.generator(jump=start + int(j)), d)
+    return block
+
+
 def build_projection_basis(rng: RngState, d: int, count: int, sampler_kind: str = "eig_uniform") -> ProjectionBasis:
-    """Generate ``count`` slicing directions, one disjoint substream per index."""
+    """Generate ``count`` slicing directions, one Philox counter block per
+    index, in memory-bounded batched chunks."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    if sampler_kind not in _SAMPLER_FUNCS:
+    if d < 1:
+        raise ValueError("dimension must be >= 1")
+    if sampler_kind not in _SAMPLERS:
         raise ValueError(f"unknown sampler kind {sampler_kind!r}")
     if not isinstance(rng, RngState):
         raise TypeError("build_projection_basis requires an RngState for provenance")
-    draw = _SAMPLER_FUNCS[sampler_kind]
     dirs = np.empty((count, d, d))
-    for i in range(count):
-        dirs[i] = draw(rng.generator(jump=i), d)
+    step = max(1, _CHUNK_ELEMS // (d * d))
+    for start in range(0, count, step):
+        dirs[start:start + step] = _chunk_directions(rng, start, min(start + step, count), d, sampler_kind)
     return ProjectionBasis(dim=d, count=count, directions=dirs, sampler_kind=sampler_kind, seed=rng)

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from spdsliced import (
     sample_wishart,
     wishart_stack,
 )
+from spdsliced import sampling
 from spdsliced.errors import NotPositiveDefinite, NotUnitNorm
 from spdsliced.linalg import pd_tolerance, sym_dim, unvech_isometric
 from spdsliced.sampling import ProjectionBasis, sample_sphere_batch
@@ -80,6 +82,41 @@ GOLDEN_BASES = [
 def test_golden_basis_digests(kind, seed, stream, d, count, digest):
     basis = build_projection_basis(RngState(seed, stream), d, count, kind)
     assert hashlib.sha256(basis.directions.tobytes()).hexdigest() == digest
+
+
+def _per_index_basis(state, d, count, kind):
+    # Independent oracle: the per-index loop, one jumped Philox and one QR
+    # and norm per direction, as the basis was built before batching.
+    key = np.array([state.seed, state.stream_id], dtype=np.uint64)
+    out = np.empty((count, d, d))
+    for i in range(count):
+        gen = np.random.Generator(np.random.Philox(key=key).jumped(i))
+        if kind == "fast_symmetric":
+            z = gen.standard_normal((d, d))
+            a = z + z.T
+        else:
+            k = d if kind == "eig_uniform" else sym_dim(d)
+            v = gen.standard_normal((1, k))
+            v = (v / np.linalg.norm(v, axis=1)[:, None])[0]
+            if kind == "vec_sphere":
+                out[i] = unvech_isometric(v)
+                continue
+            q, r = np.linalg.qr(gen.standard_normal((d, d)))
+            signs = np.sign(np.diag(r))
+            signs[signs == 0.0] = 1.0
+            p = q * signs
+            m = (p * v) @ p.T
+            a = 0.5 * (m + m.T)
+        out[i] = a / np.linalg.norm(a)
+    return out
+
+
+@pytest.mark.parametrize("kind", ["eig_uniform", "fast_symmetric", "vec_sphere"])
+@pytest.mark.parametrize("seed,stream,d,count", [(0, 0, 1, 3), (2, 5, 2, 300), (_MAX, 1, 7, 30), (4, 0, 16, 420)])
+def test_basis_matches_per_index_loop(kind, seed, stream, d, count):
+    state = RngState(seed, stream)
+    expected = _per_index_basis(state, d, count, kind)
+    assert np.array_equal(build_projection_basis(state, d, count, kind).directions, expected)
 
 
 @pytest.mark.parametrize("seed,stream", [(0, 0), (5, 3), (_MAX, _MAX)])
@@ -273,3 +310,42 @@ class TestProjectionBasis:
         assert coords.shape == (7, 4)
         expected = np.trace(basis.directions, axis1=1, axis2=2)
         assert np.allclose(coords, expected[:, None])
+
+    def test_build_memory_is_bounded(self):
+        # (10^4, 20, 20) directions are 32 MB. The per-index build this
+        # replaced peaked at 132,825,884 bytes on a first call in a fresh
+        # process (its output plus the validation copy and temporaries of
+        # ProjectionBasis), and at ~132,067,500 after a warm-up call, as does
+        # the batched build. Chunks must not add another O(L d^2) array.
+        build_projection_basis(RngState(1), 3, 5)  # first-call caches
+        tracemalloc.start()
+        try:
+            basis = build_projection_basis(RngState(0), 20, 10_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert basis.count == 10_000
+        assert peak <= 132_825_884
+
+    @pytest.mark.parametrize("kind", ["eig_uniform", "fast_symmetric", "vec_sphere"])
+    def test_degenerate_draw_is_replayed_from_its_block(self, kind, monkeypatch):
+        # Force the probability-zero case: index 3 of the batch draws all
+        # zeros. The guarded draw on counter block 3 must replace it, which
+        # gives back exactly the direction the real block 3 yields.
+        expected = build_projection_basis(RngState(4), 3, 6, kind).directions
+        block_normals = sampling._block_normals
+
+        def zero_index_3(rng, start, stop, width):
+            out = block_normals(rng, start, stop, width)
+            out[3 - start] = 0.0
+            return out
+
+        monkeypatch.setattr(sampling, "_block_normals", zero_index_3)
+        with np.errstate(invalid="ignore"):
+            basis = build_projection_basis(RngState(4), 3, 6, kind)
+        assert np.array_equal(basis.directions, expected)
+
+    def test_rejects_nonpositive_dimension(self):
+        for kind in ("eig_uniform", "fast_symmetric", "vec_sphere"):
+            with pytest.raises(ValueError):
+                build_projection_basis(RngState(0), 0, 3, kind)
