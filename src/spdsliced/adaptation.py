@@ -104,14 +104,29 @@ def apply_chain_matrices(mats: list[np.ndarray], points: np.ndarray) -> np.ndarr
 # -- loss/gradient building blocks -------------------------------------------
 
 
+def _sorted_coords(logs: np.ndarray, basis: ProjectionBasis) -> np.ndarray:
+    """Projected coordinates of a log stack, sorted along each slice: (L, n)."""
+    return np.sort(basis.project_symmetric(logs), axis=-1)
+
+
+def _fixed_target(target_logs: np.ndarray, basis: ProjectionBasis | None, loss_kind: str):
+    """What a loss reads of the fixed target, computed once per run: the
+    sorted projected coordinates (L, m) for a sliced loss, the log stack
+    itself for a transport loss."""
+    if loss_kind in ("spdsw", "logsw"):
+        return _sorted_coords(target_logs, basis)
+    return target_logs
+
+
 def _sliced_loss_grad(
     source_logs: np.ndarray,
-    target_logs: np.ndarray,
+    st: np.ndarray,
     basis: ProjectionBasis,
     p: float,
     want_grad: bool,
 ):
-    """Sliced loss between log stacks, and (optionally) its gradient with
+    """Sliced loss between a source log stack and the target's sorted
+    projected coordinates ``st`` (L, m), and (optionally) its gradient with
     respect to each source log matrix.
 
     The per-slice 1D gradient is exact almost everywhere: each sorted
@@ -119,14 +134,12 @@ def _sliced_loss_grad(
     power, scattered back through the sort and chained through the linear
     projection S -> <A_l, S>.
     """
+    if not want_grad:
+        return float(np.mean(_wpp_rows(_sorted_coords(source_logs, basis), st, p))), None
     cs = basis.project_symmetric(source_logs)  # (L, n)
-    ct = basis.project_symmetric(target_logs)  # (L, m)
     order_s = np.argsort(cs, axis=-1)
     ss = np.take_along_axis(cs, order_s, axis=-1)
-    st = np.sort(ct, axis=-1)
     loss = float(np.mean(_wpp_rows(ss, st, p)))
-    if not want_grad:
-        return loss, None
     n, m = ss.shape[-1], st.shape[-1]
     if n == m:
         diff = ss - st
@@ -176,14 +189,15 @@ def _transport_loss_grad(
     return loss, grads
 
 
-def _log_loss_grad(logs, target_logs, basis, p, loss_kind, epsilon, exact_size_cap, want_grad):
-    """Loss of a source log stack against the target logs, with its
-    gradient per source log when ``want_grad``."""
+def _log_loss_grad(logs, target, basis, p, loss_kind, epsilon, exact_size_cap, want_grad):
+    """Loss of a source log stack against the target (as
+    :func:`_fixed_target` gives it), with its gradient per source log when
+    ``want_grad``."""
     if loss_kind in ("spdsw", "logsw"):
-        return _sliced_loss_grad(logs, target_logs, basis, p, want_grad)
+        return _sliced_loss_grad(logs, target, basis, p, want_grad)
     if loss_kind in ("lew", "les"):
         return _transport_loss_grad(
-            logs, target_logs, loss_kind, epsilon, exact_size_cap, want_grad
+            logs, target, loss_kind, epsilon, exact_size_cap, want_grad
         )
     raise ValueError(f"unknown loss kind {loss_kind!r}")
 
@@ -202,8 +216,7 @@ def loss_and_gradient_particles(
     )
     if logs.shape[-1] != target.dim:
         raise DimensionMismatch(f"dimensions differ: {logs.shape[-1]} vs {target.dim}")
-    loss, grads = _sliced_loss_grad(logs, target.logs, basis, p, want_grad=True)
-    return loss, grads
+    return _sliced_loss_grad(logs, _sorted_coords(target.logs, basis), basis, p, want_grad=True)
 
 
 def loss_and_gradient_transform(
@@ -225,6 +238,15 @@ def loss_and_gradient_transform(
     """
     if source.dim != target.dim:
         raise DimensionMismatch(f"dimensions differ: {source.dim} vs {target.dim}")
+    return _transform_loss_grad(
+        params, source, _fixed_target(target.logs, basis, loss_kind), basis, p, loss_kind,
+        epsilon, exact_size_cap,
+    )
+
+
+def _transform_loss_grad(params, source, target, basis, p, loss_kind, epsilon, exact_size_cap):
+    """:func:`loss_and_gradient_transform` against the fixed target from
+    :func:`_fixed_target`."""
     mats = [prm.materialize() for prm in params]
     inputs = [source.points]
     for w in mats:
@@ -233,7 +255,7 @@ def loss_and_gradient_transform(
 
     w_eig, q_eig = eigh_stack(transformed)
     loss, grad_logs = _log_loss_grad(
-        reconstruct(np.log(w_eig), q_eig), target.logs, basis, p, loss_kind, epsilon,
+        reconstruct(np.log(w_eig), q_eig), target, basis, p, loss_kind, epsilon,
         exact_size_cap, want_grad=True,
     )
 
@@ -253,10 +275,12 @@ def loss_and_gradient_transform(
 
 
 def _chain_loss_only(params, source, target, basis, p, loss_kind, epsilon, exact_size_cap):
+    """Loss of the transformed source against the fixed target from
+    :func:`_fixed_target`."""
     mats = [prm.materialize() for prm in params]
     logs = log_stack(apply_chain_matrices(mats, source.points))
     return _log_loss_grad(
-        logs, target.logs, basis, p, loss_kind, epsilon, exact_size_cap, want_grad=False
+        logs, target, basis, p, loss_kind, epsilon, exact_size_cap, want_grad=False
     )[0]
 
 
@@ -354,7 +378,8 @@ def run_adaptation(
     config: AdaptationConfig,
 ) -> AdaptationTrace:
     """Fixed-step (optionally safeguarded) gradient descent aligning the
-    source onto the target; projections are drawn only once up front."""
+    source onto the target.  Projections are drawn, and the target is
+    projected and sorted, only once up front."""
     t0 = time.perf_counter()
     if mode not in ("particles", "transform"):
         raise ValueError(f"unknown adaptation mode {mode!r}")
@@ -364,13 +389,13 @@ def run_adaptation(
     if measure.dim != target.dim:
         raise DimensionMismatch(f"dimensions differ: {measure.dim} vs {target.dim}")
     basis = _basis_for(config, measure.dim)
-    target_logs = target.logs
+    fixed = _fixed_target(target.logs, basis, config.loss_kind)
 
     if mode == "particles":
 
         def loss_grad(state, want_grad=True):
             return _log_loss_grad(
-                state, target_logs, basis, config.p, config.loss_kind, config.epsilon,
+                state, fixed, basis, config.p, config.loss_kind, config.epsilon,
                 config.exact_size_cap, want_grad,
             )
 
@@ -388,14 +413,14 @@ def run_adaptation(
         params0 = identity_chain_params(measure.dim)
 
         def loss_grad(params):
-            return loss_and_gradient_transform(
-                params, measure, target, basis, config.p, config.loss_kind,
+            return _transform_loss_grad(
+                params, measure, fixed, basis, config.p, config.loss_kind,
                 config.epsilon, config.exact_size_cap,
             )
 
         def loss_only(params):
             return _chain_loss_only(
-                params, measure, target, basis, config.p, config.loss_kind,
+                params, measure, fixed, basis, config.p, config.loss_kind,
                 config.epsilon, config.exact_size_cap,
             )
 

@@ -211,6 +211,8 @@ def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser):
     if args.command == "gen-wishart":
         if args.dof < args.d:
             parser.error("--dof must be at least --d")
+        if args.classes is not None and args.classes > args.n:
+            parser.error(f"--classes {args.classes} exceeds --n {args.n}; expected at most --n")
         # Class k has scale factor 1 + step*k; the last class is the smallest.
         if args.classes is not None and 1.0 + args.class_scale_step * (args.classes - 1) <= 0.0:
             parser.error(

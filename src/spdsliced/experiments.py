@@ -25,10 +25,12 @@ from .data_io import ExperimentReport, load_spd_dataset, save_spd_dataset, write
 from .errors import DataValidationError, DimensionMismatch, MissingLabels
 from .kernels import (
     cross_sq_distances,
-    gaussian_kernel,
+    feature_sq_distances,
+    gaussian_gram,
+    gaussian_weights,
     kernel_ridge_fit,
     kfold_indices,
-    median_heuristic_bandwidth,
+    median_heuristic_sq,
     midpoint_quantile_levels,
     quantile_feature,
     sum_kernels,
@@ -492,19 +494,15 @@ def _band_features(entries, levels, make_basis):
     return features, basis
 
 
-def _fit_predict(band_feats_train, band_feats_test, targets_train, sigma_flag, alpha):
+def _fit_predict(train_sq, cross_sq, targets_train, sigma_flag, alpha):
+    """Fit on each band's train x train squared feature distances and
+    predict from its test x train ones."""
     sigmas, grams, crosses = [], [], []
-    for feats_train, feats_test in zip(band_feats_train, band_feats_test):
-        sigma = (
-            median_heuristic_bandwidth(feats_train)
-            if sigma_flag == "median"
-            else float(sigma_flag)
-        )
+    for sq, cross in zip(train_sq, cross_sq):
+        sigma = median_heuristic_sq(sq) if sigma_flag == "median" else float(sigma_flag)
         sigmas.append(sigma)
-        grams.append(gaussian_kernel(feats_train, sigma))
-        crosses.append(
-            np.exp(-cross_sq_distances(feats_test, feats_train) / (2.0 * sigma * sigma))
-        )
+        grams.append(gaussian_gram(sq, sigma))
+        crosses.append(gaussian_weights(cross, sigma))
     gram = sum_kernels(grams)
     fit = kernel_ridge_fit(gram, targets_train, alpha)
     cross = np.sum(crosses, axis=0)
@@ -531,7 +529,12 @@ def run_kernel_ridge(
 ) -> ExperimentReport:
     """Kernel ridge regression over distributions: per-band Gaussian
     kernels on quantile features, summed, cross-validated on the train
-    manifest (and optionally scored on a held-out test manifest)."""
+    manifest (and optionally scored on a held-out test manifest).
+
+    Each band's squared feature distances over the train entries are
+    computed once per run; every fold, and the held-out fit, reads its
+    train x train and test x train blocks from that matrix.  The held-out
+    test entries add one test x train matrix per band."""
     t0 = time.perf_counter()
     entries = _load_manifest(train_manifest)
     if folds > len(entries):
@@ -542,14 +545,15 @@ def run_kernel_ridge(
         lambda dim: build_projection_basis(RngState(seed), dim, projections, "eig_uniform"),
     )
     targets = np.array([e["target"] for e in entries])
+    band_sq = [feature_sq_distances(fb) for fb in band_feats]
 
     rows = []
     predictions: list[dict] = []
     for fold, (train_idx, test_idx) in enumerate(kfold_indices(len(entries), folds, seed)):
-        train_feats = [[fb[i] for i in train_idx] for fb in band_feats]
-        test_feats = [[fb[i] for i in test_idx] for fb in band_feats]
         preds, sigmas = _fit_predict(
-            train_feats, test_feats, targets[train_idx], sigma, alpha
+            [sq[np.ix_(train_idx, train_idx)] for sq in band_sq],
+            [sq[np.ix_(test_idx, train_idx)] for sq in band_sq],
+            targets[train_idx], sigma, alpha,
         )
         rows.append({"record": "fold", "fold": fold, **_scores(preds, targets[test_idx]),
                      "sigma": sigmas[0] if len(sigmas) == 1 else None})
@@ -562,7 +566,8 @@ def run_kernel_ridge(
     if test_manifest is not None:
         test_entries = _load_manifest(test_manifest)
         test_feats, _ = _band_features(test_entries, levels, lambda dim: basis)
-        preds, _ = _fit_predict(band_feats, test_feats, targets, sigma, alpha)
+        cross_sq = [cross_sq_distances(ft, fb) for ft, fb in zip(test_feats, band_feats)]
+        preds, _ = _fit_predict(band_sq, cross_sq, targets, sigma, alpha)
         truth = np.array([e["target"] for e in test_entries])
         rows.append({"record": "test", "fold": None, **_scores(preds, truth), "sigma": None})
 

@@ -5,6 +5,12 @@ The feature of a measure is the M x L table of empirical quantiles of its
 projections, scaled by 1/sqrt(ML); squared Euclidean distance between two
 features discretizes the squared sliced distance, which makes the Gaussian
 kernel positive semidefinite.
+
+The median heuristic and the Gaussian Gram have squared-distance cores
+(:func:`median_heuristic_sq`, :func:`gaussian_gram`); the feature-list
+functions are those cores applied to :func:`feature_sq_distances`.  A caller
+that needs many blocks of one distance matrix, such as cross-validation over
+folds, computes that matrix once and passes index blocks of it to the cores.
 """
 
 from __future__ import annotations
@@ -106,14 +112,19 @@ def cross_sq_distances(left: list[QuantileFeature], right: list[QuantileFeature]
     )
 
 
-def median_heuristic_bandwidth(features: list[QuantileFeature]) -> float:
-    """sigma with sigma^2 the median off-diagonal squared feature distance."""
-    sq = feature_sq_distances(features)
+def median_heuristic_sq(sq: np.ndarray) -> float:
+    """sigma with sigma^2 the median off-diagonal entry of a square matrix
+    of squared distances."""
     off = sq[~np.eye(sq.shape[0], dtype=bool)]
     med = float(np.median(off))
     if med <= 0.0:
         raise ValueError("median squared distance is zero; features are all identical")
     return float(np.sqrt(med))
+
+
+def median_heuristic_bandwidth(features: list[QuantileFeature]) -> float:
+    """sigma with sigma^2 the median off-diagonal squared feature distance."""
+    return median_heuristic_sq(feature_sq_distances(features))
 
 
 @dataclass(frozen=True)
@@ -139,14 +150,24 @@ class GramMatrix:
         return float(np.linalg.eigvalsh(self.entries)[0])
 
 
-def gaussian_kernel(features: list[QuantileFeature], sigma: float) -> GramMatrix:
-    """K_ij = exp(-||Phi_i - Phi_j||^2 / (2 sigma^2)); unit diagonal exactly."""
+def gaussian_weights(sq: np.ndarray, sigma: float) -> np.ndarray:
+    """exp(-sq / (2 sigma^2)) entrywise, for any block of squared distances."""
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
-    sq = feature_sq_distances(features)
-    k = np.exp(-sq / (2.0 * sigma * sigma))
+    return np.exp(-sq / (2.0 * sigma * sigma))
+
+
+def gaussian_gram(sq: np.ndarray, sigma: float) -> GramMatrix:
+    """Gaussian Gram matrix of a square matrix of squared distances; unit
+    diagonal exactly."""
+    k = gaussian_weights(sq, sigma)
     np.fill_diagonal(k, 1.0)
     return GramMatrix(entries=k, bandwidth=float(sigma))
+
+
+def gaussian_kernel(features: list[QuantileFeature], sigma: float) -> GramMatrix:
+    """K_ij = exp(-||Phi_i - Phi_j||^2 / (2 sigma^2)); unit diagonal exactly."""
+    return gaussian_gram(feature_sq_distances(features), sigma)
 
 
 def sum_kernels(grams: list[GramMatrix]) -> GramMatrix:
@@ -199,8 +220,7 @@ def kernel_ridge_predict(
     sigma: float,
 ) -> np.ndarray:
     """Predictions sum_i c_i K(test, train_i) + intercept."""
-    sq = cross_sq_distances(test_features, train_features)
-    k = np.exp(-sq / (2.0 * sigma * sigma))
+    k = gaussian_weights(cross_sq_distances(test_features, train_features), sigma)
     return k @ fit.coefficients + fit.intercept
 
 

@@ -83,12 +83,18 @@ def _unit_rows(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return g / norms[:, None], norms == 0.0
 
 
+def _frobenius_norms(a: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack (n, d, d), with no
+    full-size temporary.  The per-matrix (1, k) @ (k, 1) product is the
+    dot-product summation of ``np.linalg.norm(a[i])``, bit for bit."""
+    flat = a.reshape(a.shape[0], 1, -1)
+    return np.sqrt((flat @ np.swapaxes(flat, -2, -1))[:, 0, 0])
+
+
 def _frobenius_normalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stack (n, d, d) scaled to unit Frobenius norm, and the mask of zero
-    matrices.  The per-matrix (1, k) @ (k, 1) product is the dot-product
-    summation of ``np.linalg.norm(a[i])``, bit for bit."""
-    flat = a.reshape(a.shape[0], 1, -1)
-    norms = np.sqrt((flat @ np.swapaxes(flat, -2, -1))[:, 0, 0])
+    matrices."""
+    norms = _frobenius_norms(a)
     return a / norms[:, None, None], norms == 0.0
 
 
@@ -235,14 +241,30 @@ class ProjectionBasis:
 
     def __post_init__(self):
         dirs = np.array(self.directions, dtype=float)  # own the frozen copy
+        self._adopt(dirs, symmetric=np.allclose)
+
+    @classmethod
+    def _owning(cls, dim: int, count: int, directions: np.ndarray, sampler_kind: str,
+                seed: RngState) -> "ProjectionBasis":
+        """Basis that takes ownership of a freshly built float array, with no
+        copy.  The array must be exactly symmetric, not just close."""
+        basis = object.__new__(cls)
+        for name, value in (("dim", dim), ("count", count), ("sampler_kind", sampler_kind),
+                            ("seed", seed)):
+            object.__setattr__(basis, name, value)
+        basis._adopt(directions, symmetric=np.array_equal)
+        return basis
+
+    def _adopt(self, dirs: np.ndarray, symmetric) -> None:
+        """Validate ``dirs``, freeze it and make it the directions;
+        ``symmetric(a, a^T)`` is the symmetry test."""
         if dirs.shape != (self.count, self.dim, self.dim):
             raise DimensionMismatch(
                 f"directions have shape {dirs.shape}, expected {(self.count, self.dim, self.dim)}"
             )
-        if not np.allclose(dirs, np.swapaxes(dirs, -2, -1)):
+        if not symmetric(dirs, np.swapaxes(dirs, -2, -1)):
             raise ValueError("directions must be symmetric")
-        norms = np.linalg.norm(dirs.reshape(self.count, -1), axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-12):
+        if np.any(np.abs(_frobenius_norms(dirs) - 1.0) > 1e-12):
             raise NotUnitNorm("every direction must have unit Frobenius norm (1e-12)")
         if self.sampler_kind not in _SAMPLERS:
             raise ValueError(f"unknown sampler kind {self.sampler_kind!r}")
@@ -316,4 +338,4 @@ def build_projection_basis(rng: RngState, d: int, count: int, sampler_kind: str 
     step = max(1, _CHUNK_ELEMS // (d * d))
     for start in range(0, count, step):
         dirs[start:start + step] = _chunk_directions(rng, start, min(start + step, count), d, sampler_kind)
-    return ProjectionBasis(dim=d, count=count, directions=dirs, sampler_kind=sampler_kind, seed=rng)
+    return ProjectionBasis._owning(d, count, dirs, sampler_kind, rng)

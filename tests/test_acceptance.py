@@ -37,7 +37,7 @@ from spdsliced import (
     udu_decompose,
     wishart_stack,
 )
-from spdsliced.adaptation import ChainParam, _chain_loss_only, _sliced_loss_grad
+from spdsliced.adaptation import ChainParam, _chain_loss_only, _fixed_target, _sliced_loss_grad
 from spdsliced.baselines import CostMatrix
 from spdsliced.experiments import fit_loglog_slope, run_benchmark_runtime
 from spdsliced.kernels import kfold_indices
@@ -314,6 +314,7 @@ def test_criterion_09_gradient_correctness():
     # Particle-loss gradients at generic points.
     basis = build_projection_basis(RngState(9002), 3, 25)
     target = _wishart_measure(RngState(9003), 9, 3, 9)
+    fixed = _fixed_target(target.logs, basis, "spdsw")
     worst_particle = 0.0
     for case in range(100):
         state = wishart_stack(RngState(9004).substream(case), 9, 3, 9)
@@ -327,8 +328,8 @@ def test_criterion_09_gradient_correctness():
         plus[i] += eps * h
         minus[i] -= eps * h
         fd = (
-            _sliced_loss_grad(plus, target.logs, basis, 2.0, False)[0]
-            - _sliced_loss_grad(minus, target.logs, basis, 2.0, False)[0]
+            _sliced_loss_grad(plus, fixed, basis, 2.0, False)[0]
+            - _sliced_loss_grad(minus, fixed, basis, 2.0, False)[0]
         ) / (2 * eps)
         rel = abs(float(np.sum(grads[i] * h)) - fd) / max(abs(fd), 1e-12)
         worst_particle = max(worst_particle, rel)
@@ -357,8 +358,8 @@ def test_criterion_09_gradient_correctness():
             for j, p in enumerate(params)
         ]
         fd = (
-            _chain_loss_only(shifted(+1), source, target, basis, 2.0, "spdsw", 10.0, 512**2)
-            - _chain_loss_only(shifted(-1), source, target, basis, 2.0, "spdsw", 10.0, 512**2)
+            _chain_loss_only(shifted(+1), source, fixed, basis, 2.0, "spdsw", 10.0, 512**2)
+            - _chain_loss_only(shifted(-1), source, fixed, basis, 2.0, "spdsw", 10.0, 512**2)
         ) / (2 * eps)
         rel = abs(float(np.sum(grads[k] * h)) - fd) / max(abs(fd), 1e-12)
         worst_chain = max(worst_chain, rel)

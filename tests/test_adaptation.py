@@ -16,6 +16,7 @@ from spdsliced import (
 from spdsliced.adaptation import (
     ChainParam,
     _chain_loss_only,
+    _fixed_target,
     _sliced_loss_grad,
     identity_chain_params,
 )
@@ -53,6 +54,7 @@ class TestParticleLossGradient:
         basis = build_projection_basis(RngState(4), 3, 25)
         state = wishart_measure(5, 9, 3).logs.copy()
         _, grads = loss_and_gradient_particles(state, target, basis)
+        st = _fixed_target(target.logs, basis, "spdsw")
         eps = 1e-6
         for _ in range(10):
             i = int(nprng.integers(len(state)))
@@ -61,8 +63,8 @@ class TestParticleLossGradient:
             plus[i] += eps * h
             minus[i] -= eps * h
             fd = (
-                _sliced_loss_grad(plus, target.logs, basis, 2.0, False)[0]
-                - _sliced_loss_grad(minus, target.logs, basis, 2.0, False)[0]
+                _sliced_loss_grad(plus, st, basis, 2.0, False)[0]
+                - _sliced_loss_grad(minus, st, basis, 2.0, False)[0]
             ) / (2.0 * eps)
             an = float(np.sum(grads[i] * h))
             assert abs(fd - an) <= 1e-5 * max(abs(fd), 1e-10)
@@ -72,6 +74,7 @@ class TestParticleLossGradient:
         basis = build_projection_basis(RngState(4), 3, 25)
         state = wishart_measure(5, 10, 3).logs.copy()
         _, grads = loss_and_gradient_particles(state, target, basis)
+        st = _fixed_target(target.logs, basis, "spdsw")
         eps = 1e-6
         for _ in range(6):
             i = int(nprng.integers(len(state)))
@@ -80,8 +83,8 @@ class TestParticleLossGradient:
             plus[i] += eps * h
             minus[i] -= eps * h
             fd = (
-                _sliced_loss_grad(plus, target.logs, basis, 2.0, False)[0]
-                - _sliced_loss_grad(minus, target.logs, basis, 2.0, False)[0]
+                _sliced_loss_grad(plus, st, basis, 2.0, False)[0]
+                - _sliced_loss_grad(minus, st, basis, 2.0, False)[0]
             ) / (2.0 * eps)
             an = float(np.sum(grads[i] * h))
             assert abs(fd - an) <= 1e-5 * max(abs(fd), 1e-10)
@@ -147,9 +150,11 @@ class TestTransformLossGradient:
             def loss_at(prms):
                 return self._fixed_plan_cost(prms, source, target, plan)
         else:
+            fixed = _fixed_target(target.logs, basis, loss_kind)
+
             def loss_at(prms):
                 return _chain_loss_only(
-                    prms, source, target, basis, 2.0, loss_kind, epsilon, 512**2
+                    prms, source, fixed, basis, 2.0, loss_kind, epsilon, 512**2
                 )
 
         eps = 1e-6
@@ -318,3 +323,117 @@ class TestClassifier:
         bad = LabeledSpdDataset(wishart_measure(1, 6, 4), np.zeros(6, dtype=int))
         with pytest.raises(DimensionMismatch):
             evaluate_transfer(clf, bad)
+
+
+# -- the fixed target is projected and sorted once per run ---------------------
+
+
+def _oracle_sliced_loss_grad(source_logs, target_logs, basis, p, want_grad):
+    # The loss as it was computed before the target was fixed per run: both
+    # sides projected and sorted on every call, the source through argsort.
+    from spdsliced.sliced import _merged_quantile_grid, _wpp_rows
+
+    cs = basis.project_symmetric(source_logs)
+    ct = basis.project_symmetric(target_logs)
+    order_s = np.argsort(cs, axis=-1)
+    ss = np.take_along_axis(cs, order_s, axis=-1)
+    st = np.sort(ct, axis=-1)
+    loss = float(np.mean(_wpp_rows(ss, st, p)))
+    if not want_grad:
+        return loss, None
+    n, m = ss.shape[-1], st.shape[-1]
+    if n == m:
+        diff = ss - st
+        g_sorted = (p / n) * np.abs(diff) ** (p - 1.0) * np.sign(diff)
+    else:
+        lens, ix, iy = _merged_quantile_grid(n, m)
+        diff = ss[:, ix] - st[:, iy]
+        contrib = lens * p * np.abs(diff) ** (p - 1.0) * np.sign(diff)
+        g_sorted = np.zeros_like(ss)
+        rows = np.arange(ss.shape[0])[:, None]
+        np.add.at(g_sorted, (rows, ix[None, :]), contrib)
+    grad_coords = np.empty_like(g_sorted)
+    np.put_along_axis(grad_coords, order_s, g_sorted, axis=-1)
+    grads = np.einsum("ln,lab->nab", grad_coords, basis.directions) / basis.count
+    return loss, grads
+
+
+def _use_oracle(monkeypatch):
+    # Route run_adaptation and the public losses through the oracle: the
+    # "fixed target" becomes the target logs, re-projected on every call.
+    from spdsliced import adaptation
+
+    monkeypatch.setattr(adaptation, "_fixed_target", lambda logs, basis, kind: logs)
+    monkeypatch.setattr(adaptation, "_sorted_coords", lambda logs, basis: logs)
+    monkeypatch.setattr(adaptation, "_sliced_loss_grad", _oracle_sliced_loss_grad)
+
+
+_SLICED_KINDS = {"spdsw": "eig_uniform", "logsw": "vec_sphere"}
+
+
+class TestFixedTargetMatchesPerCallOracle:
+    @pytest.mark.parametrize("m", [10, 7], ids=["n-eq-m", "n-ne-m"])
+    @pytest.mark.parametrize("kind", sorted(_SLICED_KINDS))
+    def test_losses_and_gradients(self, kind, m, monkeypatch):
+        basis = build_projection_basis(RngState(21), 3, 24, _SLICED_KINDS[kind])
+        target = wishart_measure(22, m, 3)
+        state = wishart_measure(23, 10, 3).logs.copy()
+        fixed = _fixed_target(target.logs, basis, kind)
+        source = wishart_measure(24, 10, 3)
+        params = [ChainParam("translation", 0.1 * np.eye(3)),
+                  ChainParam("rotation", np.zeros((3, 3)))]
+        got = [
+            _sliced_loss_grad(state, fixed, basis, 2.0, True),
+            (_sliced_loss_grad(state, fixed, basis, 2.0, False)[0], None),
+            loss_and_gradient_particles(state, target, basis),
+            loss_and_gradient_transform(params, source, target, basis, loss_kind=kind),
+        ]
+        _use_oracle(monkeypatch)
+        want = [
+            _oracle_sliced_loss_grad(state, target.logs, basis, 2.0, True),
+            (_oracle_sliced_loss_grad(state, target.logs, basis, 2.0, False)[0], None),
+            loss_and_gradient_particles(state, target, basis),
+            loss_and_gradient_transform(params, source, target, basis, loss_kind=kind),
+        ]
+        for (loss, grads), (want_loss, want_grads) in zip(got, want):
+            assert loss == want_loss
+            if want_grads is None:
+                assert grads is None
+            else:
+                assert all(np.array_equal(g, w) for g, w in zip(grads, want_grads))
+
+    @pytest.mark.parametrize("m", [10, 7], ids=["n-eq-m", "n-ne-m"])
+    @pytest.mark.parametrize("mode, lr", [("particles", 50.0), ("transform", 0.05)])
+    @pytest.mark.parametrize("kind", sorted(_SLICED_KINDS))
+    def test_adapted_state(self, kind, mode, lr, m, monkeypatch):
+        source = LabeledSpdDataset(wishart_measure(31, 10, 3), np.arange(10) % 2)
+        target = wishart_measure(32, m, 3)
+        cfg = AdaptationConfig(loss_kind=kind, epochs=6, num_projections=20,
+                               learning_rate=lr, seed=33)
+        got = run_adaptation(mode, source, target, cfg)
+        _use_oracle(monkeypatch)
+        want = run_adaptation(mode, source, target, cfg)
+        assert np.array_equal(got.losses, want.losses)
+        assert got.final_learning_rate == want.final_learning_rate
+        assert np.array_equal(got.final_source.measure.points, want.final_source.measure.points)
+
+    @pytest.mark.parametrize("mode", ["particles", "transform"])
+    @pytest.mark.parametrize("kind", sorted(_SLICED_KINDS))
+    def test_target_projected_once_per_run(self, kind, mode, monkeypatch):
+        from spdsliced.sampling import ProjectionBasis
+
+        source = LabeledSpdDataset(wishart_measure(41, 8, 3), np.arange(8) % 2)
+        target = wishart_measure(42, 9, 3)
+        projected = []
+        real_project = ProjectionBasis.project_symmetric
+
+        def counting_project(self, mats):
+            projected.append(mats is target.logs)
+            return real_project(self, mats)
+
+        monkeypatch.setattr(ProjectionBasis, "project_symmetric", counting_project)
+        cfg = AdaptationConfig(loss_kind=kind, epochs=4, num_projections=15,
+                               learning_rate=0.05, seed=43)
+        run_adaptation(mode, source, target, cfg)
+        assert projected.count(True) == 1
+        assert projected.count(False) >= 1 + 4 * 2  # the source: start, then grad + loss per epoch

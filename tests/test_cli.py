@@ -226,11 +226,12 @@ class TestArgumentRanges:
          "--class-scale-step", "-1", "--output", "{out}"],
         ["gen-wishart", "--d", "2", "--n", "5", "--dof", "4", "--classes", "2",
          "--class-scale-step", "nan", "--output", "{out}"],
+        ["gen-wishart", "--d", "2", "--n", "3", "--dof", "4", "--classes", "5", "--output", "{out}"],
     ], ids=["projections-0", "order-0.5", "epsilon-0", "epsilon-neg", "dims-0",
             "repeats-0", "n-0", "epochs-neg", "metrics-unknown", "metrics-one-unknown",
             "sample-metrics-unknown", "sample-metrics-les", "folds-1", "sigma-neg",
             "sigma-nan", "sigma-word", "classes-neg", "classes-1", "class-step-neg2",
-            "class-step-neg1", "class-step-nan"])
+            "class-step-neg1", "class-step-nan", "classes-above-n"])
     def test_out_of_range_is_usage_error(self, argv, tmp_path, capsys):
         out = tmp_path / "out.json"
         with pytest.raises(SystemExit) as exc:

@@ -176,3 +176,112 @@ class TestKernelRidgeManifests:
         run_kernel_ridge(str(train), str(test), folds=2, projections=10, quantiles=10,
                          alpha=1e-6, seed=1)
         assert sorted(loaded) == sorted(e["path"] for e in entries)
+
+
+# -- one feature-distance matrix per band and run ------------------------------
+
+
+def _oracle_fit_predict(band_feats_train, band_feats_test, targets_train, sigma_flag, alpha):
+    # The per-fold fit as it ran before each band's distances were computed
+    # once per run: bandwidth, Gram and cross kernel from the features.
+    from spdsliced.kernels import (
+        cross_sq_distances,
+        gaussian_kernel,
+        kernel_ridge_fit,
+        median_heuristic_bandwidth,
+        sum_kernels,
+    )
+
+    sigmas, grams, crosses = [], [], []
+    for feats_train, feats_test in zip(band_feats_train, band_feats_test):
+        sigma = (
+            median_heuristic_bandwidth(feats_train)
+            if sigma_flag == "median"
+            else float(sigma_flag)
+        )
+        sigmas.append(sigma)
+        grams.append(gaussian_kernel(feats_train, sigma))
+        crosses.append(
+            np.exp(-cross_sq_distances(feats_test, feats_train) / (2.0 * sigma * sigma))
+        )
+    fit = kernel_ridge_fit(sum_kernels(grams), targets_train, alpha)
+    return np.sum(crosses, axis=0) @ fit.coefficients + fit.intercept, sigmas
+
+
+def _oracle_kernel_ridge_rows(train, test, folds, projections, quantiles, sigma, alpha, seed):
+    from spdsliced.experiments import _band_features, _load_manifest, _scores
+    from spdsliced.kernels import kfold_indices, midpoint_quantile_levels
+    from spdsliced.sampling import build_projection_basis
+
+    entries = _load_manifest(train)
+    levels = midpoint_quantile_levels(quantiles)
+    band_feats, basis = _band_features(
+        entries, levels,
+        lambda dim: build_projection_basis(RngState(seed), dim, projections, "eig_uniform"),
+    )
+    targets = np.array([e["target"] for e in entries])
+    rows, predictions = [], []
+    for fold, (train_idx, test_idx) in enumerate(kfold_indices(len(entries), folds, seed)):
+        preds, sigmas = _oracle_fit_predict(
+            [[fb[i] for i in train_idx] for fb in band_feats],
+            [[fb[i] for i in test_idx] for fb in band_feats],
+            targets[train_idx], sigma, alpha,
+        )
+        rows.append({"record": "fold", "fold": fold, **_scores(preds, targets[test_idx]),
+                     "sigma": sigmas[0] if len(sigmas) == 1 else None})
+        predictions.extend(
+            {"record": "prediction", "fold": fold, "index": int(i),
+             "target": float(targets[i]), "prediction": float(pv)}
+            for i, pv in zip(test_idx, preds)
+        )
+    if test is not None:
+        test_entries = _load_manifest(test)
+        test_feats, _ = _band_features(test_entries, levels, lambda dim: basis)
+        preds, _ = _oracle_fit_predict(band_feats, test_feats, targets, sigma, alpha)
+        truth = np.array([e["target"] for e in test_entries])
+        rows.append({"record": "test", "fold": None, **_scores(preds, truth), "sigma": None})
+    return rows + predictions
+
+
+def _two_band_manifest(tmp_path, name, count, seed):
+    entries = []
+    for i in range(count):
+        scale = 1.0 + 0.15 * i
+        paths = []
+        for band in range(2):
+            p = tmp_path / f"{name}{i}b{band}.json"
+            save_spd_dataset(str(p), wishart_stack(RngState(seed + 100 * band + i), 12 + 3 * band,
+                                                   3, 8, scale=scale * np.eye(3)))
+            paths.append(str(p))
+        entries.append({"paths": paths, "target": scale})
+    manifest = tmp_path / f"{name}.json"
+    manifest.write_text(json.dumps(entries))
+    return str(manifest)
+
+
+class TestKernelRidgeDistancesOncePerRun:
+    @pytest.mark.parametrize("sigma", ["median", 0.2])
+    @pytest.mark.parametrize("with_test", [False, True], ids=["cv", "cv-and-test"])
+    def test_rows_equal_per_fold_oracle(self, tmp_path, with_test, sigma):
+        train = _two_band_manifest(tmp_path, "train", 9, 300)
+        test = _two_band_manifest(tmp_path, "test", 4, 700) if with_test else None
+        args = dict(folds=3, projections=12, quantiles=11, sigma=sigma, alpha=1e-6, seed=5)
+        report = run_kernel_ridge(train, test, **args)
+        assert report.rows == _oracle_kernel_ridge_rows(train, test, **args)
+
+    @pytest.mark.parametrize("with_test", [False, True], ids=["cv", "cv-and-test"])
+    def test_one_distance_matrix_per_band(self, tmp_path, monkeypatch, with_test):
+        from spdsliced import kernels
+
+        train = _two_band_manifest(tmp_path, "train", 8, 900)
+        test = _two_band_manifest(tmp_path, "test", 3, 950) if with_test else None
+        shapes = []
+        real = kernels.pairwise_sq_dists
+
+        def counting(x, y):
+            shapes.append((len(x), len(y)))
+            return real(x, y)
+
+        monkeypatch.setattr(kernels, "pairwise_sq_dists", counting)
+        run_kernel_ridge(train, test, folds=4, projections=10, quantiles=10, seed=2)
+        assert shapes == [(8, 8)] * 2 + ([(3, 8)] * 2 if with_test else [])

@@ -303,6 +303,26 @@ class TestProjectionBasis:
         with pytest.raises(NotUnitNorm):
             ProjectionBasis(dim=2, count=1, directions=np.eye(2)[None], sampler_kind="eig_uniform")
 
+    def test_build_owns_its_array_and_public_constructor_copies(self):
+        built = build_projection_basis(RngState(5), 3, 6)
+        external = built.directions.copy()
+        owned = ProjectionBasis._owning(3, 6, external, "eig_uniform", RngState(5))
+        assert owned.directions is external
+        assert not external.flags.writeable
+        copied = ProjectionBasis(dim=3, count=6, directions=external, sampler_kind="eig_uniform")
+        assert not np.shares_memory(copied.directions, external)
+        assert np.array_equal(copied.directions, built.directions)
+
+    def test_owning_path_requires_exact_symmetry(self):
+        dirs = build_projection_basis(RngState(5), 3, 6).directions.copy()
+        dirs[2, 0, 1] = np.nextafter(dirs[2, 0, 1], np.inf)
+        # Close enough for the public constructor, not for the owning path.
+        ProjectionBasis(dim=3, count=6, directions=dirs, sampler_kind="eig_uniform")
+        with pytest.raises(ValueError, match="symmetric"):
+            ProjectionBasis._owning(3, 6, dirs, "eig_uniform", RngState(5))
+        with pytest.raises(NotUnitNorm):
+            ProjectionBasis._owning(1, 1, np.full((1, 1, 1), 0.5), "eig_uniform", RngState(5))
+
     def test_projection_shape(self):
         basis = build_projection_basis(RngState(1), 3, 7)
         mats = np.stack([np.eye(3)] * 4)
@@ -312,11 +332,13 @@ class TestProjectionBasis:
         assert np.allclose(coords, expected[:, None])
 
     def test_build_memory_is_bounded(self):
-        # (10^4, 20, 20) directions are 32 MB. The per-index build this
-        # replaced peaked at 132,825,884 bytes on a first call in a fresh
-        # process (its output plus the validation copy and temporaries of
-        # ProjectionBasis), and at ~132,067,500 after a warm-up call, as does
-        # the batched build. Chunks must not add another O(L d^2) array.
+        # (10^4, 20, 20) directions are 32 MB. The basis takes ownership of
+        # the built array, so the peak is that output plus the 4 MB boolean
+        # mask of the exact symmetry check: 36,065,848 to 36,066,272 bytes
+        # after a warm-up call, depending on what else the process holds.
+        # It was 132,067,520 while ProjectionBasis copied the array and
+        # checked it with allclose. Chunks must not add another O(L d^2)
+        # array.
         build_projection_basis(RngState(1), 3, 5)  # first-call caches
         tracemalloc.start()
         try:
@@ -325,7 +347,7 @@ class TestProjectionBasis:
         finally:
             tracemalloc.stop()
         assert basis.count == 10_000
-        assert peak <= 132_825_884
+        assert peak <= 36_100_000
 
     @pytest.mark.parametrize("kind", ["eig_uniform", "fast_symmetric", "vec_sphere"])
     def test_degenerate_draw_is_replayed_from_its_block(self, kind, monkeypatch):
