@@ -153,7 +153,7 @@ def _sliced_loss_grad(
         np.add.at(g_sorted, (rows, ix[None, :]), contrib)
     grad_coords = np.empty_like(g_sorted)
     np.put_along_axis(grad_coords, order_s, g_sorted, axis=-1)
-    grads = np.einsum("ln,lab->nab", grad_coords, basis.directions) / basis.count
+    grads = (grad_coords.T @ basis.flat).reshape(n, basis.dim, basis.dim) / basis.count
     return loss, grads
 
 
@@ -184,7 +184,7 @@ def _transport_loss_grad(
     if not want_grad:
         return loss, None
     row_mass = plan.sum(axis=1)
-    pulled = np.einsum("ij,jab->iab", plan, target_logs)
+    pulled = (plan @ target_logs.reshape(len(target_logs), -1)).reshape(source_logs.shape)
     grads = 2.0 * (row_mass[:, None, None] * source_logs - pulled)
     return loss, grads
 
@@ -263,7 +263,9 @@ def _transform_loss_grad(params, source, target, basis, p, loss_kind, epsilon, e
     param_grads: list[np.ndarray | None] = [None] * len(params)
     for k in range(len(params) - 1, -1, -1):
         x, w = inputs[k], mats[k]
-        grad_w = 2.0 * np.einsum("nab,bc,ncd->ad", x, w, grad_pts)
+        # sum_n X_n W G_n as one (d, n*d) @ (n*d, d) product
+        d = w.shape[0]
+        grad_w = 2.0 * (np.swapaxes(x @ w, 0, 1).reshape(d, -1) @ grad_pts.reshape(-1, d))
         if params[k].kind == "translation":
             param_grads[k] = exp_frechet_sym(params[k].matrix, symmetrize(grad_w)).array
         else:
@@ -476,6 +478,22 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def _multinomial_hessian(probs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Hessian of the mean multinomial negative log-likelihood in the
+    flattened weights (K*D, K*D), from the probabilities (n, K) and the
+    design (n, D): blocks (1/n) sum_i (diag(p_i) - p_i p_i^T)[k, l] x_i x_i^T."""
+    n, k = probs.shape
+    dplus = x.shape[1]
+    px = probs[:, :, None] * x[:, None, :]
+    flat = px.reshape(n, k * dplus)
+    hess = -(flat.T @ flat) / n
+    blocks = hess.reshape(k, dplus, k, dplus)
+    diag_blocks = px.transpose(1, 2, 0) @ x / n
+    for kk in range(k):
+        blocks[kk, :, kk, :] += diag_blocks[kk]
+    return hess
+
+
 def _multinomial_objective(w, x, y_onehot, l2, n):
     z = x @ w.T
     z = z - z.max(axis=1, keepdims=True)
@@ -524,11 +542,7 @@ def train_log_linear_classifier(
         if np.linalg.norm(grad) <= grad_tol:
             converged = True
             break
-        hess = -np.einsum("nk,nl,na,nb->kalb", probs, probs, x, x) / n
-        diag_blocks = np.einsum("nk,na,nb->kab", probs, x, x) / n
-        for kk in range(k):
-            hess[kk, :, kk, :] += diag_blocks[kk]
-        hess = hess.reshape(k * dplus, k * dplus)
+        hess = _multinomial_hessian(probs, x)
         hess += np.diag((l2_penalty * penalty_mask).ravel())
         hess += 1e-10 * np.eye(k * dplus)
         step = np.linalg.solve(hess, grad.ravel()).reshape(k, dplus)

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.special import logsumexp
 
-from .errors import DimensionMismatch, InstanceTooLarge
+from .errors import DimensionMismatch, IllConditioned, InstanceTooLarge
 from .linalg import pairwise_ai_dists, pairwise_sq_dists, vech_isometric
 from .sliced import EmpiricalSpdMeasure
 
@@ -133,14 +133,24 @@ def sinkhorn(
 
     Stops when the worst row-marginal violation of the implied plan falls
     below ``threshold``. Returns the (best) plan and a convergence flag;
-    never raises on non-convergence.
+    never raises on non-convergence.  Raises ``IllConditioned`` when
+    cost/epsilon is not finite or so large (>= 1/machine epsilon) that the
+    potentials, which grow to that size, can no longer resolve the
+    marginals' unit-scale log masses.
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
     n, m = cost.shape
     log_a = -math.log(n)
     log_b = -math.log(m)
-    c = cost.entries / epsilon
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        c = cost.entries / epsilon
+    c_max = float(np.max(c))
+    if not math.isfinite(c_max) or c_max * np.finfo(float).eps >= 1.0:
+        raise IllConditioned(
+            f"cost/epsilon reaches {c_max:.3e} (epsilon {epsilon:.3e}); log-domain "
+            f"Sinkhorn needs it below {1.0 / np.finfo(float).eps:.3e}; raise epsilon"
+        )
     f = np.zeros(n)
     g = np.zeros(m)
     converged = False

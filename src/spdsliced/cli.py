@@ -24,16 +24,17 @@ _THREAD_ENV_VARS = (
 )
 
 
-def _bounded(convert, low: float, strict: bool, what: str):
-    """An argparse type: ``convert(text)``, finite and >= ``low`` (> when
-    ``strict``)."""
+def _bounded(convert, low: float, strict: bool, what: str, high: float = math.inf):
+    """An argparse type: ``convert(text)``, finite, >= ``low`` (> when
+    ``strict``) and <= ``high``."""
 
     def parse(text: str):
         try:
             value = convert(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}") from None
-        if not math.isfinite(value) or value < low or (strict and value == low):
+            ok = math.isfinite(value) and low <= value <= high and not (strict and value == low)
+        except (ValueError, OverflowError):
+            ok = False
+        if not ok:
             raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
         return value
 
@@ -46,6 +47,7 @@ _at_least_two = _bounded(int, 2, False, "an integer >= 2")
 _order = _bounded(float, 1.0, False, "a number >= 1")
 _positive_float = _bounded(float, 0.0, True, "a positive number")
 _finite_float = _bounded(float, -math.inf, False, "a finite number")
+_seed = _bounded(int, 0, False, "a seed in 0..2**64-1", high=2**64 - 1)
 
 # Restated so they are checked before the numerical modules load; tests
 # keep them equal to the tables of the same names in ``experiments``.
@@ -93,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", required=True, choices=ALL_METRICS)
     p.add_argument("--projections", type=_positive_int, default=200)
     p.add_argument("--order", type=_order, default=2.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--sampler", choices=["eig", "fast"], default="eig")
     p.add_argument("--epsilon", type=_positive_float, default=1.0)
     _output_flags(p)
@@ -102,14 +104,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=_positive_int, required=True)
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--dof", type=_positive_int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--scale", default="identity",
                    help="'identity' or a dataset file whose first matrix is the scale")
     p.add_argument("--classes", type=_at_least_two, default=None)
     p.add_argument("--class-scale-step", type=_finite_float, default=1.0)
-    p.add_argument("--shift-angle", type=float, default=0.0)
-    p.add_argument("--shift-identity", type=float, default=0.0)
-    p.add_argument("--shift-random", type=float, default=0.0)
+    p.add_argument("--shift-angle", type=_finite_float, default=0.0)
+    p.add_argument("--shift-identity", type=_finite_float, default=0.0)
+    p.add_argument("--shift-random", type=_finite_float, default=0.0)
     p.add_argument("--output", required=True)
     p.add_argument("--output-shifted", default=None)
     p.add_argument("--report", default=None, help="optional report path")
@@ -123,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metrics", type=_metric_list(ALL_METRICS),
                    default=["spdsw", "logsw", "lew", "les"])
     p.add_argument("--repeats", type=_positive_int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--epsilon", type=_positive_float, default=1.0)
     p.add_argument("--max-cost-bytes", type=_positive_float, default=2e8)
     p.add_argument("--dof", type=_positive_int, default=None)
@@ -138,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metrics", type=_metric_list(SAMPLE_COMPLEXITY_METRICS),
                    default=list(SAMPLE_COMPLEXITY_METRICS))
     p.add_argument("--projections", type=_positive_int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     _output_flags(p)
 
     p = sub.add_parser("projection-complexity", help="Monte Carlo error versus projections")
@@ -148,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L-star", dest="l_star", type=_positive_int, default=10000)
     p.add_argument("--repeats", type=_positive_int, default=100)
     p.add_argument("--n", type=_positive_int, default=500)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     _output_flags(p)
 
     p = sub.add_parser("adapt", help="align a labeled source onto a target")
@@ -160,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=_positive_float, default=None,
                    help="learning rate; defaults depend on mode and loss")
     p.add_argument("--projections", type=_positive_int, default=500)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--epsilon", type=_positive_float, default=10.0)
     p.add_argument("--no-safeguard", action="store_true",
                    help="plain fixed-step descent without step halving")
@@ -178,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=_bandwidth, default="median",
                    help="'median' or a positive number")
     p.add_argument("--alpha", type=_positive_float, default=1e-6)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--output-predictions", default=None)
     _output_flags(p)
 
@@ -227,6 +229,8 @@ def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser):
             shift_random=args.shift_random, output_shifted=args.output_shifted,
         )
     if args.command == "benchmark-runtime":
+        if args.dof is not None and args.dof < args.d:
+            parser.error(f"--dof {args.dof} is below --d {args.d}; expected at least --d")
         return experiments.run_benchmark_runtime(
             n_grid=args.n_grid, d=args.d, projections=args.projections,
             metrics=args.metrics, repeats=args.repeats, seed=args.seed,

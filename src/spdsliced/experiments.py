@@ -210,7 +210,7 @@ def run_gen_wishart(
             rand_sym = _with_norm(symmetrize(gen.standard_normal((d, d))), shift_random)
             translation = shift_identity * np.eye(d) + rand_sym
             logs = log_stack(points)
-            shifted_logs = np.einsum("ba,nbc,cd->nad", rotation, logs, rotation) + translation
+            shifted_logs = rotation.T @ logs @ rotation + translation
             shifted = exp_stack(shifted_logs)
         save_spd_dataset(output_shifted, shifted, labels)
         rows.append({"path": output_shifted, "count": int(n), "dim": int(d), "labels": labels is not None})
@@ -260,7 +260,7 @@ def run_benchmark_runtime(
                 mu, nu = EmpiricalSpdMeasure(a), EmpiricalSpdMeasure(b)
                 start = time.perf_counter()
                 compute_distance(
-                    mu, nu, metric, projections=projections, seed=seed + rep,
+                    mu, nu, metric, projections=projections, seed=(seed + rep) % 2**64,
                     epsilon=epsilon, exact_size_cap=n * n,
                 )
                 times[metric].append(time.perf_counter() - start)

@@ -234,8 +234,8 @@ def _exp_divided_differences(w: np.ndarray) -> np.ndarray:
 def _daleckii_krein(q: np.ndarray, g: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Q (G o Q^T H Q) Q^T for stacks of eigenvectors Q, Loewner matrices G
     and symmetric directions H, all (b, d, d)."""
-    inner = np.einsum("bki,bkl,blj->bij", q, h, q)
-    return np.einsum("bik,bkl,bjl->bij", q, g * inner, q)
+    qt = np.swapaxes(q, -1, -2)
+    return q @ (g * (qt @ h @ q)) @ qt
 
 
 def log_frechet_derivative(m, h) -> SymMatrix:

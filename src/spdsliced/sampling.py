@@ -224,7 +224,7 @@ def wishart_stack(rng, count: int, d: int, dof: int, scale=None, chunk_elems: in
         stop = min(start + step, count)
         g = gen.standard_normal((stop - start, dof, d))
         z = g if factor is None else g @ factor.T
-        out[start:stop] = symmetrize(np.einsum("nkd,nke->nde", z, z)) / dof
+        out[start:stop] = symmetrize(np.swapaxes(z, 1, 2) @ z) / dof
     return out
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm_frechet
 
 from spdsliced import (
     AdaptationConfig,
@@ -17,15 +18,31 @@ from spdsliced.adaptation import (
     ChainParam,
     _chain_loss_only,
     _fixed_target,
+    _log_loss_grad,
+    _multinomial_hessian,
+    _plan_for,
     _sliced_loss_grad,
+    _softmax,
+    _transform_loss_grad,
+    _transport_loss_grad,
     identity_chain_params,
 )
+from spdsliced.baselines import EXACT_SIZE_CAP, CostMatrix
 from spdsliced.errors import (
     DimensionMismatch,
     MissingLabels,
     SingularFeatures,
 )
-from spdsliced.linalg import log_stack
+from spdsliced.linalg import (
+    eigh_stack,
+    exp_frechet_sym,
+    log_frechet_stack,
+    log_stack,
+    pairwise_sq_dists,
+    reconstruct,
+    symmetrize,
+    vech_isometric,
+)
 
 from conftest import random_sym, wishart_measure
 
@@ -328,7 +345,18 @@ class TestClassifier:
 # -- the fixed target is projected and sorted once per run ---------------------
 
 
-def _oracle_sliced_loss_grad(source_logs, target_logs, basis, p, want_grad):
+def _scatter(grad_coords, basis):
+    # The production gradient scatter, restated.
+    return (grad_coords.T @ basis.flat).reshape(-1, basis.dim, basis.dim) / basis.count
+
+
+def _scatter_einsum(grad_coords, basis):
+    # The scatter as an einsum, before it became one matmul: the oracle of
+    # the contraction itself.
+    return np.einsum("ln,lab->nab", grad_coords, basis.directions) / basis.count
+
+
+def _oracle_sliced_loss_grad(source_logs, target_logs, basis, p, want_grad, scatter=_scatter):
     # The loss as it was computed before the target was fixed per run: both
     # sides projected and sorted on every call, the source through argsort.
     from spdsliced.sliced import _merged_quantile_grid, _wpp_rows
@@ -354,8 +382,7 @@ def _oracle_sliced_loss_grad(source_logs, target_logs, basis, p, want_grad):
         np.add.at(g_sorted, (rows, ix[None, :]), contrib)
     grad_coords = np.empty_like(g_sorted)
     np.put_along_axis(grad_coords, order_s, g_sorted, axis=-1)
-    grads = np.einsum("ln,lab->nab", grad_coords, basis.directions) / basis.count
-    return loss, grads
+    return loss, scatter(grad_coords, basis)
 
 
 def _use_oracle(monkeypatch):
@@ -437,3 +464,102 @@ class TestFixedTargetMatchesPerCallOracle:
         run_adaptation(mode, source, target, cfg)
         assert projected.count(True) == 1
         assert projected.count(False) >= 1 + 4 * 2  # the source: start, then grad + loss per epoch
+
+
+# -- each matmul contraction against the einsum it replaced ---------------------
+#
+# The matmul forms sum in another order than the einsums, so they agree to a
+# tolerance, not bit for bit: 1e-13 relative to the largest entry.  Inputs
+# have the shapes of the learning benchmark (L = 500, n = 200, d = 5).
+
+
+def _assert_matches(got, want, tol=1e-13):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+
+
+def _pull_einsum(plan, target_logs):
+    return np.einsum("ij,jab->iab", plan, target_logs)
+
+
+def _hessian_einsum(probs, x):
+    n, k = probs.shape
+    dplus = x.shape[1]
+    hess = -np.einsum("nk,nl,na,nb->kalb", probs, probs, x, x) / n
+    diag_blocks = np.einsum("nk,na,nb->kab", probs, x, x) / n
+    for kk in range(k):
+        hess[kk, :, kk, :] += diag_blocks[kk]
+    return hess.reshape(k * dplus, k * dplus)
+
+
+def _oracle_transform_grads(params, source, fixed, basis, loss_kind):
+    # _transform_loss_grad with the parameter contraction as its einsum.
+    mats = [prm.materialize() for prm in params]
+    inputs = [source.points]
+    for w in mats:
+        inputs.append(w.T @ inputs[-1] @ w)
+    w_eig, q_eig = eigh_stack(inputs[-1])
+    _, grad_logs = _log_loss_grad(
+        reconstruct(np.log(w_eig), q_eig), fixed, basis, 2.0, loss_kind, 10.0,
+        EXACT_SIZE_CAP, True,
+    )
+    grad_pts = log_frechet_stack(w_eig, q_eig, grad_logs)
+    grads = [None] * len(params)
+    for k in range(len(params) - 1, -1, -1):
+        x, w = inputs[k], mats[k]
+        grad_w = 2.0 * np.einsum("nab,bc,ncd->ad", x, w, grad_pts)
+        if params[k].kind == "translation":
+            grads[k] = exp_frechet_sym(params[k].matrix, symmetrize(grad_w)).array
+        else:
+            full = expm_frechet(params[k].matrix.T, grad_w, compute_expm=False)
+            grads[k] = 0.5 * (full - full.T)
+        if k > 0:
+            grad_pts = w @ grad_pts @ w.T
+    return grads
+
+
+class TestContractionsMatchEinsumOracles:
+    @pytest.mark.parametrize("m", [200, 150], ids=["n-eq-m", "n-ne-m"])
+    @pytest.mark.parametrize("kind", sorted(_SLICED_KINDS))
+    def test_sliced_gradient_scatter(self, kind, m):
+        basis = build_projection_basis(RngState(51), 5, 500, _SLICED_KINDS[kind])
+        state = wishart_measure(52, 200, 5, dof=40).logs
+        target = wishart_measure(53, m, 5, dof=40, scale=2.0 * np.eye(5))
+        loss, grads = _sliced_loss_grad(state, _fixed_target(target.logs, basis, kind),
+                                        basis, 2.0, True)
+        want_loss, want = _oracle_sliced_loss_grad(state, target.logs, basis, 2.0, True,
+                                                   scatter=_scatter_einsum)
+        assert loss == want_loss
+        _assert_matches(grads, want)
+
+    @pytest.mark.parametrize("kind", ["lew", "les"])
+    def test_transport_pull(self, kind):
+        source = wishart_measure(54, 200, 5, dof=40).logs
+        target = wishart_measure(55, 200, 5, dof=40, scale=2.0 * np.eye(5)).logs
+        loss, grads = _transport_loss_grad(source, target, kind, 10.0, EXACT_SIZE_CAP, True)
+        sq = pairwise_sq_dists(vech_isometric(source), vech_isometric(target))
+        plan = _plan_for(CostMatrix(sq, "log_euclidean", 2.0), kind, 10.0, EXACT_SIZE_CAP)
+        want = 2.0 * (plan.sum(axis=1)[:, None, None] * source - _pull_einsum(plan, target))
+        assert loss == float(np.sum(plan * sq))
+        _assert_matches(grads, want)
+
+    @pytest.mark.parametrize("kind", sorted(_SLICED_KINDS))
+    def test_transform_gradient(self, kind):
+        rng = np.random.default_rng(56)
+        basis = build_projection_basis(RngState(57), 5, 500, _SLICED_KINDS[kind])
+        source = wishart_measure(58, 200, 5, dof=40)
+        fixed = _fixed_target(wishart_measure(59, 200, 5, dof=40).logs, basis, kind)
+        params = [ChainParam("translation", 0.1 * random_sym(rng, 5)),
+                  ChainParam("rotation", 0.1 * rng.standard_normal((5, 5)))]
+        _, grads = _transform_loss_grad(params, source, fixed, basis, 2.0, kind, 10.0,
+                                        EXACT_SIZE_CAP)
+        for got, want in zip(grads, _oracle_transform_grads(params, source, fixed, basis, kind)):
+            _assert_matches(got, want)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_classifier_hessian(self, k):
+        rng = np.random.default_rng(60 + k)
+        feats = vech_isometric(wishart_measure(61, 200, 5, dof=40).logs)
+        x = np.hstack([feats, np.ones((200, 1))])
+        probs = _softmax(x @ rng.standard_normal((k, x.shape[1])).T)
+        _assert_matches(_multinomial_hessian(probs, x), _hessian_einsum(probs, x))

@@ -14,7 +14,7 @@ from spdsliced import (
     wasserstein_1d,
 )
 from spdsliced.baselines import CostMatrix, TransportPlan
-from spdsliced.errors import DimensionMismatch, InstanceTooLarge
+from spdsliced.errors import DimensionMismatch, IllConditioned, InstanceTooLarge
 
 from conftest import random_sym, wishart_measure
 
@@ -151,6 +151,15 @@ class TestSinkhorn:
         eps = 1e-3 * float(np.median(cost.entries))
         plan, _ = sinkhorn(cost, epsilon=eps)
         assert abs(plan.cost - exact) <= 0.01 * exact
+
+    @pytest.mark.parametrize("epsilon", [1e-320, 1e-300, 1e-15])
+    def test_cost_over_epsilon_beyond_float_resolution_is_ill_conditioned(self, epsilon):
+        # 1e-320 makes cost/epsilon overflow; at 1e-300 and 1e-15 it stays
+        # finite but no potential that large resolves log(1/n).
+        entries = np.array([[0.5, 30.0], [20.0, 1.0]])
+        cost = CostMatrix(entries=entries, ground_metric="log_euclidean", power=2.0)
+        with pytest.raises(IllConditioned):
+            sinkhorn(cost, epsilon=epsilon)
 
     def test_marginals_on_convergence(self, nprng):
         entries = nprng.uniform(0.0, 2.0, (5, 7))

@@ -227,11 +227,28 @@ class TestArgumentRanges:
         ["gen-wishart", "--d", "2", "--n", "5", "--dof", "4", "--classes", "2",
          "--class-scale-step", "nan", "--output", "{out}"],
         ["gen-wishart", "--d", "2", "--n", "3", "--dof", "4", "--classes", "5", "--output", "{out}"],
+        ["gen-wishart", "--d", "2", "--n", "5", "--dof", "4", "--seed", "-1", "--output", "{out}"],
+        ["distance", "a.json", "b.json", "--metric", "spdsw", "--seed", "-5"],
+        ["adapt", "--source", "s.json", "--target", "t.json", "--seed", str(2**64)],
+        ["kernel-ridge", "--train", "m.json", "--seed", "1" + "0" * 400],
+        ["benchmark-runtime", "--seed", "-1"],
+        ["sample-complexity", "--seed", "-1"],
+        ["projection-complexity", "--seed", "-1"],
+        ["gen-wishart", "--d", "2", "--n", "5", "--dof", "4", "--output", "{out}",
+         "--output-shifted", "{out}.shifted", "--shift-angle", "nan"],
+        ["gen-wishart", "--d", "2", "--n", "5", "--dof", "4", "--output", "{out}",
+         "--output-shifted", "{out}.shifted", "--shift-identity", "inf"],
+        ["gen-wishart", "--d", "2", "--n", "5", "--dof", "4", "--output", "{out}",
+         "--output-shifted", "{out}.shifted", "--shift-random", "-inf"],
+        ["benchmark-runtime", "--d", "3", "--dof", "1"],
     ], ids=["projections-0", "order-0.5", "epsilon-0", "epsilon-neg", "dims-0",
             "repeats-0", "n-0", "epochs-neg", "metrics-unknown", "metrics-one-unknown",
             "sample-metrics-unknown", "sample-metrics-les", "folds-1", "sigma-neg",
             "sigma-nan", "sigma-word", "classes-neg", "classes-1", "class-step-neg2",
-            "class-step-neg1", "class-step-nan", "classes-above-n"])
+            "class-step-neg1", "class-step-nan", "classes-above-n", "gen-seed-neg",
+            "distance-seed-neg", "adapt-seed-2pow64", "ridge-seed-huge", "runtime-seed-neg",
+            "sample-seed-neg", "projection-seed-neg", "shift-angle-nan", "shift-identity-inf",
+            "shift-random-neg-inf", "runtime-dof-below-d"])
     def test_out_of_range_is_usage_error(self, argv, tmp_path, capsys):
         out = tmp_path / "out.json"
         with pytest.raises(SystemExit) as exc:
@@ -239,6 +256,27 @@ class TestArgumentRanges:
         assert exc.value.code == 2
         assert "expected" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_seed_takes_the_full_unsigned_64_bit_range(tmp_path):
+    parse = build_parser().parse_args
+    top = 2**64 - 1
+    assert parse(["distance", "a.json", "b.json", "--metric", "spdsw", "--seed", "0"]).seed == 0
+    assert parse(["distance", "a.json", "b.json", "--metric", "spdsw",
+                  "--seed", str(top)]).seed == top
+    # Repeats draw their bases from seed + repeat, wrapped to 64 bits.
+    out = tmp_path / "r.json"
+    assert main(["benchmark-runtime", "--n-grid", "5", "--d", "2", "--metrics", "spdsw",
+                 "--projections", "3", "--repeats", "2", "--seed", str(top),
+                 "--output", str(out)]) == 0
+
+
+def test_tiny_epsilon_is_numerical_failure(dataset_pair, capsys):
+    a, b = dataset_pair
+    for eps in ("1e-300", "1e-20"):
+        assert main(["distance", a, b, "--metric", "les", "--epsilon", eps]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: cost/epsilon") and "Traceback" not in err
 
 
 def test_sigma_parses_median_or_positive_number():

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from spdsliced import RngState, experiments, load_spd_dataset, save_spd_dataset, wishart_stack
 from spdsliced.errors import DataValidationError
@@ -16,6 +17,7 @@ from spdsliced.experiments import (
     run_projection_complexity,
     run_sample_complexity,
 )
+from spdsliced.linalg import exp_stack, log_stack, symmetrize
 
 
 @pytest.fixture
@@ -94,6 +96,23 @@ class TestGenWishart:
     def test_rejects_bad_dof(self, tmp_path):
         with pytest.raises(DataValidationError):
             run_gen_wishart(str(tmp_path / "g.json"), d=5, n=3, dof=2)
+
+    def test_shift_matches_einsum_form(self, tmp_path):
+        # The shifted logs R^T L R + T against the einsum the shift used
+        # before it became a batched matmul: 1e-13 relative to the largest
+        # entry, at the learning benchmark's sizes.
+        src, dst = tmp_path / "s.json", tmp_path / "t.json"
+        run_gen_wishart(str(src), d=5, n=200, dof=40, seed=3, classes=2, shift_angle=0.5,
+                        shift_identity=0.693, shift_random=0.5, output_shifted=str(dst))
+        gen = RngState(3).substream(10_000).generator()
+        omega = gen.standard_normal((5, 5))
+        rotation = expm(experiments._with_norm(0.5 * (omega - omega.T), 0.5))
+        translation = 0.693 * np.eye(5) + experiments._with_norm(
+            symmetrize(gen.standard_normal((5, 5))), 0.5)
+        logs = log_stack(load_spd_dataset(str(src)).measure.points)
+        want = exp_stack(np.einsum("ba,nbc,cd->nad", rotation, logs, rotation) + translation)
+        got = load_spd_dataset(str(dst)).measure.points
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestAdapt:

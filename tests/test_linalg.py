@@ -23,11 +23,15 @@ from spdsliced import (
 from spdsliced.errors import DimensionMismatch, NotPositiveDefinite
 from spdsliced.linalg import (
     EXP_CAP,
+    _daleckii_krein,
+    _exp_divided_differences,
+    _log_divided_differences,
     exp_frechet_sym,
     exp_stack,
     log_stack,
     pairwise_sq_dists,
     reconstruct,
+    symmetrize,
     udu_stack,
     unvech_isometric,
     vech_isometric,
@@ -215,6 +219,29 @@ class TestLogFrechetDerivative:
         forward = exp_frechet_sym(s, h).array
         back = log_frechet_derivative(m, forward).array
         assert np.linalg.norm(back - h) <= 1e-9 * max(1.0, np.linalg.norm(h))
+
+
+def _daleckii_krein_einsum(q, g, h):
+    # The sandwich as two einsums, before it became batched matmuls.
+    inner = np.einsum("bki,bkl,blj->bij", q, h, q)
+    return np.einsum("bik,bkl,bjl->bij", q, g * inner, q)
+
+
+class TestDaleckiiKreinSandwich:
+    # The matmul form sums in another order than the einsum; it must agree
+    # to 1e-13 relative to the largest entry, at the shapes the adaptation
+    # and the Wishart experiments use.
+    @pytest.mark.parametrize("divided", [_log_divided_differences, _exp_divided_differences],
+                             ids=["log", "exp"])
+    @pytest.mark.parametrize("d", [5, 20])
+    def test_matches_einsum_form(self, d, divided):
+        rng = np.random.default_rng(70 + d)
+        w, q = np.linalg.eigh(wishart_stack(RngState(71), 200, d, 40))
+        h = symmetrize(rng.standard_normal((200, d, d)))
+        g = divided(w)
+        want = _daleckii_krein_einsum(q, g, h)
+        got = _daleckii_krein(q, g, h)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def _udu_by_elimination(mats):

@@ -16,7 +16,7 @@ from spdsliced import (
 )
 from spdsliced import sampling
 from spdsliced.errors import NotPositiveDefinite, NotUnitNorm
-from spdsliced.linalg import pd_tolerance, sym_dim, unvech_isometric
+from spdsliced.linalg import pd_tolerance, sym_dim, symmetrize, unvech_isometric
 from spdsliced.sampling import ProjectionBasis, sample_sphere_batch
 
 
@@ -278,6 +278,24 @@ class TestWishart:
         stacked = wishart_stack(RngState(9), 5, 3, 7)
         again = wishart_stack(RngState(9), 5, 3, 7)
         assert np.array_equal(stacked, again)
+
+    @staticmethod
+    def _einsum_oracle(rng, count, d, dof, scale):
+        # The draw with its Gram product as the einsum it was before it
+        # became a batched matmul (one chunk at these sizes).
+        g = rng.generator().standard_normal((count, dof, d))
+        factor = sampling._scale_factor(d, scale)
+        z = g if factor is None else g @ factor.T
+        return symmetrize(np.einsum("nkd,nke->nde", z, z)) / dof
+
+    @pytest.mark.parametrize("scaled", [False, True], ids=["identity", "scaled"])
+    @pytest.mark.parametrize("d", [5, 20])
+    def test_matches_einsum_form(self, d, scaled):
+        scale = np.diag(np.linspace(1.0, 3.0, d)) if scaled else None
+        got = wishart_stack(RngState(81), 200, d, 40, scale=scale)
+        want = self._einsum_oracle(RngState(81), 200, d, 40, scale)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        assert np.array_equal(got, np.swapaxes(got, 1, 2))
 
 
 class TestProjectionBasis:
