@@ -3,6 +3,9 @@
 A source distribution is aligned onto a target by minimizing a transport
 discrepancy, either over the source particles themselves (in log
 coordinates) or over a chain of structured transformations C -> W^T C W.
+The descent evaluates each state once: the projection and sort, the
+transport plan and, in transform mode, the eigendecomposition computed to
+score an accepted step are reused for the gradient at it.
 A log-linear classifier trained on the (adapted) source then measures
 transfer to the target.
 """
@@ -30,7 +33,6 @@ from .linalg import (
     exp_frechet_sym,
     exp_stack,
     log_frechet_stack,
-    log_stack,
     pairwise_sq_dists,
     reconstruct,
     symmetrize,
@@ -102,6 +104,19 @@ def apply_chain_matrices(mats: list[np.ndarray], points: np.ndarray) -> np.ndarr
 
 
 # -- loss/gradient building blocks -------------------------------------------
+#
+# Each loss is a pair: ``evaluate(state)`` returns the loss and a context of
+# what it computed (sort order, transport plan, eigendecomposition), and
+# ``gradient(state, ctx)`` finishes the gradient from that context, so a
+# state that is both scored and differentiated is evaluated once.
+
+
+def _finite(x):
+    """``x`` itself, or OverflowError when it holds a non-finite value: a
+    step overflowed, which the safeguard treats as "too large"."""
+    if not np.all(np.isfinite(x)):
+        raise OverflowError("adaptation step overflowed to non-finite values")
+    return x
 
 
 def _sorted_coords(logs: np.ndarray, basis: ProjectionBasis) -> np.ndarray:
@@ -118,28 +133,24 @@ def _fixed_target(target_logs: np.ndarray, basis: ProjectionBasis | None, loss_k
     return target_logs
 
 
-def _sliced_loss_grad(
-    source_logs: np.ndarray,
-    st: np.ndarray,
-    basis: ProjectionBasis,
-    p: float,
-    want_grad: bool,
-):
+def _sliced_evaluate(logs: np.ndarray, st: np.ndarray, basis: ProjectionBasis, p: float):
     """Sliced loss between a source log stack and the target's sorted
-    projected coordinates ``st`` (L, m), and (optionally) its gradient with
-    respect to each source log matrix.
+    projected coordinates ``st`` (L, m); the context is the source's sort
+    order and sorted coordinates (L, n)."""
+    cs = basis.project_symmetric(logs)
+    ss = np.sort(cs, axis=-1)
+    return _finite(float(np.mean(_wpp_rows(ss, st, p)))), (np.argsort(cs, axis=-1), ss)
+
+
+def _sliced_gradient(ctx, st: np.ndarray, basis: ProjectionBasis, p: float) -> np.ndarray:
+    """Gradient of the sliced loss with respect to each source log matrix.
 
     The per-slice 1D gradient is exact almost everywhere: each sorted
     matching term |s_(k) - t_(k)|^p differentiates to the usual signed
     power, scattered back through the sort and chained through the linear
     projection S -> <A_l, S>.
     """
-    if not want_grad:
-        return float(np.mean(_wpp_rows(_sorted_coords(source_logs, basis), st, p))), None
-    cs = basis.project_symmetric(source_logs)  # (L, n)
-    order_s = np.argsort(cs, axis=-1)
-    ss = np.take_along_axis(cs, order_s, axis=-1)
-    loss = float(np.mean(_wpp_rows(ss, st, p)))
+    order_s, ss = ctx
     n, m = ss.shape[-1], st.shape[-1]
     if n == m:
         diff = ss - st
@@ -153,8 +164,7 @@ def _sliced_loss_grad(
         np.add.at(g_sorted, (rows, ix[None, :]), contrib)
     grad_coords = np.empty_like(g_sorted)
     np.put_along_axis(grad_coords, order_s, g_sorted, axis=-1)
-    grads = (grad_coords.T @ basis.flat).reshape(n, basis.dim, basis.dim) / basis.count
-    return loss, grads
+    return (grad_coords.T @ basis.flat).reshape(n, basis.dim, basis.dim) / basis.count
 
 
 def _plan_for(cost: CostMatrix, loss_kind: str, epsilon: float, exact_size_cap: int):
@@ -166,40 +176,75 @@ def _plan_for(cost: CostMatrix, loss_kind: str, epsilon: float, exact_size_cap: 
     return result.plan
 
 
-def _transport_loss_grad(
-    source_logs: np.ndarray,
-    target_logs: np.ndarray,
-    loss_kind: str,
-    epsilon: float,
-    exact_size_cap: int,
-    want_grad: bool,
-):
-    """Squared log-Euclidean transport loss through a fixed plan (exact
-    plan for ``lew``, converged Sinkhorn plan for ``les``); the gradient
-    treats the plan as constant (envelope theorem)."""
-    sq = pairwise_sq_dists(vech_isometric(source_logs), vech_isometric(target_logs))
+def _transport_evaluate(logs, target_logs, loss_kind, epsilon, exact_size_cap):
+    """Squared log-Euclidean transport loss through the exact plan
+    (``lew``) or the converged Sinkhorn plan (``les``); the context is the
+    plan."""
+    sq = _finite(pairwise_sq_dists(vech_isometric(logs), vech_isometric(target_logs)))
     cost = CostMatrix(entries=sq, ground_metric="log_euclidean", power=2.0)
     plan = _plan_for(cost, loss_kind, epsilon, exact_size_cap)
-    loss = float(np.sum(plan * sq))
-    if not want_grad:
-        return loss, None
-    row_mass = plan.sum(axis=1)
-    pulled = (plan @ target_logs.reshape(len(target_logs), -1)).reshape(source_logs.shape)
-    grads = 2.0 * (row_mass[:, None, None] * source_logs - pulled)
-    return loss, grads
+    return float(np.sum(plan * sq)), plan
 
 
-def _log_loss_grad(logs, target, basis, p, loss_kind, epsilon, exact_size_cap, want_grad):
-    """Loss of a source log stack against the target (as
-    :func:`_fixed_target` gives it), with its gradient per source log when
-    ``want_grad``."""
+def _transport_gradient(logs, plan, target_logs) -> np.ndarray:
+    """Gradient of the transport loss per source log, with the plan held
+    constant (envelope theorem)."""
+    pulled = (plan @ target_logs.reshape(len(target_logs), -1)).reshape(logs.shape)
+    return 2.0 * (plan.sum(axis=1)[:, None, None] * logs - pulled)
+
+
+def _log_loss(loss_kind, target, basis, p, epsilon, exact_size_cap):
+    """``(evaluate, gradient)`` of the loss of a source log stack against
+    the target as :func:`_fixed_target` gives it."""
     if loss_kind in ("spdsw", "logsw"):
-        return _sliced_loss_grad(logs, target, basis, p, want_grad)
+        return (lambda logs: _sliced_evaluate(logs, target, basis, p),
+                lambda logs, ctx: _sliced_gradient(ctx, target, basis, p))
     if loss_kind in ("lew", "les"):
-        return _transport_loss_grad(
-            logs, target, loss_kind, epsilon, exact_size_cap, want_grad
-        )
+        return (lambda logs: _transport_evaluate(logs, target, loss_kind, epsilon, exact_size_cap),
+                lambda logs, plan: _transport_gradient(logs, plan, target))
     raise ValueError(f"unknown loss kind {loss_kind!r}")
+
+
+def _transform_loss(source: EmpiricalSpdMeasure, evaluate_logs, gradient_logs):
+    """``(evaluate, gradient)`` over chain parameters, built on those of the
+    log loss.
+
+    ``evaluate`` materializes the chain and runs one eigendecomposition of
+    the transformed stack.  ``gradient`` runs the chain rule log ->
+    congruence steps -> exponential parametrization; the first factor uses
+    the Daleckii-Krein derivative of the matrix log at the transformed
+    points.
+    """
+
+    def evaluate(params):
+        mats = [prm.materialize() for prm in params]
+        inputs = [source.points]
+        for w in mats:
+            inputs.append(w.T @ inputs[-1] @ w)
+        w_eig, q_eig = eigh_stack(_finite(inputs[-1]))
+        logs = reconstruct(np.log(w_eig), q_eig)
+        loss, inner = evaluate_logs(logs)
+        return loss, (mats, inputs, w_eig, q_eig, logs, inner)
+
+    def gradient(params, ctx):
+        mats, inputs, w_eig, q_eig, logs, inner = ctx
+        grad_pts = log_frechet_stack(w_eig, q_eig, gradient_logs(logs, inner))
+        param_grads: list[np.ndarray | None] = [None] * len(params)
+        for k in range(len(params) - 1, -1, -1):
+            x, w = inputs[k], mats[k]
+            # sum_n X_n W G_n as one (d, n*d) @ (n*d, d) product
+            d = w.shape[0]
+            grad_w = 2.0 * (np.swapaxes(x @ w, 0, 1).reshape(d, -1) @ grad_pts.reshape(-1, d))
+            if params[k].kind == "translation":
+                param_grads[k] = exp_frechet_sym(params[k].matrix, symmetrize(grad_w)).array
+            else:
+                full = expm_frechet(params[k].matrix.T, grad_w, compute_expm=False)
+                param_grads[k] = 0.5 * (full - full.T)
+            if k > 0:
+                grad_pts = w @ grad_pts @ w.T
+        return param_grads
+
+    return evaluate, gradient
 
 
 def loss_and_gradient_particles(
@@ -216,7 +261,9 @@ def loss_and_gradient_particles(
     )
     if logs.shape[-1] != target.dim:
         raise DimensionMismatch(f"dimensions differ: {logs.shape[-1]} vs {target.dim}")
-    return _sliced_loss_grad(logs, _sorted_coords(target.logs, basis), basis, p, want_grad=True)
+    st = _sorted_coords(target.logs, basis)
+    loss, ctx = _sliced_evaluate(logs, st, basis, p)
+    return loss, _sliced_gradient(ctx, st, basis, p)
 
 
 def loss_and_gradient_transform(
@@ -230,60 +277,16 @@ def loss_and_gradient_transform(
     exact_size_cap: int = EXACT_SIZE_CAP,
 ) -> tuple[float, list[np.ndarray]]:
     """Loss of the transformed source against the target and Euclidean
-    gradients of the unconstrained chain parameters.
-
-    The chain rule runs log -> congruence steps -> exponential
-    parametrization; the middle factor uses the Daleckii-Krein derivative
-    of the matrix log at the transformed points.
-    """
+    gradients of the unconstrained chain parameters (see
+    :func:`_transform_loss`)."""
     if source.dim != target.dim:
         raise DimensionMismatch(f"dimensions differ: {source.dim} vs {target.dim}")
-    return _transform_loss_grad(
-        params, source, _fixed_target(target.logs, basis, loss_kind), basis, p, loss_kind,
-        epsilon, exact_size_cap,
-    )
-
-
-def _transform_loss_grad(params, source, target, basis, p, loss_kind, epsilon, exact_size_cap):
-    """:func:`loss_and_gradient_transform` against the fixed target from
-    :func:`_fixed_target`."""
-    mats = [prm.materialize() for prm in params]
-    inputs = [source.points]
-    for w in mats:
-        inputs.append(w.T @ inputs[-1] @ w)
-    transformed = inputs[-1]
-
-    w_eig, q_eig = eigh_stack(transformed)
-    loss, grad_logs = _log_loss_grad(
-        reconstruct(np.log(w_eig), q_eig), target, basis, p, loss_kind, epsilon,
-        exact_size_cap, want_grad=True,
-    )
-
-    grad_pts = log_frechet_stack(w_eig, q_eig, grad_logs)
-    param_grads: list[np.ndarray | None] = [None] * len(params)
-    for k in range(len(params) - 1, -1, -1):
-        x, w = inputs[k], mats[k]
-        # sum_n X_n W G_n as one (d, n*d) @ (n*d, d) product
-        d = w.shape[0]
-        grad_w = 2.0 * (np.swapaxes(x @ w, 0, 1).reshape(d, -1) @ grad_pts.reshape(-1, d))
-        if params[k].kind == "translation":
-            param_grads[k] = exp_frechet_sym(params[k].matrix, symmetrize(grad_w)).array
-        else:
-            full = expm_frechet(params[k].matrix.T, grad_w, compute_expm=False)
-            param_grads[k] = 0.5 * (full - full.T)
-        if k > 0:
-            grad_pts = w @ grad_pts @ w.T
-    return loss, param_grads
-
-
-def _chain_loss_only(params, source, target, basis, p, loss_kind, epsilon, exact_size_cap):
-    """Loss of the transformed source against the fixed target from
-    :func:`_fixed_target`."""
-    mats = [prm.materialize() for prm in params]
-    logs = log_stack(apply_chain_matrices(mats, source.points))
-    return _log_loss_grad(
-        logs, target, basis, p, loss_kind, epsilon, exact_size_cap, want_grad=False
-    )[0]
+    evaluate, gradient = _transform_loss(source, *_log_loss(
+        loss_kind, _fixed_target(target.logs, basis, loss_kind), basis, p, epsilon,
+        exact_size_cap,
+    ))
+    loss, ctx = evaluate(params)
+    return loss, gradient(params, ctx)
 
 
 # -- descent driver -----------------------------------------------------------
@@ -335,27 +338,36 @@ def _basis_for(config: AdaptationConfig, d: int) -> ProjectionBasis | None:
     return build_projection_basis(RngState(config.seed), d, config.num_projections, kind)
 
 
-def _descend(state, loss_grad, loss_only, config: AdaptationConfig, scale_step, add_step):
-    def guarded_loss(candidate):
+def _descend(state, evaluate, gradient, config: AdaptationConfig, scale_step, add_step):
+    """Fixed-step descent from ``state``, halving the step while a candidate
+    does not lower the loss (under the safeguard).
+
+    Each state is evaluated once: ``evaluate(state)`` returns the loss and
+    a context, and the accepted candidate's context feeds the next
+    ``gradient(state, ctx)``.
+    """
+
+    def guarded(candidate):
         # A wild candidate step can push a matrix outside the PD cone
-        # numerically; under the safeguard that just means "too large".
+        # numerically, or overflow; under the safeguard that just means
+        # "too large".
         if not config.safeguard:
-            return loss_only(candidate)
+            return evaluate(candidate)
         try:
-            return loss_only(candidate)
+            return evaluate(candidate)
         except (NotPositiveDefinite, OverflowError, FloatingPointError):
-            return math.inf
+            return math.inf, None
 
     lr = config.learning_rate
     halvings = 0
-    cur_loss = loss_only(state)
+    cur_loss, ctx = evaluate(state)
     losses = [cur_loss]
     for _ in range(config.epochs):
-        _, grads = loss_grad(state)
+        grads = gradient(state, ctx)
         stepped = False
         while True:
             cand = add_step(state, scale_step(grads, -lr))
-            cand_loss = guarded_loss(cand)
+            cand_loss, cand_ctx = guarded(cand)
             if not config.safeguard or cand_loss <= cur_loss:
                 stepped = True
                 break
@@ -367,8 +379,7 @@ def _descend(state, loss_grad, loss_only, config: AdaptationConfig, scale_step, 
             # The safeguarded step can no longer decrease the loss.
             losses.extend([cur_loss] * (config.epochs + 1 - len(losses)))
             break
-        state = cand
-        cur_loss = cand_loss
+        state, cur_loss, ctx = cand, cand_loss, cand_ctx
         losses.append(cur_loss)
     return state, np.array(losses), lr
 
@@ -391,43 +402,22 @@ def run_adaptation(
     if measure.dim != target.dim:
         raise DimensionMismatch(f"dimensions differ: {measure.dim} vs {target.dim}")
     basis = _basis_for(config, measure.dim)
-    fixed = _fixed_target(target.logs, basis, config.loss_kind)
+    evaluate, gradient = _log_loss(
+        config.loss_kind, _fixed_target(target.logs, basis, config.loss_kind), basis,
+        config.p, config.epsilon, config.exact_size_cap,
+    )
 
     if mode == "particles":
-
-        def loss_grad(state, want_grad=True):
-            return _log_loss_grad(
-                state, fixed, basis, config.p, config.loss_kind, config.epsilon,
-                config.exact_size_cap, want_grad,
-            )
-
-        def loss_only(state):
-            return loss_grad(state, want_grad=False)[0]
-
-        state0 = measure.logs.copy()
         final_state, losses, lr = _descend(
-            state0, loss_grad, loss_only, config,
+            measure.logs.copy(), evaluate, gradient, config,
             scale_step=lambda g, a: a * g,
             add_step=lambda s, delta: s + delta,
         )
         adapted = EmpiricalSpdMeasure(exp_stack(final_state))
     else:
-        params0 = identity_chain_params(measure.dim)
-
-        def loss_grad(params):
-            return _transform_loss_grad(
-                params, measure, fixed, basis, config.p, config.loss_kind,
-                config.epsilon, config.exact_size_cap,
-            )
-
-        def loss_only(params):
-            return _chain_loss_only(
-                params, measure, fixed, basis, config.p, config.loss_kind,
-                config.epsilon, config.exact_size_cap,
-            )
-
         final_params, losses, lr = _descend(
-            params0, loss_grad, loss_only, config,
+            identity_chain_params(measure.dim), *_transform_loss(measure, evaluate, gradient),
+            config,
             scale_step=lambda gs, a: [a * g for g in gs],
             add_step=lambda ps, deltas: [
                 replace(p, matrix=p.matrix + d) for p, d in zip(ps, deltas)

@@ -322,7 +322,9 @@ def pairwise_sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     Up to ``_DIRECT_PAIRS`` pairs the differences are formed exactly, in
     blocks of at most ``_BLOCK_ELEMS`` elements (at least one row pair);
-    beyond, the Gram expansion is clipped at zero.
+    beyond, the Gram expansion is clipped at zero.  When ``y is x`` only the
+    blocks on or above the diagonal are formed and the rest is mirrored:
+    (x_j - x_i)^2 equals (x_i - x_j)^2 exactly, so this is bit-identical.
     """
     n, m, dim = x.shape[0], y.shape[0], x.shape[1]
     if n * m > _DIRECT_PAIRS:
@@ -332,9 +334,12 @@ def pairwise_sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     cols = min(m, max(1, _BLOCK_ELEMS // dim))
     rows = max(1, _BLOCK_ELEMS // (cols * dim))
     for i in range(0, n, rows):
-        for j in range(0, m, cols):
+        for j in range(i if y is x else 0, m, cols):
             diff = x[i:i + rows, None, :] - y[None, j:j + cols, :]
             out[i:i + rows, j:j + cols] = np.einsum("ijk,ijk->ij", diff, diff)
+    if y is x:
+        lower = np.tril_indices(n, -1)
+        out[lower] = out.T[lower]
     return out
 
 

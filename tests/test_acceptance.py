@@ -37,7 +37,13 @@ from spdsliced import (
     udu_decompose,
     wishart_stack,
 )
-from spdsliced.adaptation import ChainParam, _chain_loss_only, _fixed_target, _sliced_loss_grad
+from spdsliced.adaptation import (
+    ChainParam,
+    _fixed_target,
+    _log_loss,
+    _sliced_evaluate,
+    _transform_loss,
+)
 from spdsliced.baselines import CostMatrix
 from spdsliced.experiments import fit_loglog_slope, run_benchmark_runtime
 from spdsliced.kernels import kfold_indices
@@ -328,8 +334,8 @@ def test_criterion_09_gradient_correctness():
         plus[i] += eps * h
         minus[i] -= eps * h
         fd = (
-            _sliced_loss_grad(plus, fixed, basis, 2.0, False)[0]
-            - _sliced_loss_grad(minus, fixed, basis, 2.0, False)[0]
+            _sliced_evaluate(plus, fixed, basis, 2.0)[0]
+            - _sliced_evaluate(minus, fixed, basis, 2.0)[0]
         ) / (2 * eps)
         rel = abs(float(np.sum(grads[i] * h)) - fd) / max(abs(fd), 1e-12)
         worst_particle = max(worst_particle, rel)
@@ -337,6 +343,7 @@ def test_criterion_09_gradient_correctness():
 
     # Transform-chain gradients.
     source = _wishart_measure(RngState(9005), 8, 3, 9)
+    chain_loss, _ = _transform_loss(source, *_log_loss("spdsw", fixed, basis, 2.0, 10.0, 512**2))
     worst_chain = 0.0
     for case in range(100):
         crng = np.random.default_rng(9006 + case)
@@ -358,8 +365,7 @@ def test_criterion_09_gradient_correctness():
             for j, p in enumerate(params)
         ]
         fd = (
-            _chain_loss_only(shifted(+1), source, fixed, basis, 2.0, "spdsw", 10.0, 512**2)
-            - _chain_loss_only(shifted(-1), source, fixed, basis, 2.0, "spdsw", 10.0, 512**2)
+            chain_loss(shifted(+1))[0] - chain_loss(shifted(-1))[0]
         ) / (2 * eps)
         rel = abs(float(np.sum(grads[k] * h)) - fd) / max(abs(fd), 1e-12)
         worst_chain = max(worst_chain, rel)

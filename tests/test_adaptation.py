@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import expm_frechet
@@ -15,27 +17,34 @@ from spdsliced import (
     train_log_linear_classifier,
 )
 from spdsliced.adaptation import (
+    PARTICLE_LOSSES,
     ChainParam,
-    _chain_loss_only,
+    _basis_for,
     _fixed_target,
-    _log_loss_grad,
+    _log_loss,
     _multinomial_hessian,
     _plan_for,
-    _sliced_loss_grad,
+    _sliced_evaluate,
+    _sliced_gradient,
     _softmax,
-    _transform_loss_grad,
-    _transport_loss_grad,
+    _transform_loss,
+    _transport_evaluate,
+    _transport_gradient,
+    apply_chain_matrices,
     identity_chain_params,
 )
 from spdsliced.baselines import EXACT_SIZE_CAP, CostMatrix
 from spdsliced.errors import (
     DimensionMismatch,
     MissingLabels,
+    NotPositiveDefinite,
     SingularFeatures,
 )
+from spdsliced.experiments import _DEFAULT_LR
 from spdsliced.linalg import (
     eigh_stack,
     exp_frechet_sym,
+    exp_stack,
     log_frechet_stack,
     log_stack,
     pairwise_sq_dists,
@@ -80,8 +89,8 @@ class TestParticleLossGradient:
             plus[i] += eps * h
             minus[i] -= eps * h
             fd = (
-                _sliced_loss_grad(plus, st, basis, 2.0, False)[0]
-                - _sliced_loss_grad(minus, st, basis, 2.0, False)[0]
+                _sliced_evaluate(plus, st, basis, 2.0)[0]
+                - _sliced_evaluate(minus, st, basis, 2.0)[0]
             ) / (2.0 * eps)
             an = float(np.sum(grads[i] * h))
             assert abs(fd - an) <= 1e-5 * max(abs(fd), 1e-10)
@@ -100,8 +109,8 @@ class TestParticleLossGradient:
             plus[i] += eps * h
             minus[i] -= eps * h
             fd = (
-                _sliced_loss_grad(plus, st, basis, 2.0, False)[0]
-                - _sliced_loss_grad(minus, st, basis, 2.0, False)[0]
+                _sliced_evaluate(plus, st, basis, 2.0)[0]
+                - _sliced_evaluate(minus, st, basis, 2.0)[0]
             ) / (2.0 * eps)
             an = float(np.sum(grads[i] * h))
             assert abs(fd - an) <= 1e-5 * max(abs(fd), 1e-10)
@@ -168,11 +177,12 @@ class TestTransformLossGradient:
                 return self._fixed_plan_cost(prms, source, target, plan)
         else:
             fixed = _fixed_target(target.logs, basis, loss_kind)
+            evaluate, _ = _transform_loss(
+                source, *_log_loss(loss_kind, fixed, basis, 2.0, epsilon, 512**2)
+            )
 
             def loss_at(prms):
-                return _chain_loss_only(
-                    prms, source, fixed, basis, 2.0, loss_kind, epsilon, 512**2
-                )
+                return evaluate(prms)[0]
 
         eps = 1e-6
         for k, param in enumerate(params):
@@ -387,12 +397,27 @@ def _oracle_sliced_loss_grad(source_logs, target_logs, basis, p, want_grad, scat
 
 def _use_oracle(monkeypatch):
     # Route run_adaptation and the public losses through the oracle: the
-    # "fixed target" becomes the target logs, re-projected on every call.
+    # "fixed target" becomes the target logs, re-projected on every call,
+    # and the sliced context is the source logs, which the oracle gradient
+    # starts again from.
     from spdsliced import adaptation
 
     monkeypatch.setattr(adaptation, "_fixed_target", lambda logs, basis, kind: logs)
     monkeypatch.setattr(adaptation, "_sorted_coords", lambda logs, basis: logs)
-    monkeypatch.setattr(adaptation, "_sliced_loss_grad", _oracle_sliced_loss_grad)
+    monkeypatch.setattr(
+        adaptation, "_sliced_evaluate",
+        lambda logs, tl, basis, p: (_oracle_sliced_loss_grad(logs, tl, basis, p, False)[0], logs),
+    )
+    monkeypatch.setattr(
+        adaptation, "_sliced_gradient",
+        lambda logs, tl, basis, p: _oracle_sliced_loss_grad(logs, tl, basis, p, True)[1],
+    )
+
+
+def _sliced_evaluate_and_gradient(logs, st, basis, p=2.0):
+    # One evaluation, then the gradient from its context.
+    loss, ctx = _sliced_evaluate(logs, st, basis, p)
+    return loss, _sliced_gradient(ctx, st, basis, p)
 
 
 _SLICED_KINDS = {"spdsw": "eig_uniform", "logsw": "vec_sphere"}
@@ -410,8 +435,8 @@ class TestFixedTargetMatchesPerCallOracle:
         params = [ChainParam("translation", 0.1 * np.eye(3)),
                   ChainParam("rotation", np.zeros((3, 3)))]
         got = [
-            _sliced_loss_grad(state, fixed, basis, 2.0, True),
-            (_sliced_loss_grad(state, fixed, basis, 2.0, False)[0], None),
+            _sliced_evaluate_and_gradient(state, fixed, basis),
+            (_sliced_evaluate(state, fixed, basis, 2.0)[0], None),
             loss_and_gradient_particles(state, target, basis),
             loss_and_gradient_transform(params, source, target, basis, loss_kind=kind),
         ]
@@ -461,9 +486,244 @@ class TestFixedTargetMatchesPerCallOracle:
         monkeypatch.setattr(ProjectionBasis, "project_symmetric", counting_project)
         cfg = AdaptationConfig(loss_kind=kind, epochs=4, num_projections=15,
                                learning_rate=0.05, seed=43)
-        run_adaptation(mode, source, target, cfg)
+        trace = run_adaptation(mode, source, target, cfg)
+        assert trace.final_learning_rate == cfg.learning_rate  # no halving
         assert projected.count(True) == 1
-        assert projected.count(False) >= 1 + 4 * 2  # the source: start, then grad + loss per epoch
+        assert projected.count(False) == 1 + 4  # the source: once per evaluated state
+
+    @pytest.mark.parametrize("kind", PARTICLE_LOSSES)
+    def test_transform_mode_one_eigh_per_evaluated_state(self, kind, monkeypatch):
+        from spdsliced import adaptation, linalg, sliced
+
+        source = LabeledSpdDataset(wishart_measure(44, 8, 3), np.arange(8) % 2)
+        target = wishart_measure(45, 9, 3)
+        target.logs  # the measure's own cached logs, outside the run
+        calls = {"eigh_stack": 0, "log_stack": 0}
+
+        def counting(module, name):
+            real = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        counting(adaptation, "eigh_stack")
+        counting(linalg, "log_stack")
+        monkeypatch.setattr(sliced, "log_stack", linalg.log_stack)
+        cfg = AdaptationConfig(loss_kind=kind, epochs=4, num_projections=15,
+                               learning_rate=_DEFAULT_LR[("transform", kind)], seed=46)
+        trace = run_adaptation("transform", source, target, cfg)
+        assert trace.final_learning_rate == cfg.learning_rate  # no halving
+        assert calls == {"eigh_stack": 1 + 4, "log_stack": 0}
+
+
+# -- the descent evaluates each state once -------------------------------------
+#
+# The oracle restates the descent as it was before: each epoch scored the
+# candidate with a loss-only pass, then recomputed loss and gradient from
+# scratch at the accepted state (a second projection and sort, transport
+# plan, eigendecomposition).  Evaluating each state once must not change a
+# single bit of the losses, the step size or the adapted points.
+
+
+def _oracle_fixed_sliced_loss_grad(source_logs, st, basis, p, want_grad):
+    from spdsliced.sliced import _merged_quantile_grid, _wpp_rows
+
+    if not want_grad:
+        ss = np.sort(basis.project_symmetric(source_logs), axis=-1)
+        return float(np.mean(_wpp_rows(ss, st, p))), None
+    cs = basis.project_symmetric(source_logs)
+    order_s = np.argsort(cs, axis=-1)
+    ss = np.take_along_axis(cs, order_s, axis=-1)
+    loss = float(np.mean(_wpp_rows(ss, st, p)))
+    n, m = ss.shape[-1], st.shape[-1]
+    if n == m:
+        diff = ss - st
+        g_sorted = (p / n) * np.abs(diff) ** (p - 1.0) * np.sign(diff)
+    else:
+        lens, ix, iy = _merged_quantile_grid(n, m)
+        diff = ss[:, ix] - st[:, iy]
+        contrib = lens * p * np.abs(diff) ** (p - 1.0) * np.sign(diff)
+        g_sorted = np.zeros_like(ss)
+        rows = np.arange(ss.shape[0])[:, None]
+        np.add.at(g_sorted, (rows, ix[None, :]), contrib)
+    grad_coords = np.empty_like(g_sorted)
+    np.put_along_axis(grad_coords, order_s, g_sorted, axis=-1)
+    return loss, _scatter(grad_coords, basis)
+
+
+def _oracle_transport_loss_grad(source_logs, target_logs, loss_kind, epsilon, cap, want_grad):
+    sq = pairwise_sq_dists(vech_isometric(source_logs), vech_isometric(target_logs))
+    plan = _plan_for(CostMatrix(sq, "log_euclidean", 2.0), loss_kind, epsilon, cap)
+    loss = float(np.sum(plan * sq))
+    if not want_grad:
+        return loss, None
+    pulled = (plan @ target_logs.reshape(len(target_logs), -1)).reshape(source_logs.shape)
+    return loss, 2.0 * (plan.sum(axis=1)[:, None, None] * source_logs - pulled)
+
+
+def _oracle_log_loss_grad(logs, target, basis, p, loss_kind, epsilon, cap, want_grad):
+    if loss_kind in ("spdsw", "logsw"):
+        return _oracle_fixed_sliced_loss_grad(logs, target, basis, p, want_grad)
+    return _oracle_transport_loss_grad(logs, target, loss_kind, epsilon, cap, want_grad)
+
+
+def _oracle_transform_loss_grad(params, source, *args, contract=None):
+    mats = [prm.materialize() for prm in params]
+    inputs = [source.points]
+    for w in mats:
+        inputs.append(w.T @ inputs[-1] @ w)
+    w_eig, q_eig = eigh_stack(inputs[-1])
+    loss, grad_logs = _oracle_log_loss_grad(reconstruct(np.log(w_eig), q_eig), *args, True)
+    grad_pts = log_frechet_stack(w_eig, q_eig, grad_logs)
+    grads = [None] * len(params)
+    for k in range(len(params) - 1, -1, -1):
+        x, w = inputs[k], mats[k]
+        if contract is None:
+            d = w.shape[0]
+            grad_w = 2.0 * (np.swapaxes(x @ w, 0, 1).reshape(d, -1) @ grad_pts.reshape(-1, d))
+        else:
+            grad_w = contract(x, w, grad_pts)
+        if params[k].kind == "translation":
+            grads[k] = exp_frechet_sym(params[k].matrix, symmetrize(grad_w)).array
+        else:
+            full = expm_frechet(params[k].matrix.T, grad_w, compute_expm=False)
+            grads[k] = 0.5 * (full - full.T)
+        if k > 0:
+            grad_pts = w @ grad_pts @ w.T
+    return loss, grads
+
+
+def _oracle_chain_loss_only(params, source, *args):
+    logs = log_stack(apply_chain_matrices([prm.materialize() for prm in params], source.points))
+    return _oracle_log_loss_grad(logs, *args, False)[0]
+
+
+def _oracle_descend(state, loss_grad, loss_only, config, scale_step, add_step):
+    def guarded_loss(candidate):
+        if not config.safeguard:
+            return loss_only(candidate)
+        try:
+            return loss_only(candidate)
+        except (NotPositiveDefinite, OverflowError, FloatingPointError):
+            return np.inf
+
+    lr = config.learning_rate
+    halvings = 0
+    cur_loss = loss_only(state)
+    losses = [cur_loss]
+    for _ in range(config.epochs):
+        _, grads = loss_grad(state)
+        stepped = False
+        while True:
+            cand = add_step(state, scale_step(grads, -lr))
+            cand_loss = guarded_loss(cand)
+            if not config.safeguard or cand_loss <= cur_loss:
+                stepped = True
+                break
+            if halvings >= config.max_halvings:
+                break
+            lr *= 0.5
+            halvings += 1
+        if not stepped:
+            losses.extend([cur_loss] * (config.epochs + 1 - len(losses)))
+            break
+        state = cand
+        cur_loss = cand_loss
+        losses.append(cur_loss)
+    return state, np.array(losses), lr
+
+
+def _oracle_run_adaptation(mode, source, target, config):
+    """(losses, final learning rate, adapted points) of the two-evaluation
+    descent."""
+    measure = source.measure
+    basis = _basis_for(config, measure.dim)
+    args = (_fixed_target(target.logs, basis, config.loss_kind), basis, config.p,
+            config.loss_kind, config.epsilon, config.exact_size_cap)
+    if mode == "particles":
+        final, losses, lr = _oracle_descend(
+            measure.logs.copy(),
+            lambda s: _oracle_log_loss_grad(s, *args, True),
+            lambda s: _oracle_log_loss_grad(s, *args, False)[0],
+            config, lambda g, a: a * g, lambda s, delta: s + delta,
+        )
+        return losses, lr, EmpiricalSpdMeasure(exp_stack(final)).points
+    final, losses, lr = _oracle_descend(
+        identity_chain_params(measure.dim),
+        lambda ps: _oracle_transform_loss_grad(ps, measure, *args),
+        lambda ps: _oracle_chain_loss_only(ps, measure, *args),
+        config, lambda gs, a: [a * g for g in gs],
+        lambda ps, deltas: [replace(p, matrix=p.matrix + d) for p, d in zip(ps, deltas)],
+    )
+    mats = [p.materialize() for p in final]
+    return losses, lr, EmpiricalSpdMeasure(apply_chain_matrices(mats, measure.points)).points
+
+
+def _assert_run_matches_oracle(mode, source, target, cfg):
+    got = run_adaptation(mode, source, target, cfg)
+    want_losses, want_lr, want_points = _oracle_run_adaptation(mode, source, target, cfg)
+    assert np.array_equal(got.losses, want_losses)
+    assert got.final_learning_rate == want_lr
+    assert np.array_equal(got.final_source.measure.points, want_points)
+    return got
+
+
+class TestDescentMatchesTwoEvaluationOracle:
+    @pytest.mark.parametrize("m", [10, 7], ids=["n-eq-m", "n-ne-m"])
+    @pytest.mark.parametrize("mode", ["particles", "transform"])
+    @pytest.mark.parametrize("kind", PARTICLE_LOSSES)
+    def test_adapted_state(self, kind, mode, m):
+        source = LabeledSpdDataset(wishart_measure(71, 10, 3), np.arange(10) % 2)
+        target = wishart_measure(72, m, 3)
+        cfg = AdaptationConfig(loss_kind=kind, epochs=8, num_projections=20,
+                               learning_rate=_DEFAULT_LR[(mode, kind)], seed=73, epsilon=5.0)
+        _assert_run_matches_oracle(mode, source, target, cfg)
+
+    @pytest.mark.parametrize("mode, kind, lr, halvings", [
+        ("particles", "spdsw", 5e4, None),
+        ("transform", "lew", 50.0, None),
+        ("particles", "les", 1e3, 2),
+        ("transform", "logsw", 10.0, 3),
+    ], ids=["particles-halves", "transform-halves", "particles-cap", "transform-cap"])
+    def test_step_halving(self, mode, kind, lr, halvings):
+        source = LabeledSpdDataset(wishart_measure(74, 10, 3), np.arange(10) % 2)
+        target = wishart_measure(75, 8, 3)
+        cfg = AdaptationConfig(loss_kind=kind, epochs=8, num_projections=20, learning_rate=lr,
+                               seed=76, epsilon=5.0, max_halvings=halvings or 20)
+        trace = _assert_run_matches_oracle(mode, source, target, cfg)
+        assert trace.final_learning_rate < lr
+        if halvings is not None:
+            # Stopped at the cap: the loss is carried flat to the last epoch.
+            assert trace.final_learning_rate == lr / 2**halvings
+            assert trace.losses[-1] == trace.losses[-2]
+
+    @pytest.mark.parametrize("mode, kind, lr", [("particles", "spdsw", 100.0),
+                                                ("transform", "les", 0.01)])
+    def test_without_safeguard(self, mode, kind, lr):
+        source = LabeledSpdDataset(wishart_measure(77, 10, 3), np.arange(10) % 2)
+        target = wishart_measure(78, 10, 3)
+        cfg = AdaptationConfig(loss_kind=kind, epochs=8, num_projections=20, seed=79,
+                               learning_rate=lr, safeguard=False)
+        trace = _assert_run_matches_oracle(mode, source, target, cfg)
+        assert trace.final_learning_rate == cfg.learning_rate
+
+    @pytest.mark.parametrize("mode", ["particles", "transform"])
+    @pytest.mark.parametrize("kind", PARTICLE_LOSSES)
+    def test_overflowing_step_halves_or_raises(self, kind, mode):
+        # A step so large that the state or the cost overflows is "too
+        # large" under the safeguard, and an OverflowError without it.
+        source = LabeledSpdDataset(wishart_measure(80, 10, 3), np.arange(10) % 2)
+        target = wishart_measure(81, 10, 3)
+        cfg = AdaptationConfig(loss_kind=kind, epochs=3, num_projections=20, seed=82,
+                               learning_rate=1e300, max_halvings=4)
+        trace = run_adaptation(mode, source, target, cfg)
+        assert trace.final_learning_rate == 1e300 / 2**4
+        assert np.all(trace.losses == trace.losses[0])
+        with pytest.raises(OverflowError):
+            run_adaptation(mode, source, target, replace(cfg, safeguard=False))
 
 
 # -- each matmul contraction against the einsum it replaced ---------------------
@@ -493,29 +753,11 @@ def _hessian_einsum(probs, x):
 
 
 def _oracle_transform_grads(params, source, fixed, basis, loss_kind):
-    # _transform_loss_grad with the parameter contraction as its einsum.
-    mats = [prm.materialize() for prm in params]
-    inputs = [source.points]
-    for w in mats:
-        inputs.append(w.T @ inputs[-1] @ w)
-    w_eig, q_eig = eigh_stack(inputs[-1])
-    _, grad_logs = _log_loss_grad(
-        reconstruct(np.log(w_eig), q_eig), fixed, basis, 2.0, loss_kind, 10.0,
-        EXACT_SIZE_CAP, True,
-    )
-    grad_pts = log_frechet_stack(w_eig, q_eig, grad_logs)
-    grads = [None] * len(params)
-    for k in range(len(params) - 1, -1, -1):
-        x, w = inputs[k], mats[k]
-        grad_w = 2.0 * np.einsum("nab,bc,ncd->ad", x, w, grad_pts)
-        if params[k].kind == "translation":
-            grads[k] = exp_frechet_sym(params[k].matrix, symmetrize(grad_w)).array
-        else:
-            full = expm_frechet(params[k].matrix.T, grad_w, compute_expm=False)
-            grads[k] = 0.5 * (full - full.T)
-        if k > 0:
-            grad_pts = w @ grad_pts @ w.T
-    return grads
+    # The transform gradient with the parameter contraction as its einsum.
+    return _oracle_transform_loss_grad(
+        params, source, fixed, basis, 2.0, loss_kind, 10.0, EXACT_SIZE_CAP,
+        contract=lambda x, w, g: 2.0 * np.einsum("nab,bc,ncd->ad", x, w, g),
+    )[1]
 
 
 class TestContractionsMatchEinsumOracles:
@@ -525,8 +767,8 @@ class TestContractionsMatchEinsumOracles:
         basis = build_projection_basis(RngState(51), 5, 500, _SLICED_KINDS[kind])
         state = wishart_measure(52, 200, 5, dof=40).logs
         target = wishart_measure(53, m, 5, dof=40, scale=2.0 * np.eye(5))
-        loss, grads = _sliced_loss_grad(state, _fixed_target(target.logs, basis, kind),
-                                        basis, 2.0, True)
+        fixed = _fixed_target(target.logs, basis, kind)
+        loss, grads = _sliced_evaluate_and_gradient(state, fixed, basis)
         want_loss, want = _oracle_sliced_loss_grad(state, target.logs, basis, 2.0, True,
                                                    scatter=_scatter_einsum)
         assert loss == want_loss
@@ -536,7 +778,8 @@ class TestContractionsMatchEinsumOracles:
     def test_transport_pull(self, kind):
         source = wishart_measure(54, 200, 5, dof=40).logs
         target = wishart_measure(55, 200, 5, dof=40, scale=2.0 * np.eye(5)).logs
-        loss, grads = _transport_loss_grad(source, target, kind, 10.0, EXACT_SIZE_CAP, True)
+        loss, plan = _transport_evaluate(source, target, kind, 10.0, EXACT_SIZE_CAP)
+        grads = _transport_gradient(source, plan, target)
         sq = pairwise_sq_dists(vech_isometric(source), vech_isometric(target))
         plan = _plan_for(CostMatrix(sq, "log_euclidean", 2.0), kind, 10.0, EXACT_SIZE_CAP)
         want = 2.0 * (plan.sum(axis=1)[:, None, None] * source - _pull_einsum(plan, target))
@@ -551,8 +794,10 @@ class TestContractionsMatchEinsumOracles:
         fixed = _fixed_target(wishart_measure(59, 200, 5, dof=40).logs, basis, kind)
         params = [ChainParam("translation", 0.1 * random_sym(rng, 5)),
                   ChainParam("rotation", 0.1 * rng.standard_normal((5, 5)))]
-        _, grads = _transform_loss_grad(params, source, fixed, basis, 2.0, kind, 10.0,
-                                        EXACT_SIZE_CAP)
+        evaluate, gradient = _transform_loss(
+            source, *_log_loss(kind, fixed, basis, 2.0, 10.0, EXACT_SIZE_CAP)
+        )
+        grads = gradient(params, evaluate(params)[1])
         for got, want in zip(grads, _oracle_transform_grads(params, source, fixed, basis, kind)):
             _assert_matches(got, want)
 

@@ -279,6 +279,38 @@ def test_tiny_epsilon_is_numerical_failure(dataset_pair, capsys):
         assert err.startswith("error: cost/epsilon") and "Traceback" not in err
 
 
+@pytest.fixture(scope="module")
+def shifted_pair(tmp_path_factory):
+    d = tmp_path_factory.mktemp("shifted")
+    s, t = d / "s.json", d / "t.json"
+    assert main(["gen-wishart", "--d", "5", "--n", "200", "--dof", "40", "--classes", "2",
+                 "--seed", "11", "--output", str(s), "--output-shifted", str(t),
+                 "--shift-angle", "0.5", "--shift-identity", "0.693", "--shift-random", "0.5",
+                 "--report", str(d / "gen.json")]) == 0
+    return str(s), str(t)
+
+
+@pytest.mark.parametrize("loss, lr", [("lew", "1e300"), ("les", "1e300"), ("logsw", "1e308")])
+class TestOverflowingStep:
+    # A step so large that the adapted state or its transport cost
+    # overflows is "too large": the safeguard halves it, and without the
+    # safeguard the run is a numerical failure.
+    def test_safeguard_halves_the_step(self, shifted_pair, loss, lr, tmp_path):
+        s, t = shifted_pair
+        out = tmp_path / "r.json"
+        assert main(["adapt", "--source", s, "--target", t, "--loss", loss, "--lr", lr,
+                     "--epochs", "3", "--output", str(out)]) == 0
+        summary = json.loads(out.read_text())["rows"][0]
+        assert summary["final_learning_rate"] < float(lr)
+
+    def test_without_safeguard_is_numerical_failure(self, shifted_pair, loss, lr, capsys):
+        s, t = shifted_pair
+        assert main(["adapt", "--source", s, "--target", t, "--loss", loss, "--lr", lr,
+                     "--epochs", "3", "--no-safeguard"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_sigma_parses_median_or_positive_number():
     parse = build_parser().parse_args
     assert parse(["kernel-ridge", "--train", "m.json"]).sigma == "median"

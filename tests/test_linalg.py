@@ -370,6 +370,16 @@ class TestPairwiseSqDists:
         assert np.array_equal(pairwise_sq_dists(flat, flat), _plain_sq_dists(flat, flat))
         assert np.array_equal(pairwise_sq_dists(flat[:7], flat), _plain_sq_dists(flat[:7], flat))
 
+    @pytest.mark.parametrize("shape", [(40, 10_000), (123, 77), (7, 13), (1, 5)])
+    def test_same_array_twice_mirrors_bit_for_bit(self, shape):
+        # With y is x only the blocks on or above the diagonal are formed;
+        # the mirrored result must equal what an equal copy of x gives.
+        x = np.random.default_rng(shape[0]).standard_normal(shape)
+        got = pairwise_sq_dists(x, x)
+        assert np.array_equal(got, pairwise_sq_dists(x, x.copy()))
+        assert np.array_equal(got, got.T)
+        assert np.all(np.diag(got) == 0.0)
+
     def test_bit_identical_on_adaptation_vech_logs(self):
         vs = vech_isometric(log_stack(wishart_stack(RngState(1), 150, 20, 40)))
         vt = vech_isometric(log_stack(wishart_stack(RngState(2), 120, 20, 40)))
