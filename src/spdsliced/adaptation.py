@@ -27,7 +27,7 @@ from .errors import (
     NotPositiveDefinite,
     SingularFeatures,
 )
-from .baselines import EXACT_SIZE_CAP, CostMatrix, exact_wasserstein, sinkhorn
+from .baselines import CostMatrix, exact_wasserstein, sinkhorn
 from .linalg import (
     eigh_stack,
     exp_frechet_sym,
@@ -139,7 +139,9 @@ def _sliced_evaluate(logs: np.ndarray, st: np.ndarray, basis: ProjectionBasis, p
     order and sorted coordinates (L, n)."""
     cs = basis.project_symmetric(logs)
     ss = np.sort(cs, axis=-1)
-    return _finite(float(np.mean(_wpp_rows(ss, st, p)))), (np.argsort(cs, axis=-1), ss)
+    with np.errstate(over="ignore"):  # an overflow is reported by _finite
+        loss = float(np.mean(_wpp_rows(ss, st, p)))
+    return _finite(loss), (np.argsort(cs, axis=-1), ss)
 
 
 def _sliced_gradient(ctx, st: np.ndarray, basis: ProjectionBasis, p: float) -> np.ndarray:
@@ -167,22 +169,22 @@ def _sliced_gradient(ctx, st: np.ndarray, basis: ProjectionBasis, p: float) -> n
     return (grad_coords.T @ basis.flat).reshape(n, basis.dim, basis.dim) / basis.count
 
 
-def _plan_for(cost: CostMatrix, loss_kind: str, epsilon: float, exact_size_cap: int):
+def _plan_for(cost: CostMatrix, loss_kind: str, epsilon: float):
     if loss_kind == "lew":
-        return exact_wasserstein(cost, size_cap=exact_size_cap).plan
+        return exact_wasserstein(cost).plan
     result, converged = sinkhorn(cost, epsilon=epsilon)
     if not converged:
         raise NotConverged("inner Sinkhorn loop did not converge")
     return result.plan
 
 
-def _transport_evaluate(logs, target_logs, loss_kind, epsilon, exact_size_cap):
+def _transport_evaluate(logs, target_logs, loss_kind, epsilon):
     """Squared log-Euclidean transport loss through the exact plan
     (``lew``) or the converged Sinkhorn plan (``les``); the context is the
     plan."""
     sq = _finite(pairwise_sq_dists(vech_isometric(logs), vech_isometric(target_logs)))
     cost = CostMatrix(entries=sq, ground_metric="log_euclidean", power=2.0)
-    plan = _plan_for(cost, loss_kind, epsilon, exact_size_cap)
+    plan = _plan_for(cost, loss_kind, epsilon)
     return float(np.sum(plan * sq)), plan
 
 
@@ -193,14 +195,14 @@ def _transport_gradient(logs, plan, target_logs) -> np.ndarray:
     return 2.0 * (plan.sum(axis=1)[:, None, None] * logs - pulled)
 
 
-def _log_loss(loss_kind, target, basis, p, epsilon, exact_size_cap):
+def _log_loss(loss_kind, target, basis, p, epsilon):
     """``(evaluate, gradient)`` of the loss of a source log stack against
     the target as :func:`_fixed_target` gives it."""
     if loss_kind in ("spdsw", "logsw"):
         return (lambda logs: _sliced_evaluate(logs, target, basis, p),
                 lambda logs, ctx: _sliced_gradient(ctx, target, basis, p))
     if loss_kind in ("lew", "les"):
-        return (lambda logs: _transport_evaluate(logs, target, loss_kind, epsilon, exact_size_cap),
+        return (lambda logs: _transport_evaluate(logs, target, loss_kind, epsilon),
                 lambda logs, plan: _transport_gradient(logs, plan, target))
     raise ValueError(f"unknown loss kind {loss_kind!r}")
 
@@ -274,7 +276,6 @@ def loss_and_gradient_transform(
     p: float = 2.0,
     loss_kind: str = "spdsw",
     epsilon: float = 10.0,
-    exact_size_cap: int = EXACT_SIZE_CAP,
 ) -> tuple[float, list[np.ndarray]]:
     """Loss of the transformed source against the target and Euclidean
     gradients of the unconstrained chain parameters (see
@@ -282,8 +283,7 @@ def loss_and_gradient_transform(
     if source.dim != target.dim:
         raise DimensionMismatch(f"dimensions differ: {source.dim} vs {target.dim}")
     evaluate, gradient = _transform_loss(source, *_log_loss(
-        loss_kind, _fixed_target(target.logs, basis, loss_kind), basis, p, epsilon,
-        exact_size_cap,
+        loss_kind, _fixed_target(target.logs, basis, loss_kind), basis, p, epsilon
     ))
     loss, ctx = evaluate(params)
     return loss, gradient(params, ctx)
@@ -306,10 +306,6 @@ class AdaptationConfig:
     safeguard: bool = True
     max_halvings: int = 20
     epsilon: float = 10.0
-    exact_size_cap: int = EXACT_SIZE_CAP
-
-    def as_dict(self) -> dict:
-        return {k: v for k, v in asdict(self).items() if k != "exact_size_cap"}
 
 
 @dataclass(frozen=True)
@@ -404,7 +400,7 @@ def run_adaptation(
     basis = _basis_for(config, measure.dim)
     evaluate, gradient = _log_loss(
         config.loss_kind, _fixed_target(target.logs, basis, config.loss_kind), basis,
-        config.p, config.epsilon, config.exact_size_cap,
+        config.p, config.epsilon,
     )
 
     if mode == "particles":
@@ -430,7 +426,7 @@ def run_adaptation(
         losses=losses,
         final_source=LabeledSpdDataset(measure=adapted, labels=source.labels),
         mode=mode,
-        config=config.as_dict(),
+        config=asdict(config),
         wall_time_seconds=time.perf_counter() - t0,
         final_learning_rate=lr,
     )

@@ -167,5 +167,8 @@ def sinkhorn(
         f = -lse_rows
         g = -logsumexp(f[:, None] - c + log_a, axis=0)
     plan = np.exp(f[:, None] + g[None, :] - c + log_a + log_b)
+    if not converged:  # the last violation measured an earlier iterate
+        violation = max(np.max(np.abs(plan.sum(axis=1) - 1.0 / n)),
+                        np.max(np.abs(plan.sum(axis=0) - 1.0 / m)))
     value = float(np.sum(plan * cost.entries))
     return TransportPlan(plan=plan, cost=value, marginal_violation=float(violation)), converged

@@ -42,7 +42,6 @@ from .sliced import (
     DiscrepancyReport,
     EmpiricalSpdMeasure,
     mc_error_estimate,
-    spdsw,
 )
 
 SLICED_METRICS = tuple(SLICED_ESTIMATORS)
@@ -74,17 +73,15 @@ def compute_distance(
     metric: str,
     projections: int = 200,
     order: float = 2.0,
-    seed: int = 0,
+    rng: RngState = RngState(0),
     sampler: str = "eig",
     epsilon: float = 1.0,
-    exact_size_cap: int | None = None,
+    exact_size_cap: int = EXACT_SIZE_CAP,
 ) -> DiscrepancyReport:
-    """Evaluate one discrepancy between two measures."""
+    """Evaluate one discrepancy; a sliced metric draws its basis from ``rng``."""
     if metric in SLICED_ESTIMATORS:
         name, kind = SLICED_ESTIMATORS[metric]
-        basis = build_projection_basis(
-            RngState(seed), mu.dim, projections, kind or _SAMPLER_FLAG[sampler]
-        )
+        basis = build_projection_basis(rng, mu.dim, projections, kind or _SAMPLER_FLAG[sampler])
         return getattr(sliced, name)(mu, nu, basis, order)
     if metric not in COST_METRICS:
         raise ValueError(f"unknown metric {metric!r}")
@@ -95,8 +92,7 @@ def compute_distance(
     if metric == "les":
         plan, converged = sinkhorn(cost, epsilon=epsilon)
     else:
-        cap = exact_size_cap if exact_size_cap is not None else EXACT_SIZE_CAP
-        plan = exact_wasserstein(cost, size_cap=cap)
+        plan = exact_wasserstein(cost, size_cap=exact_size_cap)
     return DiscrepancyReport(
         value=plan.cost,
         estimator={"lew": "lew_exact", "les": "le_sinkhorn", "aiw": "aiw_exact"}[metric],
@@ -115,7 +111,6 @@ def run_distance(
     seed: int = 0,
     sampler: str = "eig",
     epsilon: float = 1.0,
-    exact_size_cap: int | None = None,
 ) -> ExperimentReport:
     """Distance between two dataset files.
 
@@ -123,9 +118,7 @@ def run_distance(
     serialized in it), so identical runs write identical bytes.
     """
     mu, nu = _measure_pair((file_a, file_b))
-    rep = compute_distance(
-        mu, nu, metric, projections, order, seed, sampler, epsilon, exact_size_cap
-    )
+    rep = compute_distance(mu, nu, metric, projections, order, RngState(seed), sampler, epsilon)
     config = {
         "file_a": file_a,
         "file_b": file_b,
@@ -260,8 +253,8 @@ def run_benchmark_runtime(
                 mu, nu = EmpiricalSpdMeasure(a), EmpiricalSpdMeasure(b)
                 start = time.perf_counter()
                 compute_distance(
-                    mu, nu, metric, projections=projections, seed=(seed + rep) % 2**64,
-                    epsilon=epsilon, exact_size_cap=n * n,
+                    mu, nu, metric, projections=projections,
+                    rng=RngState((seed + rep) % 2**64), epsilon=epsilon, exact_size_cap=n * n,
                 )
                 times[metric].append(time.perf_counter() - start)
         for metric in metrics:
@@ -312,16 +305,10 @@ def run_sample_complexity(
                 mu = EmpiricalSpdMeasure(wishart_stack(stream, n, d, dof))
                 nu = EmpiricalSpdMeasure(wishart_stack(stream.substream(1), n, d, dof))
                 for metric in metrics:
-                    if metric == "spdsw":
-                        basis = build_projection_basis(
-                            stream.substream(2), d, projections, "eig_uniform"
-                        )
-                        values[metric][rep] = spdsw(mu, nu, basis, 2.0).root
-                    elif metric == "lew":
-                        cost = build_cost_matrix(mu, nu, "log_euclidean", 2.0)
-                        values[metric][rep] = math.sqrt(exact_wasserstein(cost, size_cap=n * n).cost)
-                    else:
-                        raise ValueError(f"unsupported sample-complexity metric {metric!r}")
+                    report = compute_distance(mu, nu, metric, projections,
+                                              rng=stream.substream(2), exact_size_cap=n * n)
+                    # math.sqrt and .root (value ** 0.5) can differ in the last bit.
+                    values[metric][rep] = math.sqrt(report.value) if metric == "lew" else report.root
             for metric in metrics:
                 v = values[metric]
                 half = 1.96 * v.std(ddof=1) / math.sqrt(repeats) if repeats > 1 else 0.0

@@ -285,18 +285,16 @@ def udu_stack(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, diag
 
 
-def eigh_stack(mats: np.ndarray, require_pd: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """Batched eigendecomposition of symmetric matrices (b, d, d)."""
+def eigh_stack(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Batched eigendecomposition of SPD matrices (b, d, d), checked positive definite."""
     w, q = np.linalg.eigh(np.asarray(mats, dtype=float))
-    if require_pd:
-        tol = pd_tolerance(w)
-        bad = w[..., 0] <= tol
-        if np.any(bad):
-            k = int(np.argmax(bad))
-            raise NotPositiveDefinite(
-                f"matrix {k} in the stack has smallest eigenvalue "
-                f"{w[k, 0]:.3e} at or below tolerance"
-            )
+    bad = w[..., 0] <= pd_tolerance(w)
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise NotPositiveDefinite(
+            f"matrix {k} in the stack has smallest eigenvalue "
+            f"{w[k, 0]:.3e} at or below tolerance"
+        )
     return w, q
 
 

@@ -31,6 +31,7 @@ from .linalg import (
 _UINT64_MAX = 2**64 - 1
 # Matrix elements per chunk of a batched basis build: bounds its temporaries.
 _CHUNK_ELEMS = 100_000
+_WISHART_CHUNK_ELEMS = 20_000_000  # normals per chunk of a Wishart stack
 
 
 def _block_counter(index: int) -> np.ndarray:
@@ -136,14 +137,8 @@ def sample_haar_orthogonal(rng, d: int) -> np.ndarray:
     return _haar_stack(_as_generator(rng).standard_normal((1, d, d)))[0]
 
 
-def _lambda_s_from(gen: np.random.Generator, d: int) -> np.ndarray:
-    # Draw order is part of the determinism contract: theta first, then P.
-    theta = sample_sphere(gen, d)
-    p = sample_haar_orthogonal(gen, d)
-    return _lambda_s_stack(theta[None], p[None])[0]
-
-
 def _lambda_s_rows(normals: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    # Draw order is part of the determinism contract: theta first, then P.
     theta, zero = _unit_rows(normals[:, :d])
     p = _haar_stack(normals[:, d:].reshape(-1, d, d))
     return _lambda_s_stack(theta, p), zero
@@ -152,19 +147,12 @@ def _lambda_s_rows(normals: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]
 def sample_lambda_s(rng, d: int) -> SymMatrix:
     """Uniform unit-Frobenius-norm symmetric matrix A = P diag(theta) P^T
     with P Haar-orthogonal and theta uniform on the sphere."""
-    return SymMatrix(_lambda_s_from(_as_generator(rng), d))
+    return SymMatrix(_guarded_draw(_as_generator(rng), d, "eig_uniform"))
 
 
 def _fast_symmetric_rows(normals: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     z = normals.reshape(-1, d, d)
     return _frobenius_normalize(z + np.swapaxes(z, -2, -1))
-
-
-def _fast_symmetric_from(gen: np.random.Generator, d: int) -> np.ndarray:
-    while True:  # a zero draw has probability zero; redraw it
-        a, zero = _fast_symmetric_rows(gen.standard_normal((1, d * d)), d)
-        if not zero[0]:
-            return a[0]
 
 
 def sample_fast_symmetric(rng, d: int) -> SymMatrix:
@@ -173,16 +161,12 @@ def sample_fast_symmetric(rng, d: int) -> SymMatrix:
     This is NOT the same law as :func:`sample_lambda_s`; both are exposed
     and no equivalence is claimed.
     """
-    return SymMatrix(_fast_symmetric_from(_as_generator(rng), d))
+    return SymMatrix(_guarded_draw(_as_generator(rng), d, "fast_symmetric"))
 
 
 def _vec_sphere_rows(normals: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     v, zero = _unit_rows(normals)
     return unvech_isometric(v), zero
-
-
-def _vec_sphere_from(gen: np.random.Generator, d: int) -> np.ndarray:
-    return unvech_isometric(sample_sphere(gen, sym_dim(d)))
 
 
 def sample_wishart(rng, d: int, dof: int, scale=None) -> SpdMatrix:
@@ -208,7 +192,7 @@ def _scale_factor(d: int, scale) -> np.ndarray | None:
     return q * np.sqrt(w)  # factor F with F F^T = scale
 
 
-def wishart_stack(rng, count: int, d: int, dof: int, scale=None, chunk_elems: int = 20_000_000) -> np.ndarray:
+def wishart_stack(rng, count: int, d: int, dof: int, scale=None) -> np.ndarray:
     """Stack of ``count`` normalized Wishart draws, shape (count, d, d).
 
     Draws sequentially from one stream in memory-bounded chunks; positive
@@ -219,7 +203,7 @@ def wishart_stack(rng, count: int, d: int, dof: int, scale=None, chunk_elems: in
     gen = _as_generator(rng)
     factor = _scale_factor(d, scale)
     out = np.empty((count, d, d))
-    step = max(1, chunk_elems // (dof * d))
+    step = max(1, _WISHART_CHUNK_ELEMS // (dof * d))
     for start in range(0, count, step):
         stop = min(start + step, count)
         g = gen.standard_normal((stop - start, dof, d))
@@ -285,17 +269,26 @@ class ProjectionBasis:
         return self.flat @ m.reshape(m.shape[0], -1).T
 
 
-# Each sampler kind is (normals per direction, batched kernel, guarded draw).
-# The kernel maps one row of normals per direction to the directions and the
-# mask of rows that hit a probability-zero degenerate draw.  The guarded draw
-# is the same law from one generator, redrawing until the draw is usable; it
-# replays a masked index from that index's own counter block, in the same
-# draw order.
+# Each sampler kind is (normals per direction, batched kernel).  The kernel
+# maps one row of normals per direction to the directions and the mask of
+# rows that hit a probability-zero degenerate draw.
 _SAMPLERS = {
-    "eig_uniform": (lambda d: d + d * d, _lambda_s_rows, _lambda_s_from),
-    "fast_symmetric": (lambda d: d * d, _fast_symmetric_rows, _fast_symmetric_from),
-    "vec_sphere": (sym_dim, _vec_sphere_rows, _vec_sphere_from),
+    "eig_uniform": (lambda d: d + d * d, _lambda_s_rows),
+    "fast_symmetric": (lambda d: d * d, _fast_symmetric_rows),
+    "vec_sphere": (sym_dim, _vec_sphere_rows),
 }
+
+
+def _guarded_draw(gen: np.random.Generator, d: int, kind: str) -> np.ndarray:
+    """One direction of sampler ``kind`` from ``gen``: a row of normals
+    through the batched kernel, the whole row redrawn while degenerate."""
+    if d < 1:  # an empty row is always degenerate
+        raise ValueError("dimension must be >= 1")
+    width, rows = _SAMPLERS[kind]
+    while True:
+        a, bad = rows(gen.standard_normal((1, width(d))), d)
+        if not bad[0]:
+            return a[0]
 
 
 def _block_normals(rng: RngState, start: int, stop: int, width: int) -> np.ndarray:
@@ -316,10 +309,10 @@ def _block_normals(rng: RngState, start: int, stop: int, width: int) -> np.ndarr
 def _chunk_directions(rng: RngState, start: int, stop: int, d: int, sampler_kind: str) -> np.ndarray:
     """Directions start..stop-1 in one batch.  An index whose draw was
     degenerate is replayed by the guarded draw on its own counter block."""
-    width, rows, draw = _SAMPLERS[sampler_kind]
+    width, rows = _SAMPLERS[sampler_kind]
     block, redraw = rows(_block_normals(rng, start, stop, width(d)), d)
     for j in np.flatnonzero(redraw):
-        block[j] = draw(rng.generator(jump=start + int(j)), d)
+        block[j] = _guarded_draw(rng.generator(jump=start + int(j)), d, sampler_kind)
     return block
 
 

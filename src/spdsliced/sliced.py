@@ -345,17 +345,16 @@ def mc_error_estimate(
     repetitions: int,
     rng: RngState,
     L_star: int = 10_000,
-    sampler_kind: str = "eig_uniform",
 ) -> list[dict]:
     """Monte Carlo error of the sliced estimator versus the number of
-    projections.
+    projections, on ``eig_uniform`` bases.
 
     The reference value uses a fixed basis of ``L_star`` directions drawn
     from ``rng`` itself; each (L, repetition) estimate uses a fresh basis
     on its own substream.  Requesting L == L_star reuses the reference
     basis (the estimate is the reference, error exactly zero).
     """
-    reference_basis = build_projection_basis(rng, mu.dim, L_star, sampler_kind)
+    reference_basis = build_projection_basis(rng, mu.dim, L_star, "eig_uniform")
     reference = spdsw(mu, nu, reference_basis, p).value
 
     mu_logs, nu_logs = mu.logs, nu.logs
@@ -367,7 +366,7 @@ def mc_error_estimate(
             errors = np.empty(repetitions)
             for r in range(repetitions):
                 basis = build_projection_basis(
-                    rng.substream(1 + r * len(L_values) + k), mu.dim, L, sampler_kind
+                    rng.substream(1 + r * len(L_values) + k), mu.dim, L, "eig_uniform"
                 )
                 est = _sliced_mean(
                     basis.project_symmetric(mu_logs), basis.project_symmetric(nu_logs), p

@@ -33,7 +33,7 @@ from spdsliced.adaptation import (
     apply_chain_matrices,
     identity_chain_params,
 )
-from spdsliced.baselines import EXACT_SIZE_CAP, CostMatrix
+from spdsliced.baselines import CostMatrix
 from spdsliced.errors import (
     DimensionMismatch,
     MissingLabels,
@@ -171,14 +171,14 @@ class TestTransformLossGradient:
             diff = vech_isometric(logs)[:, None, :] - vech_isometric(target.logs)[None, :, :]
             sq = np.einsum("ijk,ijk->ij", diff, diff)
             cost = CostMatrix(entries=sq, ground_metric="log_euclidean", power=2.0)
-            plan = _plan_for(cost, "les", epsilon, 512**2)
+            plan = _plan_for(cost, "les", epsilon)
 
             def loss_at(prms):
                 return self._fixed_plan_cost(prms, source, target, plan)
         else:
             fixed = _fixed_target(target.logs, basis, loss_kind)
             evaluate, _ = _transform_loss(
-                source, *_log_loss(loss_kind, fixed, basis, 2.0, epsilon, 512**2)
+                source, *_log_loss(loss_kind, fixed, basis, 2.0, epsilon)
             )
 
             def loss_at(prms):
@@ -554,9 +554,9 @@ def _oracle_fixed_sliced_loss_grad(source_logs, st, basis, p, want_grad):
     return loss, _scatter(grad_coords, basis)
 
 
-def _oracle_transport_loss_grad(source_logs, target_logs, loss_kind, epsilon, cap, want_grad):
+def _oracle_transport_loss_grad(source_logs, target_logs, loss_kind, epsilon, want_grad):
     sq = pairwise_sq_dists(vech_isometric(source_logs), vech_isometric(target_logs))
-    plan = _plan_for(CostMatrix(sq, "log_euclidean", 2.0), loss_kind, epsilon, cap)
+    plan = _plan_for(CostMatrix(sq, "log_euclidean", 2.0), loss_kind, epsilon)
     loss = float(np.sum(plan * sq))
     if not want_grad:
         return loss, None
@@ -564,10 +564,10 @@ def _oracle_transport_loss_grad(source_logs, target_logs, loss_kind, epsilon, ca
     return loss, 2.0 * (plan.sum(axis=1)[:, None, None] * source_logs - pulled)
 
 
-def _oracle_log_loss_grad(logs, target, basis, p, loss_kind, epsilon, cap, want_grad):
+def _oracle_log_loss_grad(logs, target, basis, p, loss_kind, epsilon, want_grad):
     if loss_kind in ("spdsw", "logsw"):
         return _oracle_fixed_sliced_loss_grad(logs, target, basis, p, want_grad)
-    return _oracle_transport_loss_grad(logs, target, loss_kind, epsilon, cap, want_grad)
+    return _oracle_transport_loss_grad(logs, target, loss_kind, epsilon, want_grad)
 
 
 def _oracle_transform_loss_grad(params, source, *args, contract=None):
@@ -642,7 +642,7 @@ def _oracle_run_adaptation(mode, source, target, config):
     measure = source.measure
     basis = _basis_for(config, measure.dim)
     args = (_fixed_target(target.logs, basis, config.loss_kind), basis, config.p,
-            config.loss_kind, config.epsilon, config.exact_size_cap)
+            config.loss_kind, config.epsilon)
     if mode == "particles":
         final, losses, lr = _oracle_descend(
             measure.logs.copy(),
@@ -755,7 +755,7 @@ def _hessian_einsum(probs, x):
 def _oracle_transform_grads(params, source, fixed, basis, loss_kind):
     # The transform gradient with the parameter contraction as its einsum.
     return _oracle_transform_loss_grad(
-        params, source, fixed, basis, 2.0, loss_kind, 10.0, EXACT_SIZE_CAP,
+        params, source, fixed, basis, 2.0, loss_kind, 10.0,
         contract=lambda x, w, g: 2.0 * np.einsum("nab,bc,ncd->ad", x, w, g),
     )[1]
 
@@ -778,10 +778,10 @@ class TestContractionsMatchEinsumOracles:
     def test_transport_pull(self, kind):
         source = wishart_measure(54, 200, 5, dof=40).logs
         target = wishart_measure(55, 200, 5, dof=40, scale=2.0 * np.eye(5)).logs
-        loss, plan = _transport_evaluate(source, target, kind, 10.0, EXACT_SIZE_CAP)
+        loss, plan = _transport_evaluate(source, target, kind, 10.0)
         grads = _transport_gradient(source, plan, target)
         sq = pairwise_sq_dists(vech_isometric(source), vech_isometric(target))
-        plan = _plan_for(CostMatrix(sq, "log_euclidean", 2.0), kind, 10.0, EXACT_SIZE_CAP)
+        plan = _plan_for(CostMatrix(sq, "log_euclidean", 2.0), kind, 10.0)
         want = 2.0 * (plan.sum(axis=1)[:, None, None] * source - _pull_einsum(plan, target))
         assert loss == float(np.sum(plan * sq))
         _assert_matches(grads, want)
@@ -795,7 +795,7 @@ class TestContractionsMatchEinsumOracles:
         params = [ChainParam("translation", 0.1 * random_sym(rng, 5)),
                   ChainParam("rotation", 0.1 * rng.standard_normal((5, 5)))]
         evaluate, gradient = _transform_loss(
-            source, *_log_loss(kind, fixed, basis, 2.0, 10.0, EXACT_SIZE_CAP)
+            source, *_log_loss(kind, fixed, basis, 2.0, 10.0)
         )
         grads = gradient(params, evaluate(params)[1])
         for got, want in zip(grads, _oracle_transform_grads(params, source, fixed, basis, kind)):

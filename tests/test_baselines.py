@@ -184,6 +184,19 @@ class TestSinkhorn:
         assert not converged
         assert np.isfinite(plan.cost)
 
+    @pytest.mark.parametrize("size,epsilon,max_iter", [(5, 1e-2, 3), (20, 1e-3, 200)])
+    def test_unconverged_violation_is_the_returned_plans(self, nprng, size, epsilon, max_iter):
+        # The last in-loop violation measures the iterate before the final
+        # f and g updates; the recorded one must be the returned plan's.
+        entries = nprng.uniform(0.0, 2.0, (size, size))
+        cost = CostMatrix(entries=entries, ground_metric="log_euclidean", power=2.0)
+        result, converged = sinkhorn(cost, epsilon=epsilon, max_iter=max_iter)
+        g = result.plan
+        actual = max(np.max(np.abs(g.sum(axis=1) - 1.0 / size)),
+                     np.max(np.abs(g.sum(axis=0) - 1.0 / size)))
+        assert not converged
+        assert result.marginal_violation == pytest.approx(actual, rel=1e-12)
+
     def test_rejects_bad_epsilon(self):
         cost = CostMatrix(entries=np.ones((2, 2)), ground_metric="log_euclidean", power=2.0)
         with pytest.raises(ValueError):

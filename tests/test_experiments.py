@@ -1,10 +1,21 @@
 import json
+import math
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from spdsliced import RngState, experiments, load_spd_dataset, save_spd_dataset, wishart_stack
+from spdsliced import (
+    EmpiricalSpdMeasure,
+    RngState,
+    build_cost_matrix,
+    exact_wasserstein,
+    experiments,
+    load_spd_dataset,
+    save_spd_dataset,
+    spdsw,
+    wishart_stack,
+)
 from spdsliced.errors import DataValidationError
 from spdsliced.experiments import (
     compute_distance,
@@ -18,6 +29,7 @@ from spdsliced.experiments import (
     run_sample_complexity,
 )
 from spdsliced.linalg import exp_stack, log_stack, symmetrize
+from spdsliced.sampling import build_projection_basis
 
 
 @pytest.fixture
@@ -54,6 +66,36 @@ class TestReproducibility:
         r1 = run_projection_complexity(**kwargs)
         r2 = run_projection_complexity(**kwargs)
         assert r1.rows == r2.rows
+
+
+def _oracle_sample_complexity_values(d, n, rep, metric, projections, seed):
+    """The sample-complexity inner loop as it stood before it called
+    compute_distance: spdsw and exact lew restated inline."""
+    stream = RngState(seed).substream(d * 1_000_000_000 + n * 100_000 + rep * 100)
+    mu = EmpiricalSpdMeasure(wishart_stack(stream, n, d, 2 * d))
+    nu = EmpiricalSpdMeasure(wishart_stack(stream.substream(1), n, d, 2 * d))
+    if metric == "spdsw":
+        basis = build_projection_basis(stream.substream(2), d, projections, "eig_uniform")
+        return spdsw(mu, nu, basis, 2.0).root
+    cost = build_cost_matrix(mu, nu, "log_euclidean", 2.0)
+    return math.sqrt(exact_wasserstein(cost, size_cap=n * n).cost)
+
+
+def test_sample_complexity_rows_equal_inline_oracle():
+    repeats, projections, seed = 3, 40, 6
+    report = run_sample_complexity(dims=(2, 5), n_grid=(10, 31), repeats=repeats,
+                                   metrics=("spdsw", "lew"), projections=projections, seed=seed)
+    want = []
+    for d in (2, 5):
+        for n in (10, 31):
+            for metric in ("spdsw", "lew"):
+                v = np.array([_oracle_sample_complexity_values(d, n, r, metric, projections, seed)
+                              for r in range(repeats)])
+                half = 1.96 * v.std(ddof=1) / math.sqrt(repeats)
+                want.append({"metric": metric, "d": d, "n": n, "mean_abs": float(v.mean()),
+                             "ci95_low": float(v.mean() - half),
+                             "ci95_high": float(v.mean() + half), "repeats": repeats})
+    assert report.rows == want
 
 
 def test_compute_distance_rejects_unknown_metric(dataset_pair):

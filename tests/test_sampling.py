@@ -389,3 +389,31 @@ class TestProjectionBasis:
         for kind in ("eig_uniform", "fast_symmetric", "vec_sphere"):
             with pytest.raises(ValueError):
                 build_projection_basis(RngState(0), 0, 3, kind)
+
+    @pytest.mark.parametrize("kind,draw", [
+        ("eig_uniform", lambda state, d: sample_lambda_s(state, d).array),
+        ("fast_symmetric", lambda state, d: sample_fast_symmetric(state, d).array),
+        ("vec_sphere", lambda state, d: sampling._guarded_draw(state.generator(), d, "vec_sphere")),
+    ])
+    def test_degenerate_scalar_draw_redraws_the_whole_row(self, kind, draw, monkeypatch):
+        # Flag the first row the kernel sees as degenerate: the guarded draw
+        # must drop all of it and map the next row of the same stream.
+        width, rows = sampling._SAMPLERS[kind]
+        gen = RngState(8).generator()
+        gen.standard_normal((1, width(3)))
+        expected = rows(gen.standard_normal((1, width(3))), 3)[0][0]
+        seen = []
+
+        def first_row_degenerate(normals, d):
+            out, bad = rows(normals, d)
+            seen.append(normals)
+            return out, bad | (len(seen) == 1)
+
+        monkeypatch.setitem(sampling._SAMPLERS, kind, (width, first_row_degenerate))
+        assert np.array_equal(draw(RngState(8), 3), expected)
+        assert len(seen) == 2
+
+    def test_scalar_samplers_reject_nonpositive_dimension(self):
+        for sample in (sample_lambda_s, sample_fast_symmetric):
+            with pytest.raises(ValueError):
+                sample(RngState(0), 0)
