@@ -18,7 +18,6 @@ import warnings
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
-from scipy.linalg import expm, expm_frechet
 
 from .errors import (
     DimensionMismatch,
@@ -89,6 +88,8 @@ class ChainParam:
     def materialize(self) -> np.ndarray:
         if self.kind == "translation":
             return exp_stack(self.matrix[None])[0]
+        from scipy.linalg import expm  # scipy loads only where a command runs it
+
         return expm(self.matrix)
 
 
@@ -240,6 +241,8 @@ def _transform_loss(source: EmpiricalSpdMeasure, evaluate_logs, gradient_logs):
             if params[k].kind == "translation":
                 param_grads[k] = exp_frechet_sym(params[k].matrix, symmetrize(grad_w)).array
             else:
+                from scipy.linalg import expm_frechet
+
                 full = expm_frechet(params[k].matrix.T, grad_w, compute_expm=False)
                 param_grads[k] = 0.5 * (full - full.T)
             if k > 0:

@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.special import logsumexp
 
 from .errors import DimensionMismatch, IllConditioned, InstanceTooLarge
 from .linalg import pairwise_ai_dists, pairwise_sq_dists, vech_isometric
@@ -100,6 +98,8 @@ def exact_wasserstein(cost: CostMatrix, size_cap: int = EXACT_SIZE_CAP) -> Trans
     """Optimal transport between uniform marginals, solved as a balanced
     assignment (n == m) or on the replicated common-denominator grid for
     small unequal sizes."""
+    from scipy.optimize import linear_sum_assignment  # scipy loads only where a command runs it
+
     n, m = cost.shape
     if n * m > size_cap:
         raise InstanceTooLarge(f"instance {n}x{m} exceeds the size cap {size_cap}")
@@ -121,6 +121,20 @@ def exact_wasserstein(cost: CostMatrix, size_cap: int = EXACT_SIZE_CAP) -> Trans
     np.add.at(plan, (rep_i[rows], rep_j[cols]), 1.0 / common)
     value = float(np.sum(plan * cost.entries))
     return TransportPlan(plan=plan, cost=value)
+
+
+def logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    """``scipy.special.logsumexp(a, axis=axis)`` for finite real ``a``, step
+    for step so results are bit-identical, without scipy's extra full-size
+    ``exp`` pass for non-finite fallbacks."""
+    a_max = np.max(a, axis=axis, keepdims=True)
+    is_max = a == a_max
+    m = np.sum(is_max, axis=axis, keepdims=True, dtype=a.dtype)
+    shifted = np.where(is_max, -np.inf, a)
+    shifted -= a_max
+    s = np.sum(np.exp(shifted, out=shifted), axis=axis, keepdims=True)
+    s = np.where(s == 0, s, s / m)
+    return np.squeeze(np.log1p(s) + np.log(m) + a_max, axis=axis)
 
 
 def sinkhorn(

@@ -66,10 +66,11 @@ def save_spd_dataset(path: str, points, labels=None) -> None:
 def load_spd_dataset(path: str) -> LabeledSpdDataset:
     """Read and validate a dataset file.
 
-    Validation failures (schema, asymmetry beyond 1e-8, non-SPD matrices,
-    labels that are not ``count`` nonnegative integers) raise
-    DataValidationError.  Positive definiteness is checked by filling the
-    measure's log cache, so each matrix is decomposed once.
+    Validation failures (schema, ``dim`` or ``count`` not a JSON integer,
+    asymmetry beyond 1e-8, non-SPD matrices, labels that are not ``count``
+    nonnegative integers) raise DataValidationError.  Positive definiteness
+    is checked by filling the measure's log cache, so each matrix is
+    decomposed once.
     """
     try:
         with open(path) as handle:
@@ -78,17 +79,14 @@ def load_spd_dataset(path: str) -> LabeledSpdDataset:
         raise DataValidationError(f"cannot read dataset {path!r}: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format_version") != FORMAT_VERSION:
         raise DataValidationError(f"{path!r}: unsupported or missing format_version")
-    try:
-        d = int(doc["dim"])
-        n = int(doc["count"])
-        matrices = doc["matrices"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataValidationError(f"{path!r}: missing or malformed fields: {exc}") from exc
+    d, n, matrices = doc.get("dim"), doc.get("count"), doc.get("matrices")
+    if type(d) is not int or type(n) is not int or not isinstance(matrices, list):
+        raise DataValidationError(f"{path!r}: dim and count must be integers and matrices a list")
     if d < 1 or n < 1 or len(matrices) != n:
         raise DataValidationError(f"{path!r}: dim/count inconsistent with matrices")
     try:
         pts = np.asarray(matrices, dtype=float).reshape(n, d, d)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise DataValidationError(f"{path!r}: matrices are not {n} rows of {d * d} numbers") from exc
     if not np.all(np.isfinite(pts)):
         raise DataValidationError(f"{path!r}: non-finite entries")

@@ -11,7 +11,6 @@ import math
 import time
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import sliced
 from .adaptation import (
@@ -197,6 +196,8 @@ def run_gen_wishart(
         if shift_angle == 0.0 and shift_identity == 0.0 and shift_random == 0.0:
             shifted = points  # identity shift: byte-identical pair
         else:
+            from scipy.linalg import expm  # scipy loads only where a command runs it
+
             gen = rng.substream(10_000).generator()
             omega = gen.standard_normal((d, d))
             rotation = expm(_with_norm(0.5 * (omega - omega.T), shift_angle))
@@ -453,15 +454,19 @@ def _load_manifest(path: str) -> list[dict]:
     bands = None
     for e in entries:
         try:
-            paths = [e["path"]] if "path" in e else list(e["paths"])
-            target = float(e["target"])
-        except (KeyError, TypeError, ValueError) as exc:
+            paths = [e["path"]] if "path" in e else e["paths"]
+            target = e["target"]
+        except (KeyError, TypeError) as exc:
             raise DataValidationError(f"{path!r}: malformed manifest entry: {exc}") from exc
+        if type(target) not in (int, float) or not math.isfinite(target):
+            raise DataValidationError(f"{path!r}: target {target!r} is not a finite number")
+        if not isinstance(paths, list) or not paths or not all(isinstance(p, str) for p in paths):
+            raise DataValidationError(f"{path!r}: dataset paths must be strings, got {paths!r}")
         if bands is None:
             bands = len(paths)
         elif len(paths) != bands:
             raise DataValidationError(f"{path!r}: entries disagree on the number of bands")
-        out.append({"paths": paths, "target": target})
+        out.append({"paths": paths, "target": float(target)})
     return out
 
 

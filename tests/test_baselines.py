@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from scipy.optimize import linprog
+from scipy.special import logsumexp as scipy_logsumexp
 
 from spdsliced import (
     EmpiricalSpdMeasure,
@@ -13,7 +14,7 @@ from spdsliced import (
     sym_exp,
     wasserstein_1d,
 )
-from spdsliced.baselines import CostMatrix, TransportPlan
+from spdsliced.baselines import CostMatrix, TransportPlan, logsumexp
 from spdsliced.errors import DimensionMismatch, IllConditioned, InstanceTooLarge
 
 from conftest import random_sym, wishart_measure
@@ -129,6 +130,31 @@ class TestExactWasserstein:
         cost = CostMatrix(entries=entries, ground_metric="log_euclidean", power=2.0)
         with pytest.raises(InstanceTooLarge):
             exact_wasserstein(cost, size_cap=10**9)
+
+
+class TestLogsumexp:
+    """``baselines.logsumexp`` repeats scipy's arithmetic, so it must agree
+    with ``scipy.special.logsumexp`` bit for bit."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 4), (200, 200)])
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("scale, offset, decimals", [
+        (1.0, 0.0, None), (30.0, 0.0, None), (1e-3, 0.0, None),
+        (3.0, 0.0, 0), (1.0, 0.0, 1),  # rounded entries tie for the max
+        (5.0, 1e8, None), (5.0, -1e12, 0),  # large offsets
+    ])
+    def test_bitwise_equal_to_scipy(self, nprng, shape, axis, scale, offset, decimals):
+        a = scale * nprng.standard_normal(shape) + offset
+        if decimals is not None:
+            a = np.round(a, decimals)
+        ours, ref = logsumexp(a, axis), scipy_logsumexp(a, axis=axis)
+        assert ours.shape == ref.shape
+        assert np.array_equal(ours.view(np.int64), ref.view(np.int64))
+
+    def test_all_entries_tied(self):
+        a = np.full((4, 5), -2.5)
+        for axis in (0, 1):
+            assert np.array_equal(logsumexp(a, axis), scipy_logsumexp(a, axis=axis))
 
 
 class TestSinkhorn:

@@ -327,6 +327,107 @@ def test_more_folds_than_entries_is_data_error(tmp_path, capsys):
     assert "9 folds" in err and "6 manifest entries" in err
 
 
+@pytest.mark.parametrize("bad", [
+    {"target": "nan"}, {"target": "inf"}, {"target": float("nan")}, {"target": "1.5"},
+    {"target": True}, {"path": 0}, {"path": None}, {"paths": "a.json"}, {"paths": []},
+])
+def test_malformed_manifest_entry_is_data_error(bad, dataset_pair, tmp_path, capsys):
+    a, b = dataset_pair
+    entries = [{"path": (a, b)[i % 2], "target": float(i)} for i in range(6)]
+    entries[3] = {"paths": [a], "target": 3.0, **bad}  # "path", when given, wins
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps(entries))  # float("nan") is written as NaN
+    assert main(["kernel-ridge", "--train", str(manifest), "--folds", "2"]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_malformed_matrices_are_data_error(dataset_pair, tmp_path, capsys):
+    a, _ = dataset_pair
+    bad = tmp_path / "dict.json"
+    bad.write_text(json.dumps({"format_version": "1", "dim": 3, "count": 1,
+                               "matrices": {"a": 1}}))
+    assert main(["distance", str(bad), a, "--metric", "spdsw"]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+_SCIPY_PROBE = """
+import json, sys
+from spdsliced import cli
+loaded = []
+for argv in json.loads(sys.argv[1]):
+    assert cli.main(argv) == 0, argv
+    loaded.append(sorted(m for m in ("scipy.linalg", "scipy.optimize", "scipy.special")
+                         if m in sys.modules))
+with open(sys.argv[2], "w") as handle:
+    json.dump(loaded, handle)
+"""
+
+
+class TestScipyLoadsOnlyWhereRun:
+    """Each command imports only the scipy it runs, so a sliced distance
+    does not pay the start-up time and memory of the transport solvers. A
+    module-level scipy import anywhere in the package fails these."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        labels = [0, 1] * 4
+        src, dst = tmp_path / "src.json", tmp_path / "dst.json"
+        save_spd_dataset(str(src), wishart_stack(RngState(1), 8, 2, 6), labels)
+        save_spd_dataset(str(dst), wishart_stack(RngState(2), 8, 2, 6), labels)
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps(
+            [{"path": str((src, dst)[i % 2]), "target": float(i)} for i in range(4)]))
+        return {"src": str(src), "dst": str(dst), "manifest": str(manifest),
+                "out": str(tmp_path / "out.json"), "gen": str(tmp_path / "gen.json"),
+                "shifted": str(tmp_path / "shifted.json")}
+
+    def _loaded_after_each(self, commands, tmp_path):
+        result = tmp_path / "loaded.json"
+        out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(commands),
+                              str(result)], capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        return json.loads(result.read_text())
+
+    def _distance(self, f, metric):
+        return ["distance", f["src"], f["dst"], "--metric", metric, "--projections", "5",
+                "--output", f["out"]]
+
+    def _adapt(self, f, mode):
+        return ["adapt", "--source", f["src"], "--target", f["dst"], "--mode", mode,
+                "--epochs", "2", "--projections", "5", "--output", f["out"]]
+
+    def test_sliced_and_sinkhorn_commands_load_no_scipy(self, files, tmp_path):
+        f = files
+        commands = [self._distance(f, m) for m in ("spdsw", "logsw", "hspdsw", "les")] + [
+            ["gen-wishart", "--d", "2", "--n", "6", "--dof", "4", "--output", f["gen"]],
+            ["benchmark-runtime", "--n-grid", "10", "--d", "2", "--projections", "5",
+             "--metrics", "spdsw,logsw,hspdsw,les", "--repeats", "1", "--output", f["out"]],
+            ["projection-complexity", "--dims", "2", "--L-grid", "5", "--L-star", "20",
+             "--repeats", "2", "--n", "10", "--output", f["out"]],
+            ["kernel-ridge", "--train", f["manifest"], "--folds", "2", "--projections", "5",
+             "--quantiles", "5", "--output", f["out"]],
+            self._adapt(f, "particles"),
+        ]
+        assert self._loaded_after_each(commands, tmp_path) == [[]] * len(commands)
+
+    def test_rotations_load_only_scipy_linalg(self, files, tmp_path):
+        f = files
+        commands = [
+            ["gen-wishart", "--d", "2", "--n", "6", "--dof", "4", "--output", f["gen"],
+             "--output-shifted", f["shifted"], "--shift-angle", "0.3"],
+            self._adapt(f, "transform"),
+        ]
+        assert self._loaded_after_each(commands, tmp_path) == [["scipy.linalg"]] * 2
+
+    def test_exact_transport_loads_scipy_optimize(self, files, tmp_path):
+        f = files
+        commands = [self._distance(f, "lew"), self._distance(f, "aiw"),
+                    ["sample-complexity", "--dims", "2", "--n-grid", "5", "--repeats", "1",
+                     "--projections", "5", "--output", f["out"]]]
+        everything = ["scipy.linalg", "scipy.optimize", "scipy.special"]
+        assert self._loaded_after_each(commands, tmp_path) == [everything] * 3
+
+
 class TestPublicSurface:
     def test_all_names_resolve(self):
         for name in spdsliced.__all__:

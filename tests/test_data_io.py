@@ -110,6 +110,17 @@ class TestDatasetValidation:
         with pytest.raises(DataValidationError):
             load_spd_dataset(self._write(tmp_path / "x.json", doc))
 
+    @pytest.mark.parametrize("field, value", [
+        ("dim", 1.7), ("dim", True), ("dim", "2"), ("count", 1.0), ("count", None),
+        ("matrices", {"a": 1}), ("matrices", [{"a": 1}]), ("matrices", 5),
+        ("matrices", [[2.0, 0.1, {"a": 1}, 1.0]]),
+    ])
+    def test_rejects_malformed_fields(self, tmp_path, field, value):
+        doc = self._valid_doc()
+        doc[field] = value
+        with pytest.raises(DataValidationError):
+            load_spd_dataset(self._write(tmp_path / "x.json", doc))
+
     def test_non_spd_message_names_the_matrix(self, tmp_path):
         doc = self._valid_doc()
         doc["count"] = 2
