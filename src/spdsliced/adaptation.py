@@ -41,11 +41,18 @@ from .sampling import ProjectionBasis, RngState, build_projection_basis
 from .sliced import (
     SLICED_ESTIMATORS,
     EmpiricalSpdMeasure,
+    _finite,
+    _mean_wpp,
     _merged_quantile_grid,
-    _wpp_rows,
 )
 
 PARTICLE_LOSSES = ("spdsw", "logsw", "lew", "les")
+
+# Log-linear classifier: L2 penalty on the weights (bias unpenalized), and
+# the gradient-norm tolerance and iteration cap of its Newton solve.
+_L2_PENALTY = 1e-3
+_GRAD_TOL = 1e-6
+_NEWTON_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -112,14 +119,6 @@ def apply_chain_matrices(mats: list[np.ndarray], points: np.ndarray) -> np.ndarr
 # state that is both scored and differentiated is evaluated once.
 
 
-def _finite(x):
-    """``x`` itself, or OverflowError when it holds a non-finite value: a
-    step overflowed, which the safeguard treats as "too large"."""
-    if not np.all(np.isfinite(x)):
-        raise OverflowError("adaptation step overflowed to non-finite values")
-    return x
-
-
 def _sorted_coords(logs: np.ndarray, basis: ProjectionBasis) -> np.ndarray:
     """Projected coordinates of a log stack, sorted along each slice: (L, n)."""
     return np.sort(basis.project_symmetric(logs), axis=-1)
@@ -140,9 +139,7 @@ def _sliced_evaluate(logs: np.ndarray, st: np.ndarray, basis: ProjectionBasis, p
     order and sorted coordinates (L, n)."""
     cs = basis.project_symmetric(logs)
     ss = np.sort(cs, axis=-1)
-    with np.errstate(over="ignore"):  # an overflow is reported by _finite
-        loss = float(np.mean(_wpp_rows(ss, st, p)))
-    return _finite(loss), (np.argsort(cs, axis=-1), ss)
+    return _mean_wpp(ss, st, p), (np.argsort(cs, axis=-1), ss)
 
 
 def _sliced_gradient(ctx, st: np.ndarray, basis: ProjectionBasis, p: float) -> np.ndarray:
@@ -183,7 +180,8 @@ def _transport_evaluate(logs, target_logs, loss_kind, epsilon):
     """Squared log-Euclidean transport loss through the exact plan
     (``lew``) or the converged Sinkhorn plan (``les``); the context is the
     plan."""
-    sq = _finite(pairwise_sq_dists(vech_isometric(logs), vech_isometric(target_logs)))
+    sq = _finite(pairwise_sq_dists(vech_isometric(logs), vech_isometric(target_logs)),
+                 "adaptation step")
     cost = CostMatrix(entries=sq, ground_metric="log_euclidean", power=2.0)
     plan = _plan_for(cost, loss_kind, epsilon)
     return float(np.sum(plan * sq)), plan
@@ -224,7 +222,7 @@ def _transform_loss(source: EmpiricalSpdMeasure, evaluate_logs, gradient_logs):
         inputs = [source.points]
         for w in mats:
             inputs.append(w.T @ inputs[-1] @ w)
-        w_eig, q_eig = eigh_stack(_finite(inputs[-1]))
+        w_eig, q_eig = eigh_stack(_finite(inputs[-1], "adaptation step"))
         logs = reconstruct(np.log(w_eig), q_eig)
         loss, inner = evaluate_logs(logs)
         return loss, (mats, inputs, w_eig, q_eig, logs, inner)
@@ -483,23 +481,18 @@ def _multinomial_hessian(probs: np.ndarray, x: np.ndarray) -> np.ndarray:
     return hess
 
 
-def _multinomial_objective(w, x, y_onehot, l2, n):
+def _multinomial_objective(w, x, y_onehot, n):
     z = x @ w.T
     z = z - z.max(axis=1, keepdims=True)
     log_norm = np.log(np.exp(z).sum(axis=1))
     nll = float(np.mean(log_norm - np.sum(z * y_onehot, axis=1)))
-    penalty = 0.5 * l2 * float(np.sum(w[:, :-1] ** 2))
+    penalty = 0.5 * _L2_PENALTY * float(np.sum(w[:, :-1] ** 2))
     return nll + penalty
 
 
-def train_log_linear_classifier(
-    train: LabeledSpdDataset,
-    l2_penalty: float = 1e-3,
-    grad_tol: float = 1e-6,
-    max_iter: int = 200,
-) -> LogLinearClassifier:
+def train_log_linear_classifier(train: LabeledSpdDataset) -> LogLinearClassifier:
     """Fit the multinomial logistic model by damped Newton iterations until
-    the gradient norm falls below ``grad_tol``."""
+    the gradient norm falls below ``_GRAD_TOL``."""
     if train.labels is None:
         raise MissingLabels("training requires labels")
     measure = train.measure
@@ -523,23 +516,23 @@ def train_log_linear_classifier(
     w = np.zeros((k, dplus))
     penalty_mask = np.ones((k, dplus))
     penalty_mask[:, -1] = 0.0  # bias unpenalized
-    objective = _multinomial_objective(w, x, y_onehot, l2_penalty, n)
+    objective = _multinomial_objective(w, x, y_onehot, n)
     converged = False
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         probs = _softmax(x @ w.T)
-        grad = (probs - y_onehot).T @ x / n + l2_penalty * w * penalty_mask
-        if np.linalg.norm(grad) <= grad_tol:
+        grad = (probs - y_onehot).T @ x / n + _L2_PENALTY * w * penalty_mask
+        if np.linalg.norm(grad) <= _GRAD_TOL:
             converged = True
             break
         hess = _multinomial_hessian(probs, x)
-        hess += np.diag((l2_penalty * penalty_mask).ravel())
+        hess += np.diag((_L2_PENALTY * penalty_mask).ravel())
         hess += 1e-10 * np.eye(k * dplus)
         step = np.linalg.solve(hess, grad.ravel()).reshape(k, dplus)
         scale = 1.0
         cand, cand_obj = w, objective
         for _ in range(50):
             cand = w - scale * step
-            cand_obj = _multinomial_objective(cand, x, y_onehot, l2_penalty, n)
+            cand_obj = _multinomial_objective(cand, x, y_onehot, n)
             if cand_obj <= objective + 1e-15:
                 break
             scale *= 0.5

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, IllConditioned, InstanceTooLarge
 from .linalg import pairwise_ai_dists, pairwise_sq_dists, vech_isometric
-from .sliced import EmpiricalSpdMeasure
+from .sliced import EmpiricalSpdMeasure, _finite
 
 GROUND_METRICS = ("log_euclidean", "affine_invariant")
 
@@ -23,6 +23,9 @@ EXACT_SIZE_CAP = 512 * 512
 
 # Largest replicated-grid size for unequal-size exact transport.
 _LCM_CAP = 4096
+
+# Sinkhorn stops once the worst row-marginal violation falls below this.
+SINKHORN_THRESHOLD = 1e-10
 
 
 @dataclass(frozen=True)
@@ -83,15 +86,17 @@ def build_cost_matrix(
     """Pairwise geodesic distances to the p-th power."""
     if mu.dim != nu.dim:
         raise DimensionMismatch(f"dimensions differ: {mu.dim} vs {nu.dim}")
-    if metric == "log_euclidean":
-        sq = pairwise_sq_dists(vech_isometric(mu.logs), vech_isometric(nu.logs))
-        entries = sq if p == 2.0 else sq ** (p / 2.0)
-    elif metric == "affine_invariant":
-        dist = pairwise_ai_dists(mu.points, nu.points)
-        entries = dist * dist if p == 2.0 else dist**p
-    else:
-        raise ValueError(f"unknown ground metric {metric!r}")
-    return CostMatrix(entries=entries, ground_metric=metric, power=p)
+    with np.errstate(over="ignore"):  # an overflow is reported by _finite
+        if metric == "log_euclidean":
+            sq = pairwise_sq_dists(vech_isometric(mu.logs), vech_isometric(nu.logs))
+            entries = sq if p == 2.0 else sq ** (p / 2.0)
+        elif metric == "affine_invariant":
+            dist = pairwise_ai_dists(mu.points, nu.points)
+            entries = dist * dist if p == 2.0 else dist**p
+        else:
+            raise ValueError(f"unknown ground metric {metric!r}")
+    return CostMatrix(entries=_finite(entries, f"ground cost at order {p:g}"),
+                      ground_metric=metric, power=p)
 
 
 def exact_wasserstein(cost: CostMatrix, size_cap: int = EXACT_SIZE_CAP) -> TransportPlan:
@@ -141,13 +146,12 @@ def sinkhorn(
     cost: CostMatrix,
     epsilon: float,
     max_iter: int = 100_000,
-    threshold: float = 1e-10,
 ) -> tuple[TransportPlan, bool]:
     """Entropically regularized transport via log-domain Sinkhorn iterations.
 
     Stops when the worst row-marginal violation of the implied plan falls
-    below ``threshold``. Returns the (best) plan and a convergence flag;
-    never raises on non-convergence.  Raises ``IllConditioned`` when
+    below ``SINKHORN_THRESHOLD``. Returns the (best) plan and a convergence
+    flag; never raises on non-convergence.  Raises ``IllConditioned`` when
     cost/epsilon is not finite or so large (>= 1/machine epsilon) that the
     potentials, which grow to that size, can no longer resolve the
     marginals' unit-scale log masses.
@@ -175,7 +179,7 @@ def sinkhorn(
         lse_rows = logsumexp(g[None, :] - c + log_b, axis=1)
         if it > 0:
             violation = np.max(np.abs(np.exp(f + lse_rows) - 1.0)) / n
-            if violation < threshold:
+            if violation < SINKHORN_THRESHOLD:
                 converged = True
                 break
         f = -lse_rows

@@ -1,7 +1,9 @@
 """Command-line driver for the synthetic experiments.
 
 Exit codes: 0 success, 2 usage error (out-of-range arguments included),
-3 data validation error, 4 numerical failure.
+3 bad input (``errors.InputError``), 4 numerical failure
+(``errors.NumericalFailure``, ``OverflowError``).  Each option's dest is
+the name of the ``experiments.run_<command>`` parameter it sets.
 
 Heavy imports happen after argument parsing so --threads (or the
 SPDSLICED_THREADS environment variable) can pin the BLAS thread pools
@@ -11,6 +13,7 @@ before any numerical library loads.
 from __future__ import annotations
 
 import argparse
+import inspect
 import math
 import os
 import sys
@@ -105,7 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--dof", type=_positive_int, required=True)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--scale", default="identity",
+    p.add_argument("--scale", dest="scale_path", metavar="SCALE", default=None,
+                   type=lambda text: None if text == "identity" else text,
                    help="'identity' or a dataset file whose first matrix is the scale")
     p.add_argument("--classes", type=_at_least_two, default=None)
     p.add_argument("--class-scale-step", type=_finite_float, default=1.0)
@@ -145,35 +149,36 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("projection-complexity", help="Monte Carlo error versus projections")
     p.add_argument("--dims", type=_int_list, default=[2, 20])
-    p.add_argument("--L-grid", dest="l_grid", type=_int_list,
+    p.add_argument("--L-grid", dest="L_grid", type=_int_list,
                    default=[1, 3, 10, 32, 100, 316, 1000])
-    p.add_argument("--L-star", dest="l_star", type=_positive_int, default=10000)
+    p.add_argument("--L-star", dest="L_star", type=_positive_int, default=10000)
     p.add_argument("--repeats", type=_positive_int, default=100)
     p.add_argument("--n", type=_positive_int, default=500)
     p.add_argument("--seed", type=_seed, default=0)
     _output_flags(p)
 
     p = sub.add_parser("adapt", help="align a labeled source onto a target")
-    p.add_argument("--source", required=True)
-    p.add_argument("--target", required=True)
+    p.add_argument("--source", dest="source_path", metavar="SOURCE", required=True)
+    p.add_argument("--target", dest="target_path", metavar="TARGET", required=True)
     p.add_argument("--mode", choices=["particles", "transform"], default="particles")
     p.add_argument("--loss", choices=["spdsw", "logsw", "lew", "les"], default="spdsw")
     p.add_argument("--epochs", type=_nonnegative_int, default=500)
-    p.add_argument("--lr", type=_positive_float, default=None,
-                   help="learning rate; defaults depend on mode and loss")
+    p.add_argument("--lr", dest="learning_rate", metavar="LR", type=_positive_float,
+                   default=None, help="learning rate; defaults depend on mode and loss")
     p.add_argument("--projections", type=_positive_int, default=500)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--epsilon", type=_positive_float, default=10.0)
-    p.add_argument("--no-safeguard", action="store_true",
+    p.add_argument("--no-safeguard", dest="safeguard", action="store_false",
                    help="plain fixed-step descent without step halving")
-    p.add_argument("--evaluate", action="store_true",
+    p.add_argument("--evaluate", dest="require_evaluation", action="store_true",
                    help="require before/after accuracy (error if the target has no labels)")
     p.add_argument("--output-adapted", default=None)
     _output_flags(p)
 
     p = sub.add_parser("kernel-ridge", help="distribution regression with sliced kernels")
-    p.add_argument("--train", required=True, help="manifest of datasets and targets")
-    p.add_argument("--test", default=None)
+    p.add_argument("--train", dest="train_manifest", metavar="TRAIN", required=True,
+                   help="manifest of datasets and targets")
+    p.add_argument("--test", dest="test_manifest", metavar="TEST", default=None)
     p.add_argument("--folds", type=_at_least_two, default=5)
     p.add_argument("--projections", type=_positive_int, default=100)
     p.add_argument("--quantiles", type=_positive_int, default=100)
@@ -201,15 +206,12 @@ def _set_threads(threads: int | None) -> None:
 
 
 def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser):
+    """Check what no single option can check alone, then run the command
+    with the parsed values its runner takes."""
     from . import experiments
 
-    if args.command == "distance":
-        if args.metric == "hspdsw" and args.sampler == "fast":
-            parser.error("--sampler fast cannot be combined with --metric hspdsw")
-        return experiments.run_distance(
-            args.file_a, args.file_b, args.metric, projections=args.projections,
-            order=args.order, seed=args.seed, sampler=args.sampler, epsilon=args.epsilon,
-        )
+    if args.command == "distance" and args.metric == "hspdsw" and args.sampler == "fast":
+        parser.error("--sampler fast cannot be combined with --metric hspdsw")
     if args.command == "gen-wishart":
         if args.dof < args.d:
             parser.error("--dof must be at least --d")
@@ -221,51 +223,18 @@ def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser):
                 f"--class-scale-step {args.class_scale_step} gives class {args.classes - 1} "
                 "a scale factor <= 0; expected 1 + step*k > 0 for every class k"
             )
-        return experiments.run_gen_wishart(
-            output=args.output, d=args.d, n=args.n, dof=args.dof, seed=args.seed,
-            scale_path=None if args.scale == "identity" else args.scale,
-            classes=args.classes, class_scale_step=args.class_scale_step,
-            shift_angle=args.shift_angle, shift_identity=args.shift_identity,
-            shift_random=args.shift_random, output_shifted=args.output_shifted,
+    if args.command == "benchmark-runtime" and args.dof is not None and args.dof < args.d:
+        parser.error(f"--dof {args.dof} is below --d {args.d}; expected at least --d")
+    if args.command == "sample-complexity" and max(args.dims) > args.max_dim:
+        parser.error(
+            f"dimension {max(args.dims)} exceeds the cap {args.max_dim}; "
+            "raise --max-dim to run it"
         )
-    if args.command == "benchmark-runtime":
-        if args.dof is not None and args.dof < args.d:
-            parser.error(f"--dof {args.dof} is below --d {args.d}; expected at least --d")
-        return experiments.run_benchmark_runtime(
-            n_grid=args.n_grid, d=args.d, projections=args.projections,
-            metrics=args.metrics, repeats=args.repeats, seed=args.seed,
-            epsilon=args.epsilon, max_cost_bytes=args.max_cost_bytes, dof=args.dof,
-        )
-    if args.command == "sample-complexity":
-        if max(args.dims) > args.max_dim:
-            parser.error(
-                f"dimension {max(args.dims)} exceeds the cap {args.max_dim}; "
-                "raise --max-dim to run it"
-            )
-        return experiments.run_sample_complexity(
-            dims=args.dims, n_grid=args.n_grid, repeats=args.repeats,
-            metrics=args.metrics, projections=args.projections, seed=args.seed,
-        )
-    if args.command == "projection-complexity":
-        return experiments.run_projection_complexity(
-            dims=args.dims, L_grid=args.l_grid, L_star=args.l_star,
-            repeats=args.repeats, n=args.n, seed=args.seed,
-        )
-    if args.command == "adapt":
-        return experiments.run_adapt(
-            source_path=args.source, target_path=args.target, mode=args.mode,
-            loss=args.loss, epochs=args.epochs, learning_rate=args.lr,
-            projections=args.projections, seed=args.seed, epsilon=args.epsilon,
-            safeguard=not args.no_safeguard, output_adapted=args.output_adapted,
-            require_evaluation=args.evaluate,
-        )
-    if args.command == "kernel-ridge":
-        return experiments.run_kernel_ridge(
-            train_manifest=args.train, test_manifest=args.test, folds=args.folds,
-            projections=args.projections, quantiles=args.quantiles, sigma=args.sigma,
-            alpha=args.alpha, seed=args.seed, output_predictions=args.output_predictions,
-        )
-    parser.error(f"unknown command {args.command!r}")
+    # Looked up at call time, so a wrapper bound under the runner's name
+    # runs; inspect.signature follows functools.wraps to the runner's own.
+    runner = getattr(experiments, "run_" + args.command.replace("-", "_"))
+    params = inspect.signature(runner).parameters
+    return runner(**{k: v for k, v in vars(args).items() if k in params})
 
 
 def main(argv=None) -> int:
@@ -273,34 +242,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     _set_threads(args.threads)
 
-    from .errors import (
-        DataValidationError,
-        DegenerateDirection,
-        DegenerateSample,
-        DimensionMismatch,
-        IllConditioned,
-        InstanceTooLarge,
-        MissingLabels,
-        NotConverged,
-        NotPositiveDefinite,
-    )
+    from .errors import InputError, NumericalFailure
 
     try:
         report = _dispatch(args, parser)
-    except (DataValidationError, DimensionMismatch, MissingLabels) as exc:
+    except (InputError, NumericalFailure, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (
-        NotConverged,
-        IllConditioned,
-        NotPositiveDefinite,
-        DegenerateSample,
-        DegenerateDirection,
-        InstanceTooLarge,
-        OverflowError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return 3 if isinstance(exc, InputError) else 4
 
     from .data_io import write_report
 

@@ -401,6 +401,8 @@ def run_adapt(
         raise DataValidationError(f"{source_path!r}: adaptation source needs labels")
     if require_evaluation and target.labels is None:
         raise MissingLabels(f"{target_path!r}: evaluation requested but target has no labels")
+    if target.labels is not None and np.unique(source.labels).size < 2:
+        raise DataValidationError(f"{source_path!r}: evaluation needs at least two source classes")
     lr = _DEFAULT_LR[(mode, loss)] if learning_rate is None else learning_rate
     config_obj = AdaptationConfig(
         loss_kind=loss, num_projections=projections, epochs=epochs,
@@ -441,7 +443,8 @@ def run_adapt(
 # -- distribution regression -------------------------------------------------------
 
 
-def _load_manifest(path: str) -> list[dict]:
+def _load_manifest(path: str, bands: int | None = None) -> list[dict]:
+    """Manifest entries, each listing ``bands`` paths (default: the first entry's count)."""
     try:
         with open(path) as handle:
             doc = json.load(handle)
@@ -451,7 +454,6 @@ def _load_manifest(path: str) -> list[dict]:
     if not isinstance(entries, list) or not entries:
         raise DataValidationError(f"{path!r}: manifest must list at least one entry")
     out = []
-    bands = None
     for e in entries:
         try:
             paths = [e["path"]] if "path" in e else e["paths"]
@@ -465,7 +467,7 @@ def _load_manifest(path: str) -> list[dict]:
         if bands is None:
             bands = len(paths)
         elif len(paths) != bands:
-            raise DataValidationError(f"{path!r}: entries disagree on the number of bands")
+            raise DataValidationError(f"{path!r}: an entry lists {len(paths)} bands, not {bands}")
         out.append({"paths": paths, "target": float(target)})
     return out
 
@@ -556,7 +558,7 @@ def run_kernel_ridge(
         )
 
     if test_manifest is not None:
-        test_entries = _load_manifest(test_manifest)
+        test_entries = _load_manifest(test_manifest, bands=len(band_feats))
         test_feats, _ = _band_features(test_entries, levels, lambda dim: basis)
         cross_sq = [cross_sq_distances(ft, fb) for ft, fb in zip(test_feats, band_feats)]
         preds, _ = _fit_predict(band_sq, cross_sq, targets, sigma, alpha)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BasisMismatch, IllConditioned, SizeMismatch
+from .errors import BasisMismatch, DataValidationError, IllConditioned, SizeMismatch
 from .linalg import pairwise_sq_dists
 from .sampling import ProjectionBasis
 from .sliced import EmpiricalSpdMeasure
@@ -118,7 +118,7 @@ def median_heuristic_sq(sq: np.ndarray) -> float:
     off = sq[~np.eye(sq.shape[0], dtype=bool)]
     med = float(np.median(off))
     if med <= 0.0:
-        raise ValueError("median squared distance is zero; features are all identical")
+        raise DataValidationError("median squared distance is zero; features are all identical")
     return float(np.sqrt(med))
 
 
@@ -224,14 +224,13 @@ def kernel_ridge_predict(
     return k @ fit.coefficients + fit.intercept
 
 
-def kfold_indices(n: int, folds: int, shuffle_seed: int | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Deterministic K-fold partition of range(n); folds partition the
-    indices exactly."""
+def kfold_indices(n: int, folds: int, shuffle_seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """K-fold partition of a ``shuffle_seed``-determined permutation of
+    range(n); folds partition the indices exactly."""
     if not 2 <= folds <= n:
         raise ValueError("folds must be between 2 and n")
-    order = np.arange(n)
-    if shuffle_seed is not None:
-        order = np.random.Generator(np.random.Philox(key=np.array([shuffle_seed, 0], dtype=np.uint64))).permutation(n)
+    key = np.array([shuffle_seed, 0], dtype=np.uint64)
+    order = np.random.Generator(np.random.Philox(key=key)).permutation(n)
     parts = np.array_split(order, folds)
     out = []
     for k in range(folds):

@@ -191,6 +191,14 @@ def _merged_quantile_grid(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.nd
     return lens, ix, iy
 
 
+def _finite(x, what: str):
+    """``x`` itself, or OverflowError when it holds a non-finite value: a
+    power or sum overflowed (an adaptation step treats it as too large)."""
+    if not np.all(np.isfinite(x)):
+        raise OverflowError(f"{what} overflowed to non-finite values")
+    return x
+
+
 def _wpp_rows(xs_sorted: np.ndarray, ys_sorted: np.ndarray, p: float) -> np.ndarray:
     """W_p^p along the last axis of pre-sorted coordinate rows."""
     n, m = xs_sorted.shape[-1], ys_sorted.shape[-1]
@@ -213,7 +221,7 @@ def wasserstein_1d(x, y, p: float = 2.0) -> float:
     y = np.sort(np.asarray(y, dtype=float).ravel())
     if x.size == 0 or y.size == 0:
         raise EmptyMeasure("1D Wasserstein needs nonempty samples")
-    return float(_wpp_rows(x[None], y[None], p)[0])
+    return _mean_wpp(x[None], y[None], p)
 
 
 # -- Sliced estimators -------------------------------------------------------
@@ -259,10 +267,18 @@ def _report(estimator: str, basis: ProjectionBasis, p: float, value: float, t0: 
     )
 
 
+def _mean_wpp(xs_sorted: np.ndarray, ys_sorted: np.ndarray, p: float) -> float:
+    """Mean over the rows of W_p^p between pre-sorted coordinate rows."""
+    with np.errstate(over="ignore"):  # an overflow is reported by _finite
+        value = float(np.mean(_wpp_rows(xs_sorted, ys_sorted, p)))
+    return _finite(value, f"W_p^p at order {p:g}")
+
+
 def _sliced_mean(coords_mu: np.ndarray, coords_nu: np.ndarray, p: float) -> float:
+    # Rebinding drops the unsorted coordinates before W_p^p allocates.
     coords_mu = np.sort(coords_mu, axis=-1)
     coords_nu = np.sort(coords_nu, axis=-1)
-    return float(np.mean(_wpp_rows(coords_mu, coords_nu, p)))
+    return _mean_wpp(coords_mu, coords_nu, p)
 
 
 def _frobenius_sliced(estimator: str, mu, nu, basis: ProjectionBasis, p: float,

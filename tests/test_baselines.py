@@ -190,7 +190,7 @@ class TestSinkhorn:
     def test_marginals_on_convergence(self, nprng):
         entries = nprng.uniform(0.0, 2.0, (5, 7))
         cost = CostMatrix(entries=entries, ground_metric="log_euclidean", power=2.0)
-        plan, converged = sinkhorn(cost, epsilon=0.5, threshold=1e-10)
+        plan, converged = sinkhorn(cost, epsilon=0.5)
         assert converged
         assert np.max(np.abs(plan.plan.sum(axis=1) - 1.0 / 5)) < 1e-10
         assert np.max(np.abs(plan.plan.sum(axis=0) - 1.0 / 7)) < 2e-10

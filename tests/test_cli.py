@@ -1,3 +1,5 @@
+import functools
+import inspect
 import itertools
 import json
 import subprocess
@@ -6,7 +8,15 @@ import sys
 import pytest
 
 import spdsliced
-from spdsliced import RngState, cli, load_spd_dataset, save_spd_dataset, wishart_stack
+from spdsliced import (
+    RngState,
+    cli,
+    errors,
+    experiments,
+    load_spd_dataset,
+    save_spd_dataset,
+    wishart_stack,
+)
 from spdsliced.adaptation import PARTICLE_LOSSES
 from spdsliced.cli import build_parser, main
 from spdsliced.experiments import ALL_METRICS, SAMPLE_COMPLEXITY_METRICS
@@ -442,3 +452,150 @@ class TestPublicSurface:
 
     def test_loss_choices_match_particle_losses(self):
         assert tuple(_choices("adapt", "--loss")) == PARTICLE_LOSSES
+
+
+class TestCommandLayer:
+    """Each option names the runner parameter it sets, and each error class
+    names its exit code through its base."""
+
+    # Options the command layer reads itself; gen-wishart's --output is the
+    # dataset path its runner writes, so there it is a runner parameter.
+    CLI_ONLY = {"help", "command", "threads", "format", "report", "max_dim", "output"}
+
+    @pytest.mark.parametrize("command", ["distance", "gen-wishart", "benchmark-runtime",
+                                         "sample-complexity", "projection-complexity",
+                                         "adapt", "kernel-ridge"])
+    def test_dests_are_runner_parameters(self, command):
+        sub = next(a for a in build_parser()._actions if a.dest == "command").choices[command]
+        dests = {a.dest for a in sub._actions}
+        cli_only = self.CLI_ONLY - ({"output"} if command == "gen-wishart" else set())
+        params = inspect.signature(getattr(experiments, "run_" + command.replace("-", "_")))
+        names = set(params.parameters)
+        required = {k for k, v in params.parameters.items() if v.default is inspect.Parameter.empty}
+        assert dests - cli_only <= names, "a flag no runner parameter receives"
+        assert required <= dests, "a required runner parameter no flag sets"
+
+    def test_every_error_has_one_exit_code_base(self):
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
+
+        bases = (errors.InputError, errors.NumericalFailure)
+        found = set(subclasses(errors.SpdSlicedError)) - set(bases)
+        assert len(found) >= 13
+        for cls in found:
+            assert sum(issubclass(cls, base) for base in bases) == 1, cls.__name__
+
+    def test_runner_called_through_a_wrapper(self, dataset_pair, monkeypatch, tmp_path):
+        seen = []
+        original = experiments.run_distance
+
+        @functools.wraps(original)
+        def wrapper(*args, **kwargs):
+            seen.append(kwargs)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "run_distance", wrapper)
+        a, b = dataset_pair
+        assert main(["distance", a, b, "--metric", "spdsw", "--projections", "7",
+                     "--output", str(tmp_path / "r.json")]) == 0
+        assert seen == [{"file_a": a, "file_b": b, "metric": "spdsw", "projections": 7,
+                         "order": 2.0, "seed": 0, "sampler": "eig", "epsilon": 1.0}]
+
+    def test_renamed_flags_reach_the_runner(self):
+        parse = build_parser().parse_args
+        ns = parse(["adapt", "--source", "s", "--target", "t", "--lr", "0.5",
+                    "--no-safeguard", "--evaluate"])
+        assert (ns.source_path, ns.target_path, ns.learning_rate) == ("s", "t", 0.5)
+        assert ns.safeguard is False and ns.require_evaluation is True
+        assert parse(["adapt", "--source", "s", "--target", "t"]).safeguard is True
+        gen = ["gen-wishart", "--d", "2", "--n", "3", "--dof", "2", "--output", "o"]
+        assert parse(gen).scale_path is None
+        assert parse(gen + ["--scale", "identity"]).scale_path is None
+        assert parse(gen + ["--scale", "s.json"]).scale_path == "s.json"
+        ns = parse(["kernel-ridge", "--train", "a", "--test", "b"])
+        assert (ns.train_manifest, ns.test_manifest) == ("a", "b")
+        ns = parse(["projection-complexity", "--L-grid", "2,3", "--L-star", "9"])
+        assert (ns.L_grid, ns.L_star) == ([2, 3], 9)
+
+
+@pytest.fixture(scope="module")
+def wide_pair(tmp_path_factory):
+    d = tmp_path_factory.mktemp("wide")
+    a, b = d / "a.json", d / "b.json"
+    for path, seed in ((a, 1), (b, 2)):
+        assert main(["gen-wishart", "--d", "3", "--n", "30", "--dof", "6", "--seed", str(seed),
+                     "--output", str(path), "--report", str(d / "gen.json")]) == 0
+    return str(a), str(b)
+
+
+@pytest.mark.parametrize("metric", ALL_METRICS)
+def test_overflowing_order_is_numerical_failure(wide_pair, metric, capsys):
+    # W_p^p (sliced) or the ground cost d^p (transport) overflows to inf;
+    # package RuntimeWarnings fail tier-1, so none may be printed either.
+    a, b = wide_pair
+    assert main(["distance", a, b, "--metric", metric, "--order", "2000",
+                 "--projections", "20"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "overflowed" in err and "Traceback" not in err
+
+
+def _labeled_pair(tmp_path, source_labels, target_labels):
+    src, dst = tmp_path / "src.json", tmp_path / "dst.json"
+    save_spd_dataset(str(src), wishart_stack(RngState(1), 8, 2, 6), source_labels)
+    save_spd_dataset(str(dst), wishart_stack(RngState(2), 8, 2, 6), target_labels)
+    return str(src), str(dst)
+
+
+def test_single_class_source_fails_before_the_descent(tmp_path, monkeypatch, capsys):
+    src, dst = _labeled_pair(tmp_path, [0] * 8, [0, 1] * 4)
+
+    def no_descent(*args, **kwargs):
+        raise AssertionError("the descent ran")
+
+    monkeypatch.setattr(experiments, "run_adaptation", no_descent)
+    assert main(["adapt", "--source", src, "--target", dst, "--epochs", "3",
+                 "--projections", "5"]) == 3
+    assert "two source classes" in capsys.readouterr().err
+
+
+def test_single_class_source_with_unlabeled_target_runs(tmp_path):
+    src, dst = _labeled_pair(tmp_path, [0] * 8, None)
+    assert main(["adapt", "--source", src, "--target", dst, "--epochs", "3",
+                 "--projections", "5", "--output", str(tmp_path / "r.json")]) == 0
+
+
+@pytest.fixture
+def two_band_manifest(tmp_path):
+    paths = []
+    for i in range(4):
+        path = tmp_path / f"d{i}.json"
+        save_spd_dataset(str(path), wishart_stack(RngState(10 + i), 10, 2, 6))
+        paths.append(str(path))
+
+    def write(name, bands):
+        manifest = tmp_path / name
+        manifest.write_text(json.dumps(
+            [{"paths": [paths[(i + b) % 4] for b in range(bands)], "target": float(i)}
+             for i in range(4)]))
+        return str(manifest)
+
+    return write
+
+
+@pytest.mark.parametrize("test_bands", [1, 3])
+def test_test_manifest_band_count_must_match(two_band_manifest, test_bands, capsys):
+    train, test = two_band_manifest("train.json", 2), two_band_manifest("test.json", test_bands)
+    assert main(["kernel-ridge", "--train", train, "--test", test, "--folds", "2",
+                 "--projections", "5", "--quantiles", "5"]) == 3
+    assert f"lists {test_bands} bands, not 2" in capsys.readouterr().err
+
+
+def test_median_bandwidth_of_identical_datasets_is_data_error(dataset_pair, tmp_path, capsys):
+    a, _ = dataset_pair
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps([{"path": a, "target": float(i)} for i in range(3)]))
+    assert main(["kernel-ridge", "--train", str(manifest), "--folds", "3",
+                 "--projections", "5", "--quantiles", "5"]) == 3
+    assert capsys.readouterr().err.startswith("error: median squared distance is zero")

@@ -222,9 +222,9 @@ class TestKfold:
 
     def test_bad_fold_count(self):
         with pytest.raises(ValueError):
-            kfold_indices(5, 1)
+            kfold_indices(5, 1, shuffle_seed=1)
         with pytest.raises(ValueError):
-            kfold_indices(5, 6)
+            kfold_indices(5, 6, shuffle_seed=1)
 
 
 def test_feature_sq_distances_memory_is_bounded():

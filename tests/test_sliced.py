@@ -182,6 +182,11 @@ class TestWasserstein1d:
         with pytest.raises(ValueError):
             wasserstein_1d([0.0], [1.0], 0.5)
 
+    def test_overflowing_order_raises(self):
+        # 3^1000 overflows; the W_p^p helper the estimators share reports it.
+        with pytest.raises(OverflowError):
+            wasserstein_1d([0.0], [3.0], 1000.0)
+
     def test_projected_measure_sorted_view(self):
         pm = ProjectedMeasure(np.array([3.0, 1.0, 2.0]))
         assert np.array_equal(pm.sorted_view, [1.0, 2.0, 3.0])
