@@ -12,7 +12,6 @@ _EXPORTS = {
     # linalg
     "SymMatrix": "linalg",
     "SpdMatrix": "linalg",
-    "EigenPair": "linalg",
     "sym_log": "linalg",
     "sym_exp": "linalg",
     "dist_log_euclidean": "linalg",
@@ -27,7 +26,6 @@ _EXPORTS = {
     "sample_sphere": "sampling",
     "sample_haar_orthogonal": "sampling",
     "sample_lambda_s": "sampling",
-    "sample_fast_symmetric": "sampling",
     "sample_wishart": "sampling",
     "wishart_stack": "sampling",
     "build_projection_basis": "sampling",

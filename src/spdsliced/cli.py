@@ -1,8 +1,9 @@
 """Command-line driver for the synthetic experiments.
 
 Exit codes: 0 success, 2 usage error (out-of-range arguments included),
-3 bad input (``errors.InputError``), 4 numerical failure
-(``errors.NumericalFailure``, ``OverflowError``).  Each option's dest is
+3 bad input (``errors.InputError``, an unwritable output path included),
+4 numerical failure (``errors.NumericalFailure``, ``OverflowError``,
+``MemoryError``).  Each option's dest is
 the name of the ``experiments.run_<command>`` parameter it sets.
 
 Heavy imports happen after argument parsing so --threads (or the
@@ -99,7 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--projections", type=_positive_int, default=200)
     p.add_argument("--order", type=_order, default=2.0)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--sampler", choices=["eig", "fast"], default="eig")
     p.add_argument("--epsilon", type=_positive_float, default=1.0)
     _output_flags(p)
 
@@ -164,7 +164,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--loss", choices=["spdsw", "logsw", "lew", "les"], default="spdsw")
     p.add_argument("--epochs", type=_nonnegative_int, default=500)
     p.add_argument("--lr", dest="learning_rate", metavar="LR", type=_positive_float,
-                   default=None, help="learning rate; defaults depend on mode and loss")
+                   default=None, help="learning rate; particle default n*d/2 (spdsw), "
+                   "n*d(d+1)/4 (logsw), n/2 (lew, les) for n source matrices of "
+                   "dim d; transform default 0.1 (spdsw, logsw), 0.01 (lew, les)")
     p.add_argument("--projections", type=_positive_int, default=500)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--epsilon", type=_positive_float, default=10.0)
@@ -210,8 +212,6 @@ def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser):
     with the parsed values its runner takes."""
     from . import experiments
 
-    if args.command == "distance" and args.metric == "hspdsw" and args.sampler == "fast":
-        parser.error("--sampler fast cannot be combined with --metric hspdsw")
     if args.command == "gen-wishart":
         if args.dof < args.d:
             parser.error("--dof must be at least --d")
@@ -244,21 +244,19 @@ def main(argv=None) -> int:
 
     from .errors import InputError, NumericalFailure
 
-    try:
-        report = _dispatch(args, parser)
-    except (InputError, NumericalFailure, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3 if isinstance(exc, InputError) else 4
-
-    from .data_io import write_report
-
     # gen-wishart's --output is the dataset itself; its report goes to --report.
     output = args.report if args.command == "gen-wishart" else args.output
-    if output is not None:
-        write_report(report, output, fmt=args.format)
-    else:
-        text = report.to_json() if args.format == "json" else report.to_csv()
-        print(text)
+    try:
+        report = _dispatch(args, parser)
+        if output is not None:
+            from .data_io import write_report
+
+            write_report(report, output, fmt=args.format)
+    except (InputError, NumericalFailure, OverflowError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return 3 if isinstance(exc, InputError) else 4
+    if output is None:
+        print(report.to_json() if args.format == "json" else report.to_csv())
     if report.timing is not None:
         print(f"elapsed: {report.timing:.3f}s", file=sys.stderr)
     return 0

@@ -3,7 +3,8 @@
 Datasets are JSON documents holding a stack of SPD matrices (row-major
 flattened) with optional integer labels; experiment reports are JSON or
 long-format CSV.  All writes are atomic (temp file + rename), so a partial
-write never parses as a valid file.
+write never parses as a valid file; a write that fails (missing directory,
+no permission, full disk) raises InputError naming the path.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .adaptation import LabeledSpdDataset
-from .errors import DataValidationError, NotPositiveDefinite
+from .errors import DataValidationError, InputError, NotPositiveDefinite
 from .sliced import EmpiricalSpdMeasure
 
 FORMAT_VERSION = "1"
@@ -30,15 +31,18 @@ SYMMETRY_TOLERANCE = 1e-8
 
 def _atomic_write_text(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise InputError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
 
 
 def save_spd_dataset(path: str, points, labels=None) -> None:

@@ -34,7 +34,7 @@ from .kernels import (
     quantile_feature,
     sum_kernels,
 )
-from .linalg import exp_stack, log_stack, symmetrize
+from .linalg import exp_stack, log_stack, sym_dim, symmetrize
 from .sampling import RngState, build_projection_basis, wishart_stack
 from .sliced import (
     SLICED_ESTIMATORS,
@@ -47,8 +47,6 @@ SLICED_METRICS = tuple(SLICED_ESTIMATORS)
 COST_METRICS = ("lew", "les", "aiw")
 ALL_METRICS = SLICED_METRICS + COST_METRICS
 SAMPLE_COMPLEXITY_METRICS = ("spdsw", "lew")
-
-_SAMPLER_FLAG = {"eig": "eig_uniform", "fast": "fast_symmetric"}
 
 
 def fit_loglog_slope(xs, ys) -> float:
@@ -73,14 +71,13 @@ def compute_distance(
     projections: int = 200,
     order: float = 2.0,
     rng: RngState = RngState(0),
-    sampler: str = "eig",
     epsilon: float = 1.0,
     exact_size_cap: int = EXACT_SIZE_CAP,
 ) -> DiscrepancyReport:
     """Evaluate one discrepancy; a sliced metric draws its basis from ``rng``."""
     if metric in SLICED_ESTIMATORS:
         name, kind = SLICED_ESTIMATORS[metric]
-        basis = build_projection_basis(rng, mu.dim, projections, kind or _SAMPLER_FLAG[sampler])
+        basis = build_projection_basis(rng, mu.dim, projections, kind or "eig_uniform")
         return getattr(sliced, name)(mu, nu, basis, order)
     if metric not in COST_METRICS:
         raise ValueError(f"unknown metric {metric!r}")
@@ -108,7 +105,6 @@ def run_distance(
     projections: int = 200,
     order: float = 2.0,
     seed: int = 0,
-    sampler: str = "eig",
     epsilon: float = 1.0,
 ) -> ExperimentReport:
     """Distance between two dataset files.
@@ -117,7 +113,7 @@ def run_distance(
     serialized in it), so identical runs write identical bytes.
     """
     mu, nu = _measure_pair((file_a, file_b))
-    rep = compute_distance(mu, nu, metric, projections, order, RngState(seed), sampler, epsilon)
+    rep = compute_distance(mu, nu, metric, projections, order, RngState(seed), epsilon=epsilon)
     config = {
         "file_a": file_a,
         "file_b": file_b,
@@ -125,7 +121,7 @@ def run_distance(
         "projections": projections if metric in SLICED_METRICS else None,
         "order": order,
         "seed": seed if metric in SLICED_METRICS else None,
-        "sampler": sampler if metric == "spdsw" else None,
+        "sampler": "eig" if metric == "spdsw" else None,
         "epsilon": epsilon if metric == "les" else None,
         "sizes": [len(mu), len(nu)],
         "dim": mu.dim,
@@ -364,16 +360,14 @@ def run_projection_complexity(
 # -- domain adaptation ------------------------------------------------------------
 
 
-_DEFAULT_LR = {
-    ("particles", "spdsw"): 1000.0,
-    ("particles", "logsw"): 1000.0,
-    ("particles", "lew"): 10.0,
-    ("particles", "les"): 10.0,
-    ("transform", "spdsw"): 0.1,
-    ("transform", "logsw"): 0.1,
-    ("transform", "lew"): 0.01,
-    ("transform", "les"): 0.01,
-}
+def _default_lr(mode: str, loss: str, n: int, d: int) -> float:
+    """Default step for a source of n matrices of dim d.  A particle step is
+    1/c, half the stability edge 2/c, for the loss's largest expected
+    curvature c per particle: 2/(n d) for spdsw (along the identity),
+    2/(n d(d+1)/2) for the isotropic logsw and 2/n for the transport losses."""
+    if mode == "transform":
+        return 0.1 if loss in ("spdsw", "logsw") else 0.01
+    return 0.5 * n * {"spdsw": d, "logsw": sym_dim(d)}.get(loss, 1)
 
 
 def run_adapt(
@@ -403,10 +397,11 @@ def run_adapt(
         raise MissingLabels(f"{target_path!r}: evaluation requested but target has no labels")
     if target.labels is not None and np.unique(source.labels).size < 2:
         raise DataValidationError(f"{source_path!r}: evaluation needs at least two source classes")
-    lr = _DEFAULT_LR[(mode, loss)] if learning_rate is None else learning_rate
+    if learning_rate is None:
+        learning_rate = _default_lr(mode, loss, len(source.measure), source.measure.dim)
     config_obj = AdaptationConfig(
         loss_kind=loss, num_projections=projections, epochs=epochs,
-        learning_rate=lr, seed=seed, epsilon=epsilon, safeguard=safeguard,
+        learning_rate=learning_rate, seed=seed, epsilon=epsilon, safeguard=safeguard,
     )
     trace = run_adaptation(mode, source, target.measure, config_obj)
 
@@ -432,7 +427,7 @@ def run_adapt(
         {"record": "epoch", "epoch": i, "loss": float(v)} for i, v in enumerate(trace.losses)
     )
     config = {"source": source_path, "target": target_path, "mode": mode,
-              "loss": loss, "epochs": epochs, "learning_rate": lr,
+              "loss": loss, "epochs": epochs, "learning_rate": learning_rate,
               "projections": projections, "seed": seed, "epsilon": epsilon,
               "safeguard": safeguard}
     return ExperimentReport(

@@ -13,8 +13,6 @@ through :func:`pairwise_sq_dists`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionMismatch, NotPositiveDefinite
@@ -50,17 +48,6 @@ def pd_tolerance(eigenvalues: np.ndarray) -> np.ndarray:
     """Positive-definiteness threshold relative to the spectral radius."""
     scale = np.max(np.abs(eigenvalues), axis=-1)
     return PD_TOLERANCE_FACTOR * scale
-
-
-@dataclass(frozen=True)
-class EigenPair:
-    """Eigendecomposition M = Q diag(w) Q^T with w sorted ascending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return reconstruct(self.eigenvalues, self.eigenvectors)
 
 
 def reconstruct(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -108,26 +95,24 @@ class SymMatrix:
 class SpdMatrix(SymMatrix):
     """A symmetric positive definite d x d matrix.
 
-    The eigendecomposition is computed at construction (it both validates
-    positive definiteness and backs every subsequent operation). The matrix
-    log is cached on first use; the cache fill is idempotent and therefore
+    The eigendecomposition ``eig``, the pair (w, Q) with M = Q diag(w) Q^T
+    and w ascending, is computed at construction (it both validates positive
+    definiteness and backs every subsequent operation). The matrix log is
+    cached on first use; the cache fill is idempotent and therefore
     race-safe.
     """
 
     __slots__ = ("eig", "_log")
 
-    def __init__(self, entries, _eig: EigenPair | None = None):
+    def __init__(self, entries, _eig: tuple[np.ndarray, np.ndarray] | None = None):
         super().__init__(entries)
-        if _eig is None:
-            w, q = np.linalg.eigh(self.array)
-            _eig = EigenPair(w, q)
-        tol = pd_tolerance(_eig.eigenvalues)
-        if _eig.eigenvalues[0] <= tol:
+        w, q = np.linalg.eigh(self.array) if _eig is None else _eig
+        tol = pd_tolerance(w)
+        if w[0] <= tol:
             raise NotPositiveDefinite(
-                f"smallest eigenvalue {_eig.eigenvalues[0]:.3e} is at or below "
-                f"tolerance {tol:.3e}"
+                f"smallest eigenvalue {w[0]:.3e} is at or below tolerance {tol:.3e}"
             )
-        object.__setattr__(self, "eig", _eig)
+        object.__setattr__(self, "eig", (w, q))
         object.__setattr__(self, "_log", None)
 
     @property
@@ -135,7 +120,8 @@ class SpdMatrix(SymMatrix):
         """Matrix logarithm, computed once and cached."""
         cached = object.__getattribute__(self, "_log")
         if cached is None:
-            cached = SymMatrix(reconstruct(np.log(self.eig.eigenvalues), self.eig.eigenvectors))
+            w, q = self.eig
+            cached = SymMatrix(reconstruct(np.log(w), q))
             object.__setattr__(self, "_log", cached)
         return cached
 
@@ -171,7 +157,7 @@ def _exp_eig(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def sym_exp(s) -> SpdMatrix:
     """Matrix exponential of a symmetric matrix, positive definite by construction."""
     ew, q = _exp_eig(as_sym(s).array[None])
-    return SpdMatrix(reconstruct(ew[0], q[0]), _eig=EigenPair(ew[0], q[0]))
+    return SpdMatrix(reconstruct(ew[0], q[0]), _eig=(ew[0], q[0]))
 
 
 def dist_log_euclidean(x, y) -> float:
@@ -243,7 +229,7 @@ def log_frechet_derivative(m, h) -> SymMatrix:
     (Daleckii-Krein first divided differences)."""
     m, h = as_spd(m), as_sym(h)
     _check_same_dim(m, h)
-    w, q = m.eig.eigenvalues, m.eig.eigenvectors
+    w, q = m.eig
     return SymMatrix(log_frechet_stack(w[None], q[None], h.array[None])[0])
 
 

@@ -92,13 +92,6 @@ def _frobenius_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt((flat @ np.swapaxes(flat, -2, -1))[:, 0, 0])
 
 
-def _frobenius_normalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stack (n, d, d) scaled to unit Frobenius norm, and the mask of zero
-    matrices."""
-    norms = _frobenius_norms(a)
-    return a / norms[:, None, None], norms == 0.0
-
-
 def _haar_stack(z: np.ndarray) -> np.ndarray:
     """Q factors of the stack z with the sign convention diag(R) > 0."""
     q, r = np.linalg.qr(z)
@@ -109,7 +102,8 @@ def _haar_stack(z: np.ndarray) -> np.ndarray:
 
 def _lambda_s_stack(theta: np.ndarray, p: np.ndarray) -> np.ndarray:
     """A = P diag(theta) P^T / ||.||_F for stacks theta (n, d) and P (n, d, d)."""
-    return _frobenius_normalize(symmetrize((p * theta[:, None, :]) @ np.swapaxes(p, -2, -1)))[0]
+    a = symmetrize((p * theta[:, None, :]) @ np.swapaxes(p, -2, -1))
+    return a / _frobenius_norms(a)[:, None, None]
 
 
 def sample_sphere(rng, d: int) -> np.ndarray:
@@ -150,20 +144,6 @@ def sample_lambda_s(rng, d: int) -> SymMatrix:
     return SymMatrix(_guarded_draw(_as_generator(rng), d, "eig_uniform"))
 
 
-def _fast_symmetric_rows(normals: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    z = normals.reshape(-1, d, d)
-    return _frobenius_normalize(z + np.swapaxes(z, -2, -1))
-
-
-def sample_fast_symmetric(rng, d: int) -> SymMatrix:
-    """O(d^2) unit-norm symmetric matrix (Z + Z^T)/||Z + Z^T||_F.
-
-    This is NOT the same law as :func:`sample_lambda_s`; both are exposed
-    and no equivalence is claimed.
-    """
-    return SymMatrix(_guarded_draw(_as_generator(rng), d, "fast_symmetric"))
-
-
 def _vec_sphere_rows(normals: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     v, zero = _unit_rows(normals)
     return unvech_isometric(v), zero
@@ -188,7 +168,7 @@ def _scale_factor(d: int, scale) -> np.ndarray | None:
     scale = as_spd(scale)
     if scale.dim != d:
         raise DimensionMismatch(f"scale has dim {scale.dim}, expected {d}")
-    w, q = scale.eig.eigenvalues, scale.eig.eigenvectors
+    w, q = scale.eig
     return q * np.sqrt(w)  # factor F with F F^T = scale
 
 
@@ -274,7 +254,6 @@ class ProjectionBasis:
 # rows that hit a probability-zero degenerate draw.
 _SAMPLERS = {
     "eig_uniform": (lambda d: d + d * d, _lambda_s_rows),
-    "fast_symmetric": (lambda d: d * d, _fast_symmetric_rows),
     "vec_sphere": (sym_dim, _vec_sphere_rows),
 }
 

@@ -40,7 +40,7 @@ from spdsliced.errors import (
     NotPositiveDefinite,
     SingularFeatures,
 )
-from spdsliced.experiments import _DEFAULT_LR
+from spdsliced.experiments import _default_lr
 from spdsliced.linalg import (
     eigh_stack,
     exp_frechet_sym,
@@ -513,7 +513,7 @@ class TestFixedTargetMatchesPerCallOracle:
         counting(linalg, "log_stack")
         monkeypatch.setattr(sliced, "log_stack", linalg.log_stack)
         cfg = AdaptationConfig(loss_kind=kind, epochs=4, num_projections=15,
-                               learning_rate=_DEFAULT_LR[("transform", kind)], seed=46)
+                               learning_rate=_default_lr("transform", kind, 8, 3), seed=46)
         trace = run_adaptation("transform", source, target, cfg)
         assert trace.final_learning_rate == cfg.learning_rate  # no halving
         assert calls == {"eigh_stack": 1 + 4, "log_stack": 0}
@@ -679,7 +679,8 @@ class TestDescentMatchesTwoEvaluationOracle:
         source = LabeledSpdDataset(wishart_measure(71, 10, 3), np.arange(10) % 2)
         target = wishart_measure(72, m, 3)
         cfg = AdaptationConfig(loss_kind=kind, epochs=8, num_projections=20,
-                               learning_rate=_DEFAULT_LR[(mode, kind)], seed=73, epsilon=5.0)
+                               learning_rate=_default_lr(mode, kind, 10, 3), seed=73,
+                               epsilon=5.0)
         _assert_run_matches_oracle(mode, source, target, cfg)
 
     @pytest.mark.parametrize("mode, kind, lr, halvings", [

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import inspect
 import itertools
 import json
@@ -73,10 +74,11 @@ class TestDistanceCommand:
             assert out.returncode == 0
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_sampler_conflict_is_usage_error(self, dataset_pair):
+    def test_sampler_option_is_usage_error(self, dataset_pair):
         a, b = dataset_pair
-        out = run_cli("distance", a, b, "--metric", "hspdsw", "--sampler", "fast")
+        out = run_cli("distance", a, b, "--metric", "spdsw", "--sampler", "fast")
         assert out.returncode == 2
+        assert "unrecognized arguments: --sampler fast" in out.stderr
 
     def test_malformed_file_is_data_error(self, tmp_path, dataset_pair):
         a, _ = dataset_pair
@@ -501,7 +503,7 @@ class TestCommandLayer:
         assert main(["distance", a, b, "--metric", "spdsw", "--projections", "7",
                      "--output", str(tmp_path / "r.json")]) == 0
         assert seen == [{"file_a": a, "file_b": b, "metric": "spdsw", "projections": 7,
-                         "order": 2.0, "seed": 0, "sampler": "eig", "epsilon": 1.0}]
+                         "order": 2.0, "seed": 0, "epsilon": 1.0}]
 
     def test_renamed_flags_reach_the_runner(self):
         parse = build_parser().parse_args
@@ -599,3 +601,82 @@ def test_median_bandwidth_of_identical_datasets_is_data_error(dataset_pair, tmp_
     assert main(["kernel-ridge", "--train", str(manifest), "--folds", "3",
                  "--projections", "5", "--quantiles", "5"]) == 3
     assert capsys.readouterr().err.startswith("error: median squared distance is zero")
+
+
+# SHA-256 of the default JSON `distance` report, keyed by (metric, size of
+# the second file), on gen-wishart files (d=4, dof=8) a (n=30, seed 1) and b
+# (seed 2) named relative to the working directory.  Pinned from the tree
+# that still had `--sampler`; the determinism contract keeps them.
+GOLDEN_DISTANCE_REPORTS = {
+    ("spdsw", 30): "8db2ab726fc305722454f72a245516fbb096f62292065dc3a8346a62973405d4",
+    ("logsw", 30): "1806228e08b1af090da60aa4ea76d66edf8c53d88632f04508f09749890b73a5",
+    ("hspdsw", 30): "b15063469fd7769c0762569cf07a64d316112567fc08d11c508d9e59f5acc33d",
+    ("lew", 30): "07ae4674aa83216ef6ad4525474a01983521d090bb7b4389b799e1494889e93c",
+    ("les", 30): "64d380d4342bf08191faa39c438bf724d7b74af9ed96c65bf2e8fe83318b3e3a",
+    ("aiw", 30): "c7e3c845dd8b3006d279dd00dae81dcb9588979fa440f995e372375d626b53a7",
+    ("spdsw", 25): "596ff0a716c39923e7b3855d7aef07965b5d02677f19ccb73e00adcbebe6c968",
+    ("logsw", 25): "03e1beb64d66931d4281fcf87655d3e0c7c062271855afa0f8e85f24cea6fbec",
+    ("hspdsw", 25): "07ee62bd3400abd3ebeb2bf1a290815206b14472c1a2dceb503b94f3c8d91535",
+    ("lew", 25): "56ab36c470ad4a514e49e4c21e627b42a86a01746eb00991c0107c3207bf47c1",
+    ("les", 25): "ffb32015ef5b99bae10822b12d5b9d5cc7c129ce5b768e80aeb4be8214ca6ee5",
+    ("aiw", 25): "bf89eeb5513d5688d6da65e1a307d3f95ba92c8df451dba3f8a6ac4d18fdd664",
+}
+
+
+@pytest.fixture(scope="module")
+def golden_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("golden")
+    for name, n, seed in (("a.json", 30, 1), ("b30.json", 30, 2), ("b25.json", 25, 2)):
+        assert main(["gen-wishart", "--d", "4", "--n", str(n), "--dof", "8", "--seed", str(seed),
+                     "--output", str(d / name), "--report", str(d / "gen.json")]) == 0
+    return d
+
+
+@pytest.mark.parametrize("n_b", [30, 25], ids=["n-eq-m", "n-ne-m"])
+@pytest.mark.parametrize("metric", ALL_METRICS)
+def test_default_distance_report_bytes(golden_dir, monkeypatch, metric, n_b):
+    monkeypatch.chdir(golden_dir)
+    report = f"r-{metric}-{n_b}.json"
+    assert main(["distance", "a.json", f"b{n_b}.json", "--metric", metric, "--output", report]) == 0
+    digest = hashlib.sha256((golden_dir / report).read_bytes()).hexdigest()
+    assert digest == GOLDEN_DISTANCE_REPORTS[(metric, n_b)]
+
+
+@pytest.mark.parametrize("command", ["gen-wishart", "distance"])
+def test_output_in_missing_directory_is_data_error(command, dataset_pair, tmp_path, capsys):
+    path = str(tmp_path / "missing" / "out.json")
+    argv = (["gen-wishart", "--d", "2", "--n", "3", "--dof", "2", "--output", path]
+            if command == "gen-wishart" else
+            ["distance", *dataset_pair, "--metric", "spdsw", "--output", path])
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {path!r}") and err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
+
+
+def test_allocation_failure_is_numerical_failure(dataset_pair, monkeypatch, capsys):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 671. GiB for an array")
+
+    monkeypatch.setattr(experiments, "run_distance", out_of_memory)
+    assert main(["distance", *dataset_pair, "--metric", "spdsw"]) == 4
+    err = capsys.readouterr().err
+    assert err == "error: Unable to allocate 671. GiB for an array\n"
+
+
+# (gen-wishart seed, adapt seed) of the `learning` benchmark workload at
+# workload seeds 16 and 207, where the particle step of 1000 (n*d at n=200,
+# d=5) sat on the stability edge of the spdsw loss and the accuracy stalled.
+@pytest.mark.parametrize("gen_seed, adapt_seed", [(246934834, 1907904921),
+                                                  (2064767280, 125869754)])
+def test_default_particle_step_converges(gen_seed, adapt_seed, tmp_path):
+    src, tgt, out = tmp_path / "s.json", tmp_path / "t.json", tmp_path / "r.json"
+    assert main(["gen-wishart", "--d", "5", "--n", "200", "--dof", "40", "--classes", "2",
+                 "--seed", str(gen_seed), "--output", str(src), "--output-shifted", str(tgt),
+                 "--shift-angle", "0.5", "--shift-identity", "0.693", "--shift-random", "0.5",
+                 "--report", str(tmp_path / "gen.json")]) == 0
+    assert main(["adapt", "--source", str(src), "--target", str(tgt), "--mode", "particles",
+                 "--loss", "spdsw", "--epochs", "40", "--projections", "500",
+                 "--seed", str(adapt_seed), "--evaluate", "--output", str(out)]) == 0
+    summary = json.loads(out.read_text())["rows"][0]
+    assert summary["after_accuracy"] - summary["before_accuracy"] >= 0.15

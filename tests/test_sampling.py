@@ -7,7 +7,6 @@ import pytest
 from spdsliced import (
     RngState,
     build_projection_basis,
-    sample_fast_symmetric,
     sample_haar_orthogonal,
     sample_lambda_s,
     sample_sphere,
@@ -59,14 +58,6 @@ GOLDEN_BASES = [
     ("eig_uniform", 7, 3, 10, 25, "ec1db25798c9e5cde5519a8604a13a8cbddf21566a04b4b0232e42b9ac15bdcc"),
     ("eig_uniform", 123, 9, 20, 16, "fd5f09bda287f215198423d4f28d18df4dd9251fd01e183917b9a69c1c0a883b"),
     ("eig_uniform", 5, 2, 20, 600, "f6e08c6a840393c2a9407acfc9fd18404e8ca953422576584af8815744b087f9"),
-    ("fast_symmetric", 0, 0, 1, 1, "6c3c396ed6b5c36dcae172271f462051b1266b851e92df3deea8ac65478fd712"),
-    ("fast_symmetric", _MAX, 0, 1, 7, "4bd4dfbbea44772cba5a4da49ce3feb2796414ecd7f8906a4e4d94ae8eaedf64"),
-    ("fast_symmetric", _MAX, _MAX, 2, 5, "e7982025fc3ab1f831fc0c73a01a018a2811af81cf84ced2afcb76ba9fb2a06d"),
-    ("fast_symmetric", 3, 1, 2, 1000, "cbf83d59c679a00c1209eef44a04ec874915ce070a31c29cf954b35524b450e2"),
-    ("fast_symmetric", 11, 0, 5, 40, "5a359e5e7ab2340bdfa6888054ac6816d44785fee1733813987ec3801081d8fc"),
-    ("fast_symmetric", 7, 3, 10, 25, "edc70349083457d8f45872e62d2d2726946fff2f83559109b14f5dee4ae7d903"),
-    ("fast_symmetric", 123, 9, 20, 16, "e4ad0137d3cd0d6cbea6423d6d1051216f1bfedd131241d6a2c88abb5c5377c9"),
-    ("fast_symmetric", 5, 2, 20, 600, "08bcb73ea6045a739e61c6565f29a575cc358d860b34f0f27cbf3ae7f7a0e970"),
     ("vec_sphere", 0, 0, 1, 1, "6c3c396ed6b5c36dcae172271f462051b1266b851e92df3deea8ac65478fd712"),
     ("vec_sphere", _MAX, 0, 1, 7, "4bd4dfbbea44772cba5a4da49ce3feb2796414ecd7f8906a4e4d94ae8eaedf64"),
     ("vec_sphere", _MAX, _MAX, 2, 5, "0524a41975325df8c9732ac63453cf31c859954c49e087c3a093103182770aed"),
@@ -91,27 +82,23 @@ def _per_index_basis(state, d, count, kind):
     out = np.empty((count, d, d))
     for i in range(count):
         gen = np.random.Generator(np.random.Philox(key=key).jumped(i))
-        if kind == "fast_symmetric":
-            z = gen.standard_normal((d, d))
-            a = z + z.T
-        else:
-            k = d if kind == "eig_uniform" else sym_dim(d)
-            v = gen.standard_normal((1, k))
-            v = (v / np.linalg.norm(v, axis=1)[:, None])[0]
-            if kind == "vec_sphere":
-                out[i] = unvech_isometric(v)
-                continue
-            q, r = np.linalg.qr(gen.standard_normal((d, d)))
-            signs = np.sign(np.diag(r))
-            signs[signs == 0.0] = 1.0
-            p = q * signs
-            m = (p * v) @ p.T
-            a = 0.5 * (m + m.T)
+        k = d if kind == "eig_uniform" else sym_dim(d)
+        v = gen.standard_normal((1, k))
+        v = (v / np.linalg.norm(v, axis=1)[:, None])[0]
+        if kind == "vec_sphere":
+            out[i] = unvech_isometric(v)
+            continue
+        q, r = np.linalg.qr(gen.standard_normal((d, d)))
+        signs = np.sign(np.diag(r))
+        signs[signs == 0.0] = 1.0
+        p = q * signs
+        m = (p * v) @ p.T
+        a = 0.5 * (m + m.T)
         out[i] = a / np.linalg.norm(a)
     return out
 
 
-@pytest.mark.parametrize("kind", ["eig_uniform", "fast_symmetric", "vec_sphere"])
+@pytest.mark.parametrize("kind", ["eig_uniform", "vec_sphere"])
 @pytest.mark.parametrize("seed,stream,d,count", [(0, 0, 1, 3), (2, 5, 2, 300), (_MAX, 1, 7, 30), (4, 0, 16, 420)])
 def test_basis_matches_per_index_loop(kind, seed, stream, d, count):
     state = RngState(seed, stream)
@@ -138,7 +125,6 @@ def test_scalar_samplers_are_basis_index_zero(seed, stream, d):
         return build_projection_basis(state, d, 3, kind).directions[0]
 
     assert np.array_equal(sample_lambda_s(state, d).array, first("eig_uniform"))
-    assert np.array_equal(sample_fast_symmetric(state, d).array, first("fast_symmetric"))
     assert np.array_equal(unvech_isometric(sample_sphere(state, sym_dim(d))), first("vec_sphere"))
 
 
@@ -225,24 +211,18 @@ class TestLambdaS:
             assert gap <= 5.0 * noise
 
 
-class TestFastSymmetric:
-    def test_unit_norm_and_symmetry(self):
-        for i in range(20):
-            a = sample_fast_symmetric(RngState(i), 4)
-            assert abs(np.linalg.norm(a.array) - 1.0) <= 1e-12
-            assert np.array_equal(a.array, a.array.T)
-
+class TestVecSphere:
     def test_law_differs_from_lambda_s(self):
         # Detectable difference in eigenvalue spread at d=3: the top
-        # eigenvalue of the GOE-like fast draw concentrates higher than
-        # under the eigenvalue-uniform law.
+        # eigenvalue of the GOE-like vec_sphere draw concentrates higher
+        # than under the eigenvalue-uniform law.
         n = 10_000
         eig = build_projection_basis(RngState(0), 3, n, "eig_uniform")
-        fast = build_projection_basis(RngState(0), 3, n, "fast_symmetric")
+        vec = build_projection_basis(RngState(0), 3, n, "vec_sphere")
         top_eig = np.linalg.eigvalsh(eig.directions)[:, -1]
-        top_fast = np.linalg.eigvalsh(fast.directions)[:, -1]
-        gap = abs(top_eig.mean() - top_fast.mean())
-        noise = np.sqrt(top_eig.var() / n + top_fast.var() / n)
+        top_vec = np.linalg.eigvalsh(vec.directions)[:, -1]
+        gap = abs(top_eig.mean() - top_vec.mean())
+        noise = np.sqrt(top_eig.var() / n + top_vec.var() / n)
         assert gap > 5.0 * noise
 
 
@@ -305,7 +285,7 @@ class TestProjectionBasis:
         assert np.array_equal(a.directions, b.directions)
 
     def test_all_unit_norm(self):
-        for kind in ("eig_uniform", "fast_symmetric", "vec_sphere"):
+        for kind in ("eig_uniform", "vec_sphere"):
             basis = build_projection_basis(RngState(3), 3, 10, kind)
             norms = np.linalg.norm(basis.directions.reshape(10, -1), axis=1)
             assert np.max(np.abs(norms - 1.0)) <= 1e-12
@@ -367,7 +347,7 @@ class TestProjectionBasis:
         assert basis.count == 10_000
         assert peak <= 36_100_000
 
-    @pytest.mark.parametrize("kind", ["eig_uniform", "fast_symmetric", "vec_sphere"])
+    @pytest.mark.parametrize("kind", ["eig_uniform", "vec_sphere"])
     def test_degenerate_draw_is_replayed_from_its_block(self, kind, monkeypatch):
         # Force the probability-zero case: index 3 of the batch draws all
         # zeros. The guarded draw on counter block 3 must replace it, which
@@ -386,13 +366,12 @@ class TestProjectionBasis:
         assert np.array_equal(basis.directions, expected)
 
     def test_rejects_nonpositive_dimension(self):
-        for kind in ("eig_uniform", "fast_symmetric", "vec_sphere"):
+        for kind in ("eig_uniform", "vec_sphere"):
             with pytest.raises(ValueError):
                 build_projection_basis(RngState(0), 0, 3, kind)
 
     @pytest.mark.parametrize("kind,draw", [
         ("eig_uniform", lambda state, d: sample_lambda_s(state, d).array),
-        ("fast_symmetric", lambda state, d: sample_fast_symmetric(state, d).array),
         ("vec_sphere", lambda state, d: sampling._guarded_draw(state.generator(), d, "vec_sphere")),
     ])
     def test_degenerate_scalar_draw_redraws_the_whole_row(self, kind, draw, monkeypatch):
@@ -414,6 +393,7 @@ class TestProjectionBasis:
         assert len(seen) == 2
 
     def test_scalar_samplers_reject_nonpositive_dimension(self):
-        for sample in (sample_lambda_s, sample_fast_symmetric):
-            with pytest.raises(ValueError):
-                sample(RngState(0), 0)
+        with pytest.raises(ValueError):
+            sample_lambda_s(RngState(0), 0)
+        with pytest.raises(ValueError):
+            sampling._guarded_draw(RngState(0).generator(), 0, "vec_sphere")

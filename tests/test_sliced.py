@@ -244,11 +244,11 @@ class TestSpdsw:
         with pytest.raises(DimensionMismatch):
             spdsw(mu, nu, basis)
 
-    def test_accepts_fast_symmetric_basis(self):
+    def test_accepts_vec_sphere_basis(self):
         mu = wishart_measure(1, 10, 3)
         nu = wishart_measure(2, 10, 3)
-        fast = build_projection_basis(RngState(6), 3, 16, "fast_symmetric")
-        rep = spdsw(mu, nu, fast)
+        vec = build_projection_basis(RngState(6), 3, 16, "vec_sphere")
+        rep = spdsw(mu, nu, vec)
         assert rep.value > 0.0
         assert rep.seed == RngState(6)
 
@@ -366,7 +366,7 @@ class TestHspdsw:
 
     def test_requires_eig_uniform(self):
         mu = wishart_measure(1, 5, 3)
-        basis = build_projection_basis(RngState(1), 3, 4, "fast_symmetric")
+        basis = build_projection_basis(RngState(1), 3, 4, "vec_sphere")
         with pytest.raises(ValueError):
             hspdsw(mu, mu, basis)
 
