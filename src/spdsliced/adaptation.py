@@ -13,9 +13,8 @@ transfer to the target.
 from __future__ import annotations
 
 import math
-import time
 import warnings
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -276,7 +275,7 @@ def loss_and_gradient_transform(
     basis: ProjectionBasis | None,
     p: float = 2.0,
     loss_kind: str = "spdsw",
-    epsilon: float = 10.0,
+    epsilon: float = 1.0,
 ) -> tuple[float, list[np.ndarray]]:
     """Loss of the transformed source against the target and Euclidean
     gradients of the unconstrained chain parameters (see
@@ -306,18 +305,15 @@ class AdaptationConfig:
     p: float = 2.0
     safeguard: bool = True
     max_halvings: int = 20
-    epsilon: float = 10.0
+    epsilon: float = 1.0
 
 
 @dataclass(frozen=True)
 class AdaptationTrace:
-    """Per-epoch losses, the adapted source, and the configuration echo."""
+    """Per-epoch losses, the adapted source and the final step."""
 
     losses: np.ndarray
     final_source: LabeledSpdDataset
-    mode: str
-    config: dict
-    wall_time_seconds: float
     final_learning_rate: float
 
     def __post_init__(self):
@@ -390,7 +386,6 @@ def run_adaptation(
     """Fixed-step (optionally safeguarded) gradient descent aligning the
     source onto the target.  Projections are drawn, and the target is
     projected and sorted, only once up front."""
-    t0 = time.perf_counter()
     if mode not in ("particles", "transform"):
         raise ValueError(f"unknown adaptation mode {mode!r}")
     if config.loss_kind not in PARTICLE_LOSSES:
@@ -426,9 +421,6 @@ def run_adaptation(
     return AdaptationTrace(
         losses=losses,
         final_source=LabeledSpdDataset(measure=adapted, labels=source.labels),
-        mode=mode,
-        config=asdict(config),
-        wall_time_seconds=time.perf_counter() - t0,
         final_learning_rate=lr,
     )
 

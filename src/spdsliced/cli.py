@@ -4,7 +4,8 @@ Exit codes: 0 success, 2 usage error (out-of-range arguments included),
 3 bad input (``errors.InputError``, an unwritable output path included),
 4 numerical failure (``errors.NumericalFailure``, ``OverflowError``,
 ``MemoryError``).  Each option's dest is
-the name of the ``experiments.run_<command>`` parameter it sets.
+the name of the ``experiments.run_<command>`` parameter it sets, and that
+parameter's default is the option's only default.
 
 Heavy imports happen after argument parsing so --threads (or the
 SPDSLICED_THREADS environment variable) can pin the BLAS thread pools
@@ -91,104 +92,102 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--threads", type=_positive_int, default=None,
                         help="cap worker threads (fallback: SPDSLICED_THREADS)")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # A runner option left off the command line stays out of the namespace,
+    # so the runner's own default applies (see _dispatch).
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=lambda **kw:
+                                argparse.ArgumentParser(argument_default=argparse.SUPPRESS, **kw))
 
     p = sub.add_parser("distance", help="discrepancy between two dataset files")
     p.add_argument("file_a")
     p.add_argument("file_b")
     p.add_argument("--metric", required=True, choices=ALL_METRICS)
-    p.add_argument("--projections", type=_positive_int, default=200)
-    p.add_argument("--order", type=_order, default=2.0)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--epsilon", type=_positive_float, default=1.0)
+    p.add_argument("--projections", type=_positive_int)
+    p.add_argument("--order", type=_order)
+    p.add_argument("--seed", type=_seed)
+    p.add_argument("--epsilon", type=_positive_float)
     _output_flags(p)
 
     p = sub.add_parser("gen-wishart", help="generate Wishart dataset files")
     p.add_argument("--d", type=_positive_int, required=True)
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--dof", type=_positive_int, required=True)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--scale", dest="scale_path", metavar="SCALE", default=None,
+    p.add_argument("--seed", type=_seed)
+    p.add_argument("--scale", dest="scale_path", metavar="SCALE",
                    type=lambda text: None if text == "identity" else text,
                    help="'identity' or a dataset file whose first matrix is the scale")
-    p.add_argument("--classes", type=_at_least_two, default=None)
-    p.add_argument("--class-scale-step", type=_finite_float, default=1.0)
-    p.add_argument("--shift-angle", type=_finite_float, default=0.0)
-    p.add_argument("--shift-identity", type=_finite_float, default=0.0)
-    p.add_argument("--shift-random", type=_finite_float, default=0.0)
+    p.add_argument("--classes", type=_at_least_two)
+    p.add_argument("--class-scale-step", type=_finite_float)
+    p.add_argument("--shift-angle", type=_finite_float)
+    p.add_argument("--shift-identity", type=_finite_float)
+    p.add_argument("--shift-random", type=_finite_float)
     p.add_argument("--output", required=True)
-    p.add_argument("--output-shifted", default=None)
+    p.add_argument("--output-shifted")
     p.add_argument("--report", default=None, help="optional report path")
     p.add_argument("--format", choices=["json", "csv"], default="json")
 
     p = sub.add_parser("benchmark-runtime", help="runtime scaling versus sample count")
-    p.add_argument("--n-grid", type=_int_list,
-                   default=[100, 215, 464, 1000, 2154, 4641, 10000, 21544, 46415, 100000])
-    p.add_argument("--d", type=_positive_int, default=20)
-    p.add_argument("--projections", type=_positive_int, default=200)
-    p.add_argument("--metrics", type=_metric_list(ALL_METRICS),
-                   default=["spdsw", "logsw", "lew", "les"])
-    p.add_argument("--repeats", type=_positive_int, default=20)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--epsilon", type=_positive_float, default=1.0)
-    p.add_argument("--max-cost-bytes", type=_positive_float, default=2e8)
-    p.add_argument("--dof", type=_positive_int, default=None)
+    p.add_argument("--n-grid", type=_int_list)
+    p.add_argument("--d", type=_positive_int)
+    p.add_argument("--projections", type=_positive_int)
+    p.add_argument("--metrics", type=_metric_list(ALL_METRICS))
+    p.add_argument("--repeats", type=_positive_int)
+    p.add_argument("--seed", type=_seed)
+    p.add_argument("--epsilon", type=_positive_float)
+    p.add_argument("--max-cost-bytes", type=_positive_float)
+    p.add_argument("--dof", type=_positive_int)
     _output_flags(p)
 
     p = sub.add_parser("sample-complexity", help="estimator error versus sample count")
-    p.add_argument("--dims", type=_int_list, default=[2, 20])
+    p.add_argument("--dims", type=_int_list)
     p.add_argument("--max-dim", type=_positive_int, default=20,
                    help="guard on the largest allowed dimension")
-    p.add_argument("--n-grid", type=_int_list, default=[10, 31, 100, 316, 1000])
-    p.add_argument("--repeats", type=_positive_int, default=100)
-    p.add_argument("--metrics", type=_metric_list(SAMPLE_COMPLEXITY_METRICS),
-                   default=list(SAMPLE_COMPLEXITY_METRICS))
-    p.add_argument("--projections", type=_positive_int, default=1000)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--n-grid", type=_int_list)
+    p.add_argument("--repeats", type=_positive_int)
+    p.add_argument("--metrics", type=_metric_list(SAMPLE_COMPLEXITY_METRICS))
+    p.add_argument("--projections", type=_positive_int)
+    p.add_argument("--seed", type=_seed)
     _output_flags(p)
 
     p = sub.add_parser("projection-complexity", help="Monte Carlo error versus projections")
-    p.add_argument("--dims", type=_int_list, default=[2, 20])
-    p.add_argument("--L-grid", dest="L_grid", type=_int_list,
-                   default=[1, 3, 10, 32, 100, 316, 1000])
-    p.add_argument("--L-star", dest="L_star", type=_positive_int, default=10000)
-    p.add_argument("--repeats", type=_positive_int, default=100)
-    p.add_argument("--n", type=_positive_int, default=500)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--dims", type=_int_list)
+    p.add_argument("--L-grid", dest="L_grid", type=_int_list)
+    p.add_argument("--L-star", dest="L_star", type=_positive_int)
+    p.add_argument("--repeats", type=_positive_int)
+    p.add_argument("--n", type=_positive_int)
+    p.add_argument("--seed", type=_seed)
     _output_flags(p)
 
     p = sub.add_parser("adapt", help="align a labeled source onto a target")
     p.add_argument("--source", dest="source_path", metavar="SOURCE", required=True)
     p.add_argument("--target", dest="target_path", metavar="TARGET", required=True)
-    p.add_argument("--mode", choices=["particles", "transform"], default="particles")
-    p.add_argument("--loss", choices=["spdsw", "logsw", "lew", "les"], default="spdsw")
-    p.add_argument("--epochs", type=_nonnegative_int, default=500)
+    p.add_argument("--mode", choices=["particles", "transform"])
+    p.add_argument("--loss", choices=["spdsw", "logsw", "lew", "les"])
+    p.add_argument("--epochs", type=_nonnegative_int)
     p.add_argument("--lr", dest="learning_rate", metavar="LR", type=_positive_float,
-                   default=None, help="learning rate; particle default n*d/2 (spdsw), "
+                   help="learning rate; particle default n*d/2 (spdsw), "
                    "n*d(d+1)/4 (logsw), n/2 (lew, les) for n source matrices of "
                    "dim d; transform default 0.1 (spdsw, logsw), 0.01 (lew, les)")
-    p.add_argument("--projections", type=_positive_int, default=500)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--epsilon", type=_positive_float, default=10.0)
+    p.add_argument("--projections", type=_positive_int)
+    p.add_argument("--seed", type=_seed)
+    p.add_argument("--epsilon", type=_positive_float)
     p.add_argument("--no-safeguard", dest="safeguard", action="store_false",
                    help="plain fixed-step descent without step halving")
     p.add_argument("--evaluate", dest="require_evaluation", action="store_true",
                    help="require before/after accuracy (error if the target has no labels)")
-    p.add_argument("--output-adapted", default=None)
+    p.add_argument("--output-adapted")
     _output_flags(p)
 
     p = sub.add_parser("kernel-ridge", help="distribution regression with sliced kernels")
     p.add_argument("--train", dest="train_manifest", metavar="TRAIN", required=True,
                    help="manifest of datasets and targets")
-    p.add_argument("--test", dest="test_manifest", metavar="TEST", default=None)
-    p.add_argument("--folds", type=_at_least_two, default=5)
-    p.add_argument("--projections", type=_positive_int, default=100)
-    p.add_argument("--quantiles", type=_positive_int, default=100)
-    p.add_argument("--sigma", type=_bandwidth, default="median",
-                   help="'median' or a positive number")
-    p.add_argument("--alpha", type=_positive_float, default=1e-6)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--output-predictions", default=None)
+    p.add_argument("--test", dest="test_manifest", metavar="TEST")
+    p.add_argument("--folds", type=_at_least_two)
+    p.add_argument("--projections", type=_positive_int)
+    p.add_argument("--quantiles", type=_positive_int)
+    p.add_argument("--sigma", type=_bandwidth, help="'median' or a positive number")
+    p.add_argument("--alpha", type=_positive_float)
+    p.add_argument("--seed", type=_seed)
+    p.add_argument("--output-predictions")
     _output_flags(p)
 
     return parser
@@ -208,10 +207,17 @@ def _set_threads(threads: int | None) -> None:
 
 
 def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser):
-    """Check what no single option can check alone, then run the command
-    with the parsed values its runner takes."""
+    """Bind the given options to the command's runner, its defaults filling
+    the rest; check what no single option can check alone; then run it."""
     from . import experiments
 
+    # Looked up at call time, so a wrapper bound under the runner's name
+    # runs; inspect.signature follows functools.wraps to the runner's own.
+    runner = getattr(experiments, "run_" + args.command.replace("-", "_"))
+    signature = inspect.signature(runner)
+    bound = signature.bind(**{k: v for k, v in vars(args).items() if k in signature.parameters})
+    bound.apply_defaults()
+    vars(args).update(bound.arguments)
     if args.command == "gen-wishart":
         if args.dof < args.d:
             parser.error("--dof must be at least --d")
@@ -230,11 +236,7 @@ def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser):
             f"dimension {max(args.dims)} exceeds the cap {args.max_dim}; "
             "raise --max-dim to run it"
         )
-    # Looked up at call time, so a wrapper bound under the runner's name
-    # runs; inspect.signature follows functools.wraps to the runner's own.
-    runner = getattr(experiments, "run_" + args.command.replace("-", "_"))
-    params = inspect.signature(runner).parameters
-    return runner(**{k: v for k, v in vars(args).items() if k in params})
+    return runner(**bound.arguments)
 
 
 def main(argv=None) -> int:

@@ -116,6 +116,8 @@ def median_heuristic_sq(sq: np.ndarray) -> float:
     """sigma with sigma^2 the median off-diagonal entry of a square matrix
     of squared distances."""
     off = sq[~np.eye(sq.shape[0], dtype=bool)]
+    if off.size == 0:
+        raise DataValidationError(f"median heuristic needs two or more entries; got {sq.shape[0]}")
     med = float(np.median(off))
     if med <= 0.0:
         raise DataValidationError("median squared distance is zero; features are all identical")
@@ -189,7 +191,6 @@ class KernelRidgeFit:
 
     coefficients: np.ndarray
     intercept: float
-    alpha: float
 
 
 def kernel_ridge_fit(gram: GramMatrix, targets, alpha: float) -> KernelRidgeFit:
@@ -210,7 +211,7 @@ def kernel_ridge_fit(gram: GramMatrix, targets, alpha: float) -> KernelRidgeFit:
     residual = np.linalg.norm(system @ coeffs - centered)
     if residual > 1e-8 * max(np.linalg.norm(y), 1e-300):
         raise IllConditioned(f"dual solve residual {residual:.3e} too large")
-    return KernelRidgeFit(coefficients=coeffs, intercept=intercept, alpha=float(alpha))
+    return KernelRidgeFit(coefficients=coeffs, intercept=intercept)
 
 
 def kernel_ridge_predict(

@@ -10,7 +10,6 @@ product, or horospherical coordinate) and the law of the directions.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,7 +115,6 @@ class DiscrepancyReport:
     order_p: float
     num_projections: int | None = None
     seed: RngState | None = None
-    wall_time_seconds: float = 0.0
     degenerate_resampled: int = 0
     converged: bool | None = None  # entropic solvers only
 
@@ -254,7 +252,7 @@ def _check_pair(
         )
 
 
-def _report(estimator: str, basis: ProjectionBasis, p: float, value: float, t0: float,
+def _report(estimator: str, basis: ProjectionBasis, p: float, value: float,
             resampled: int = 0) -> DiscrepancyReport:
     return DiscrepancyReport(
         value=value,
@@ -262,7 +260,6 @@ def _report(estimator: str, basis: ProjectionBasis, p: float, value: float, t0: 
         order_p=p,
         num_projections=basis.count,
         seed=basis.seed,
-        wall_time_seconds=time.perf_counter() - t0,
         degenerate_resampled=resampled,
     )
 
@@ -285,12 +282,11 @@ def _frobenius_sliced(estimator: str, mu, nu, basis: ProjectionBasis, p: float,
                       support) -> DiscrepancyReport:
     """The linear estimators: slice ``support(measure)`` (an (n, d, d)
     symmetric stack) through <A, .>_F."""
-    t0 = time.perf_counter()
     _check_pair(estimator, mu, nu, basis, p)
     value = _sliced_mean(
         basis.project_symmetric(support(mu)), basis.project_symmetric(support(nu)), p
     )
-    return _report(estimator, basis, p, value, t0)
+    return _report(estimator, basis, p, value)
 
 
 def spdsw(mu: EmpiricalSpdMeasure, nu: EmpiricalSpdMeasure, basis: ProjectionBasis, p: float = 2.0) -> DiscrepancyReport:
@@ -328,7 +324,6 @@ def hspdsw(mu: EmpiricalSpdMeasure, nu: EmpiricalSpdMeasure, basis: ProjectionBa
     the Busemann coordinate.  Directions with (near-)repeated eigenvalues
     are redrawn from a reserved substream of the basis seed and counted.
     """
-    t0 = time.perf_counter()
     _check_pair("hspdsw", mu, nu, basis, p)
 
     thetas, frames, degenerate = _busemann_frames(basis.directions)
@@ -350,7 +345,7 @@ def hspdsw(mu: EmpiricalSpdMeasure, nu: EmpiricalSpdMeasure, basis: ProjectionBa
             resampled += 1
         coords_mu[i] = _busemann_coords_stack(mu.points, frame, theta)
         coords_nu[i] = _busemann_coords_stack(nu.points, frame, theta)
-    return _report("hspdsw", basis, p, _sliced_mean(coords_mu, coords_nu, p), t0, resampled)
+    return _report("hspdsw", basis, p, _sliced_mean(coords_mu, coords_nu, p), resampled)
 
 
 def mc_error_estimate(

@@ -1,3 +1,4 @@
+import argparse
 import functools
 import hashlib
 import inspect
@@ -20,7 +21,11 @@ from spdsliced import (
 )
 from spdsliced.adaptation import PARTICLE_LOSSES
 from spdsliced.cli import build_parser, main
+from spdsliced.data_io import ExperimentReport
 from spdsliced.experiments import ALL_METRICS, SAMPLE_COMPLEXITY_METRICS
+
+COMMANDS = ("distance", "gen-wishart", "benchmark-runtime", "sample-complexity",
+            "projection-complexity", "adapt", "kernel-ridge")
 
 
 def run_cli(*args):
@@ -207,9 +212,32 @@ class TestSmallExperimentCommands:
         assert test_row["r2"] >= 1.0 - 1e-6
 
 
+def _subparser(command):
+    return next(a for a in build_parser()._actions if a.dest == "command").choices[command]
+
+
+def _runner(command):
+    return getattr(experiments, "run_" + command.replace("-", "_"))
+
+
 def _choices(command, flag):
-    sub = next(a for a in build_parser()._actions if a.dest == "command").choices[command]
-    return next(a for a in sub._actions if flag in a.option_strings).choices
+    return next(a for a in _subparser(command)._actions if flag in a.option_strings).choices
+
+
+def _runner_keywords(monkeypatch, argv):
+    """The keywords ``main(argv)`` passes to the command's runner, here a
+    stub reached through a ``functools.wraps`` wrapper."""
+    seen = []
+    name = "run_" + argv[0].replace("-", "_")
+
+    @functools.wraps(getattr(experiments, name))
+    def wrapper(**kwargs):
+        seen.append(kwargs)
+        return ExperimentReport(experiment=name, config={})
+
+    monkeypatch.setattr(experiments, name, wrapper)
+    assert main(argv) == 0
+    return seen[0]
 
 
 class TestArgumentRanges:
@@ -323,10 +351,10 @@ class TestOverflowingStep:
         assert err.startswith("error: ") and "Traceback" not in err
 
 
-def test_sigma_parses_median_or_positive_number():
-    parse = build_parser().parse_args
-    assert parse(["kernel-ridge", "--train", "m.json"]).sigma == "median"
-    assert parse(["kernel-ridge", "--train", "m.json", "--sigma", "0.5"]).sigma == 0.5
+def test_sigma_parses_median_or_positive_number(monkeypatch):
+    ridge = ["kernel-ridge", "--train", "m.json"]
+    assert _runner_keywords(monkeypatch, ridge)["sigma"] == "median"
+    assert _runner_keywords(monkeypatch, ridge + ["--sigma", "0.5"])["sigma"] == 0.5
 
 
 def test_more_folds_than_entries_is_data_error(tmp_path, capsys):
@@ -464,18 +492,23 @@ class TestCommandLayer:
     # dataset path its runner writes, so there it is a runner parameter.
     CLI_ONLY = {"help", "command", "threads", "format", "report", "max_dim", "output"}
 
-    @pytest.mark.parametrize("command", ["distance", "gen-wishart", "benchmark-runtime",
-                                         "sample-complexity", "projection-complexity",
-                                         "adapt", "kernel-ridge"])
+    @pytest.mark.parametrize("command", COMMANDS)
     def test_dests_are_runner_parameters(self, command):
-        sub = next(a for a in build_parser()._actions if a.dest == "command").choices[command]
-        dests = {a.dest for a in sub._actions}
+        dests = {a.dest for a in _subparser(command)._actions}
         cli_only = self.CLI_ONLY - ({"output"} if command == "gen-wishart" else set())
-        params = inspect.signature(getattr(experiments, "run_" + command.replace("-", "_")))
-        names = set(params.parameters)
-        required = {k for k, v in params.parameters.items() if v.default is inspect.Parameter.empty}
-        assert dests - cli_only <= names, "a flag no runner parameter receives"
+        params = inspect.signature(_runner(command)).parameters
+        required = {k for k, v in params.items() if v.default is inspect.Parameter.empty}
+        assert dests - cli_only <= set(params), "a flag no runner parameter receives"
         assert required <= dests, "a required runner parameter no flag sets"
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_runner_options_carry_no_parser_default(self, command):
+        # The runner's signature is the one place an option's default is
+        # stated, and every runner parameter is an option.
+        params = inspect.signature(_runner(command)).parameters
+        defaults = {a.dest: a.default for a in _subparser(command)._actions if a.dest in params}
+        assert defaults.keys() == params.keys(), "a runner parameter no flag sets"
+        assert all(v is argparse.SUPPRESS for v in defaults.values()), defaults
 
     def test_every_error_has_one_exit_code_base(self):
         def subclasses(cls):
@@ -505,15 +538,16 @@ class TestCommandLayer:
         assert seen == [{"file_a": a, "file_b": b, "metric": "spdsw", "projections": 7,
                          "order": 2.0, "seed": 0, "epsilon": 1.0}]
 
-    def test_renamed_flags_reach_the_runner(self):
+    def test_renamed_flags_reach_the_runner(self, monkeypatch):
         parse = build_parser().parse_args
         ns = parse(["adapt", "--source", "s", "--target", "t", "--lr", "0.5",
                     "--no-safeguard", "--evaluate"])
         assert (ns.source_path, ns.target_path, ns.learning_rate) == ("s", "t", 0.5)
         assert ns.safeguard is False and ns.require_evaluation is True
-        assert parse(["adapt", "--source", "s", "--target", "t"]).safeguard is True
+        adapt = _runner_keywords(monkeypatch, ["adapt", "--source", "s", "--target", "t"])
+        assert adapt["safeguard"] is True and adapt["require_evaluation"] is False
         gen = ["gen-wishart", "--d", "2", "--n", "3", "--dof", "2", "--output", "o"]
-        assert parse(gen).scale_path is None
+        assert _runner_keywords(monkeypatch, gen)["scale_path"] is None
         assert parse(gen + ["--scale", "identity"]).scale_path is None
         assert parse(gen + ["--scale", "s.json"]).scale_path == "s.json"
         ns = parse(["kernel-ridge", "--train", "a", "--test", "b"])
@@ -594,6 +628,39 @@ def test_test_manifest_band_count_must_match(two_band_manifest, test_bands, caps
     assert f"lists {test_bands} bands, not 2" in capsys.readouterr().err
 
 
+def test_median_bandwidth_of_one_training_entry_is_data_error(dataset_pair, tmp_path, capsys):
+    # Two entries in two folds: each fit trains on a single entry, which has
+    # no off-diagonal distance to take the median of.
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps([{"path": p, "target": float(i)}
+                                    for i, p in enumerate(dataset_pair)]))
+    out = tmp_path / "r.json"
+    assert main(["kernel-ridge", "--train", str(manifest), "--folds", "2", "--projections", "5",
+                 "--quantiles", "5", "--output", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: median heuristic needs two or more entries; got 1\n"
+    assert not out.exists()
+
+
+def test_r2_of_a_constant_target_fold_is_empty(dataset_pair, tmp_path):
+    # Three entries in three folds: each test fold holds one target, whose
+    # variance is zero, so R^2 is undefined.
+    a, b = dataset_pair
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps([{"path": p, "target": float(i)}
+                                    for i, p in enumerate((a, b, a))]))
+    argv = ["kernel-ridge", "--train", str(manifest), "--folds", "3", "--projections", "5",
+            "--quantiles", "5", "--sigma", "0.5", "--output"]
+    assert main(argv + [str(tmp_path / "r.json")]) == 0
+    text = (tmp_path / "r.json").read_text()
+    folds = [r for r in json.loads(text)["rows"] if r["record"] == "fold"]
+    assert len(folds) == 3 and all(r["r2"] is None for r in folds) and "NaN" not in text
+    assert main(argv + [str(tmp_path / "r.csv"), "--format", "csv"]) == 0
+    header, *rows = (tmp_path / "r.csv").read_text().splitlines()
+    column = header.split(",").index("r2")
+    assert [r.split(",")[column] for r in rows if r.startswith("fold,")] == ["", "", ""]
+
+
 def test_median_bandwidth_of_identical_datasets_is_data_error(dataset_pair, tmp_path, capsys):
     a, _ = dataset_pair
     manifest = tmp_path / "m.json"
@@ -654,6 +721,17 @@ def test_output_in_missing_directory_is_data_error(command, dataset_pair, tmp_pa
     assert not (tmp_path / "missing").exists()
 
 
+def test_overflowing_shift_angle_is_numerical_failure(tmp_path, capsys):
+    # scipy's expm returns a non-finite rotation for so large an angle.
+    gen = ["gen-wishart", "--d", "3", "--n", "8", "--dof", "9", "--output", str(tmp_path / "s.json"),
+           "--output-shifted", str(tmp_path / "t.json"), "--report", str(tmp_path / "r.json")]
+    assert main(gen + ["--shift-angle", "1e30"]) == 0
+    (tmp_path / "t.json").unlink()
+    assert main(gen + ["--shift-angle", "1e100"]) == 4
+    assert capsys.readouterr().err == "error: shifted log stack overflowed to non-finite values\n"
+    assert not (tmp_path / "t.json").exists()
+
+
 def test_allocation_failure_is_numerical_failure(dataset_pair, monkeypatch, capsys):
     def out_of_memory(*args, **kwargs):
         raise MemoryError("Unable to allocate 671. GiB for an array")
@@ -667,16 +745,41 @@ def test_allocation_failure_is_numerical_failure(dataset_pair, monkeypatch, caps
 # (gen-wishart seed, adapt seed) of the `learning` benchmark workload at
 # workload seeds 16 and 207, where the particle step of 1000 (n*d at n=200,
 # d=5) sat on the stability edge of the spdsw loss and the accuracy stalled.
+# At the former default epsilon of 10 the les plan was nearly uniform, so
+# its minimiser merged the two classes and gained no accuracy.
+@pytest.mark.parametrize("loss", ["spdsw", "les"])
 @pytest.mark.parametrize("gen_seed, adapt_seed", [(246934834, 1907904921),
                                                   (2064767280, 125869754)])
-def test_default_particle_step_converges(gen_seed, adapt_seed, tmp_path):
+def test_default_particle_step_converges(gen_seed, adapt_seed, loss, tmp_path):
     src, tgt, out = tmp_path / "s.json", tmp_path / "t.json", tmp_path / "r.json"
     assert main(["gen-wishart", "--d", "5", "--n", "200", "--dof", "40", "--classes", "2",
                  "--seed", str(gen_seed), "--output", str(src), "--output-shifted", str(tgt),
                  "--shift-angle", "0.5", "--shift-identity", "0.693", "--shift-random", "0.5",
                  "--report", str(tmp_path / "gen.json")]) == 0
     assert main(["adapt", "--source", str(src), "--target", str(tgt), "--mode", "particles",
-                 "--loss", "spdsw", "--epochs", "40", "--projections", "500",
+                 "--loss", loss, "--epochs", "40", "--projections", "500",
                  "--seed", str(adapt_seed), "--evaluate", "--output", str(out)]) == 0
     summary = json.loads(out.read_text())["rows"][0]
     assert summary["after_accuracy"] - summary["before_accuracy"] >= 0.15
+
+
+# SHA-256 of the top-level and each subcommand's --help text at 80 columns,
+# pinned from the tree whose parser still restated every runner default:
+# no help text prints a default, so leaving them to the runners moves none.
+HELP_DIGESTS = {
+    None: "637117a3a31a65e470abb7c513bdee2e4d1ee5ad666a3f02a13dcd59faacf013",
+    "distance": "b5609149a3a992691845153460753c20f3c212561046706a7e3f09e8fd30df19",
+    "gen-wishart": "5d5f730570f698330498141a55bb2a593d155856fc33228936c85b5d3a8dae41",
+    "benchmark-runtime": "235b3ace83be07cae1df1ab70d7179afad6d5550906a79c73c297c57554a3bba",
+    "sample-complexity": "c495f56c163f72033fde5b7bb5bc96848962745ba09125b58868f7d7c6459385",
+    "projection-complexity": "b2139aa138fcbfe6b784646ffcf38a548e46a693c3a10b5c6c113dbf13c5b534",
+    "adapt": "6f425de1a67d3b020f3547d34abf1249f84b220e04aa80512d6b84d7e77e578a",
+    "kernel-ridge": "053f0899d5938c1553447c82816fe8c4cb0dcb46bc803b56ae7c2f3edb0c4f2a",
+}
+
+
+@pytest.mark.parametrize("command", [None, *COMMANDS])
+def test_help_text_bytes(command, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    parser = build_parser() if command is None else _subparser(command)
+    assert hashlib.sha256(parser.format_help().encode()).hexdigest() == HELP_DIGESTS[command]
