@@ -8,7 +8,7 @@ the name of the ``experiments.run_<command>`` parameter it sets, and that
 parameter's default is the option's only default.
 
 Heavy imports happen after argument parsing so --threads (or the
-SPDSLICED_THREADS environment variable) can pin the BLAS thread pools
+SPDSLICED_THREADS environment variable) can also pin the BLAS thread pools
 before any numerical library loads.
 """
 
@@ -20,13 +20,8 @@ import math
 import os
 import sys
 
-_THREAD_ENV_VARS = (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-    "VECLIB_MAXIMUM_THREADS",
-)
+_THREAD_ENV_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                    "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
 
 def _bounded(convert, low: float, strict: bool, what: str, high: float = math.inf):
@@ -47,6 +42,7 @@ def _bounded(convert, low: float, strict: bool, what: str, high: float = math.in
 
 
 _positive_int = _bounded(int, 0, True, "a positive integer")
+_thread_count = _bounded(int, 0, True, "a positive integer (--threads, SPDSLICED_THREADS)")
 _nonnegative_int = _bounded(int, 0, False, "a nonnegative integer")
 _at_least_two = _bounded(int, 2, False, "an integer >= 2")
 _order = _bounded(float, 1.0, False, "a number >= 1")
@@ -90,8 +86,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="spdsliced",
         description="Sliced optimal-transport discrepancies between distributions of SPD matrices.",
     )
-    parser.add_argument("--threads", type=_positive_int, default=None,
-                        help="cap worker threads (fallback: SPDSLICED_THREADS)")
+    # A string default is parsed like the option, so a bad variable exits 2.
+    parser.add_argument("--threads", type=_thread_count, default=os.environ.get("SPDSLICED_THREADS"),
+                        help="workers of the stack-chunk pool; 1 runs serially "
+                        "(default: SPDSLICED_THREADS, else the CPU-affinity count)")
     # A runner option left off the command line stays out of the namespace,
     # so the runner's own default applies (see _dispatch).
     sub = parser.add_subparsers(dest="command", required=True, parser_class=lambda **kw:
@@ -198,14 +196,6 @@ def _output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=["json", "csv"], default="json")
 
 
-def _set_threads(threads: int | None) -> None:
-    value = threads if threads is not None else os.environ.get("SPDSLICED_THREADS")
-    if value is None:
-        return
-    for var in _THREAD_ENV_VARS:
-        os.environ[var] = str(value)
-
-
 def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser):
     """Bind the given options to the command's runner, its defaults filling
     the rest; check what no single option can check alone; then run it."""
@@ -242,12 +232,15 @@ def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser):
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _set_threads(args.threads)
+    if args.threads is not None and "numpy" not in sys.modules:  # caps BLAS's own pools
+        os.environ.update(dict.fromkeys(_THREAD_ENV_VARS, str(args.threads)))
 
     from .errors import InputError, NumericalFailure
+    from .linalg import THREADS
 
     # gen-wishart's --output is the dataset itself; its report goes to --report.
     output = args.report if args.command == "gen-wishart" else args.output
+    token = THREADS.set(args.threads)  # for this call only
     try:
         report = _dispatch(args, parser)
         if output is not None:
@@ -257,6 +250,8 @@ def main(argv=None) -> int:
     except (InputError, NumericalFailure, OverflowError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3 if isinstance(exc, InputError) else 4
+    finally:
+        THREADS.reset(token)
     if output is None:
         print(report.to_json() if args.format == "json" else report.to_csv())
     if report.timing is not None:

@@ -8,10 +8,13 @@ Cholesky factor of the index-reversed matrix.  Each operation has one
 batched kernel, and the single-matrix functions are stack-of-one calls of
 it.  Every matrix function rebuilt from eigenpairs goes through
 :func:`reconstruct`; pairwise squared distances between vector rows go
-through :func:`pairwise_sq_dists`.
+through :func:`pairwise_sq_dists`; stacks are chunked by :func:`stack_map`.
 """
 
 from __future__ import annotations
+
+import contextvars
+import os
 
 import numpy as np
 
@@ -33,9 +36,33 @@ LOEWNER_GAP_FACTOR = 1e-10
 # differences to the BLAS-backed Gram expansion.
 _DIRECT_PAIRS = 250_000
 
-# Element budget of the temporaries of the blocked stack helpers
-# (:func:`reconstruct`, :func:`pairwise_sq_dists`).
-_BLOCK_ELEMS = 1_000_000
+# Element budget of one chunk of :func:`stack_map`: the only input to the
+# chunk boundaries, which therefore never depend on the worker count.
+_CHUNK_ELEMS = 40_000
+_ROW_BLOCK_ELEMS = 1_000_000  # fixed: einsum sums a lone pair of >8192 features in another order
+# Workers of the stack maps run in this context; the CLI sets it per call.
+THREADS: contextvars.ContextVar[int | None] = contextvars.ContextVar("threads", default=None)
+_pools = {}  # (pid, workers) -> ThreadPoolExecutor; a forked child makes its own
+
+
+def stack_map(fn, count: int, item_elems: int) -> list:
+    """``[fn(start, stop), ...]`` over chunks of ``count`` items of ``item_elems``
+    elements, as many as fit in ``_CHUNK_ELEMS``; ``fn`` writes only its own
+    slice of any output and calls no stack map.  One chunk or worker (:data:`THREADS`,
+    else SPDSLICED_THREADS, else the CPU affinity) runs inline; else the chunks
+    run on a thread pool, and the first exception in chunk order is raised after all finish."""
+    step = max(1, _CHUNK_ELEMS // max(1, item_elems))
+    bounds = [(i, min(i + step, count)) for i in range(0, count, step)]
+    workers = THREADS.get() or int(os.environ.get("SPDSLICED_THREADS") or 0) or (
+        len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+    if len(bounds) < 2 or workers < 2:
+        return [fn(*bound) for bound in bounds]
+    from concurrent.futures import ThreadPoolExecutor, wait
+    key = (os.getpid(), workers)  # setdefault: a racing thread's spare pool is dropped unused
+    pool = _pools.get(key) or _pools.setdefault(key, ThreadPoolExecutor(workers, "spdsliced"))
+    futures = [pool.submit(fn, *bound) for bound in bounds]
+    wait(futures)
+    return [future.result() for future in futures]
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
@@ -52,16 +79,25 @@ def pd_tolerance(eigenvalues: np.ndarray) -> np.ndarray:
 
 def reconstruct(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """Q diag(f) Q^T from eigenvectors Q and (transformed) eigenvalues f, for
-    one matrix (d, d) or a stack (b, d, d).  A stack is rebuilt by batched
-    matmul in blocks, so the scaled copy of Q stays within ``_BLOCK_ELEMS``."""
+    one matrix (d, d) or a stack (b, d, d), by batched matmul chunk by chunk."""
     if vectors.ndim == 2:
         return reconstruct(values[None], vectors[None])[0]
     out = np.empty(vectors.shape)
-    step = max(1, _BLOCK_ELEMS // vectors[0].size)
-    for i in range(0, len(vectors), step):
-        q = vectors[i:i + step]
-        np.matmul(q * values[i:i + step, None, :], np.swapaxes(q, -2, -1), out=out[i:i + step])
+    stack_map(lambda i, j: np.matmul(vectors[i:j] * values[i:j, None, :],
+                                     np.swapaxes(vectors[i:j], -2, -1), out=out[i:j]),
+              len(vectors), vectors[0].size)
     return out
+
+
+def _eigh(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh`` of a stack (b, d, d), chunk by chunk into one output."""
+    w, q = np.empty(mats.shape[:-1]), np.empty(mats.shape)
+
+    def chunk(i, j):
+        w[i:j], q[i:j] = np.linalg.eigh(mats[i:j])
+
+    stack_map(chunk, len(mats), mats.shape[-1] ** 2)
+    return w, q
 
 
 class SymMatrix:
@@ -148,7 +184,7 @@ def sym_log(m) -> SymMatrix:
 
 def _exp_eig(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs (exp w, Q) of the exponentials of a symmetric stack (b, d, d)."""
-    w, q = np.linalg.eigh(mats)
+    w, q = _eigh(mats)
     if np.any(w > EXP_CAP):
         raise OverflowError(f"eigenvalue {np.max(w):.3e} exceeds the exponential cap {EXP_CAP}")
     return np.exp(w), q
@@ -179,13 +215,14 @@ def pairwise_ai_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     and y (m, d, d), through the whitened stacks X^{-1/2} Y X^{-1/2}."""
     wx, qx = eigh_stack(x)
     inv_sqrts = reconstruct(1.0 / np.sqrt(wx), qx)
-    out = np.empty((len(x), len(y)))
-    for i, inv_sqrt in enumerate(inv_sqrts):
-        w = np.linalg.eigvalsh(symmetrize(inv_sqrt @ y @ inv_sqrt))
-        if np.any(w[:, 0] <= pd_tolerance(w)):
+
+    def rows(i, j):
+        w = np.linalg.eigvalsh(symmetrize(inv_sqrts[i:j, None] @ y @ inv_sqrts[i:j, None]))
+        if np.any(w[..., 0] <= pd_tolerance(w)):
             raise NotPositiveDefinite("whitened matrix lost positive definiteness")
-        out[i] = np.sqrt(np.sum(np.log(w) ** 2, axis=1))
-    return out
+        return np.sqrt(np.sum(np.log(w) ** 2, axis=-1))
+
+    return np.concatenate(stack_map(rows, len(x), y.size))
 
 
 def _log_divided_differences(w: np.ndarray) -> np.ndarray:
@@ -273,7 +310,7 @@ def udu_stack(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def eigh_stack(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Batched eigendecomposition of SPD matrices (b, d, d), checked positive definite."""
-    w, q = np.linalg.eigh(np.asarray(mats, dtype=float))
+    w, q = _eigh(np.asarray(mats, dtype=float))
     bad = w[..., 0] <= pd_tolerance(w)
     if np.any(bad):
         k = int(np.argmax(bad))
@@ -304,9 +341,10 @@ def log_frechet_stack(w: np.ndarray, q: np.ndarray, h: np.ndarray) -> np.ndarray
 def pairwise_sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between the rows of x (n, D) and y (m, D).
 
-    Up to ``_DIRECT_PAIRS`` pairs the differences are formed exactly, in
-    blocks of at most ``_BLOCK_ELEMS`` elements (at least one row pair);
-    beyond, the Gram expansion is clipped at zero.  When ``y is x`` only the
+    Up to ``_DIRECT_PAIRS`` pairs the differences are formed exactly, over
+    the row chunks of :func:`stack_map`, each split into column blocks of
+    at most ``_ROW_BLOCK_ELEMS`` elements per row; beyond, the Gram
+    expansion is clipped at zero.  When ``y is x`` only the
     blocks on or above the diagonal are formed and the rest is mirrored:
     (x_j - x_i)^2 equals (x_i - x_j)^2 exactly, so this is bit-identical.
     """
@@ -315,12 +353,15 @@ def pairwise_sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         sq = (x * x).sum(axis=1)[:, None] + (y * y).sum(axis=1)[None, :] - 2.0 * (x @ y.T)
         return np.maximum(sq, 0.0)
     out = np.empty((n, m))
-    cols = min(m, max(1, _BLOCK_ELEMS // dim))
-    rows = max(1, _BLOCK_ELEMS // (cols * dim))
-    for i in range(0, n, rows):
+    cols = min(m, max(1, _ROW_BLOCK_ELEMS // dim))
+
+    def rows(i, stop):  # a one-row chunk of one-column blocks borrows a row: no lone pair
+        lo, hi = (max(0, i - 1), max(2, stop)) if stop - i == 1 == cols and n > 1 else (i, stop)
         for j in range(i if y is x else 0, m, cols):
-            diff = x[i:i + rows, None, :] - y[None, j:j + cols, :]
-            out[i:i + rows, j:j + cols] = np.einsum("ijk,ijk->ij", diff, diff)
+            diff = x[lo:hi, None, :] - y[None, j:j + cols, :]
+            out[i:stop, j:j + cols] = np.einsum("ijk,ijk->ij", diff, diff)[i - lo:stop - lo]
+
+    stack_map(rows, n, cols * dim)
     if y is x:
         lower = np.tril_indices(n, -1)
         out[lower] = out.T[lower]

@@ -23,14 +23,13 @@ from .linalg import (
     SpdMatrix,
     SymMatrix,
     as_spd,
+    stack_map,
     sym_dim,
     symmetrize,
     unvech_isometric,
 )
 
 _UINT64_MAX = 2**64 - 1
-# Matrix elements per chunk of a batched basis build: bounds its temporaries.
-_CHUNK_ELEMS = 100_000
 _WISHART_CHUNK_ELEMS = 20_000_000  # normals per chunk of a Wishart stack
 
 
@@ -297,7 +296,7 @@ def _chunk_directions(rng: RngState, start: int, stop: int, d: int, sampler_kind
 
 def build_projection_basis(rng: RngState, d: int, count: int, sampler_kind: str = "eig_uniform") -> ProjectionBasis:
     """Generate ``count`` slicing directions, one Philox counter block per
-    index, in memory-bounded batched chunks."""
+    index, over the memory-bounded chunks of :func:`~.linalg.stack_map`."""
     if count < 1:
         raise ValueError("count must be >= 1")
     if d < 1:
@@ -306,8 +305,7 @@ def build_projection_basis(rng: RngState, d: int, count: int, sampler_kind: str 
         raise ValueError(f"unknown sampler kind {sampler_kind!r}")
     if not isinstance(rng, RngState):
         raise TypeError("build_projection_basis requires an RngState for provenance")
-    dirs = np.empty((count, d, d))
-    step = max(1, _CHUNK_ELEMS // (d * d))
-    for start in range(0, count, step):
-        dirs[start:start + step] = _chunk_directions(rng, start, min(start + step, count), d, sampler_kind)
+    dirs = np.empty((count, d, d))  # filled in place: no second O(L d^2) array
+    stack_map(lambda i, j: np.copyto(dirs[i:j], _chunk_directions(rng, i, j, d, sampler_kind)),
+              count, d * d)
     return ProjectionBasis._owning(d, count, dirs, sampler_kind, rng)

@@ -27,6 +27,7 @@ from .linalg import (
     as_spd,
     as_sym,
     log_stack,
+    stack_map,
     sym_exp,
     symmetrize,
     udu_stack,
@@ -328,11 +329,8 @@ def hspdsw(mu: EmpiricalSpdMeasure, nu: EmpiricalSpdMeasure, basis: ProjectionBa
 
     thetas, frames, degenerate = _busemann_frames(basis.directions)
     resampled = 0
-    coords_mu = np.empty((basis.count, len(mu)))
-    coords_nu = np.empty((basis.count, len(nu)))
-    for i in range(basis.count):
-        theta, frame, bad = thetas[i], frames[i], degenerate[i]
-        while bad:
+    for i in np.flatnonzero(degenerate):  # in order, so the substreams are too
+        while degenerate[i]:
             if basis.seed is None:
                 raise DegenerateDirection(
                     f"direction {i} has (near-)repeated eigenvalues and the basis "
@@ -341,10 +339,17 @@ def hspdsw(mu: EmpiricalSpdMeasure, nu: EmpiricalSpdMeasure, basis: ProjectionBa
             redraw = build_projection_basis(
                 basis.seed.substream(_RESAMPLE_STREAM_OFFSET + resampled), mu.dim, 1, "eig_uniform"
             )
-            (theta,), (frame,), (bad,) = _busemann_frames(redraw.directions)
+            (thetas[i],), (frames[i],), (degenerate[i],) = _busemann_frames(redraw.directions)
             resampled += 1
-        coords_mu[i] = _busemann_coords_stack(mu.points, frame, theta)
-        coords_nu[i] = _busemann_coords_stack(nu.points, frame, theta)
+    coords_mu = np.empty((basis.count, len(mu)))
+    coords_nu = np.empty((basis.count, len(nu)))
+
+    def directions(start, stop):
+        for i in range(start, stop):
+            coords_mu[i] = _busemann_coords_stack(mu.points, frames[i], thetas[i])
+            coords_nu[i] = _busemann_coords_stack(nu.points, frames[i], thetas[i])
+
+    stack_map(directions, basis.count, (len(mu) + len(nu)) * mu.dim ** 2)
     return _report("hspdsw", basis, p, _sliced_mean(coords_mu, coords_nu, p), resampled)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spdsliced import EmpiricalSpdMeasure, RngState, wishart_stack
+from spdsliced import EmpiricalSpdMeasure, RngState, linalg, wishart_stack
 
 
 @pytest.fixture
@@ -23,3 +23,41 @@ def random_spd(rng, d, dof=None):
 def wishart_measure(seed, n, d, dof=None, scale=None):
     dof = dof or 3 * d
     return EmpiricalSpdMeasure(wishart_stack(RngState(seed), n, d, dof, scale=scale))
+
+
+# Chunk budget of the split runs: small enough that every test stack splits
+# into several chunks of stack_map.
+SPLIT_BUDGET = 64
+
+
+def on_threads(count, fn):
+    """fn() with the stack maps of this context on ``count`` workers."""
+    token = linalg.THREADS.set(count)
+    try:
+        return fn()
+    finally:
+        linalg.THREADS.reset(token)
+
+
+@pytest.fixture
+def on_workers(monkeypatch):
+    """``run(fn)``: fn() on one worker with the default chunk budget, then
+    on 1, 2 and 3 workers with chunks of SPLIT_BUDGET elements."""
+
+    def run(fn):
+        monkeypatch.delenv("SPDSLICED_THREADS", raising=False)
+        results = [on_threads(1, fn)]
+        monkeypatch.setattr(linalg, "_CHUNK_ELEMS", SPLIT_BUDGET)
+        return results + [on_threads(n, fn) for n in (1, 2, 3)]
+
+    return run
+
+
+def assert_all_equal(results):
+    """Every result equals the first bit for bit (arrays, or tuples of them)."""
+    first = results[0]
+    for other in results[1:]:
+        if isinstance(first, tuple):
+            assert all(np.array_equal(a, b) for a, b in zip(first, other, strict=True))
+        else:
+            assert np.array_equal(first, other)

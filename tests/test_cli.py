@@ -7,6 +7,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import spdsliced
@@ -15,6 +16,7 @@ from spdsliced import (
     cli,
     errors,
     experiments,
+    linalg,
     load_spd_dataset,
     save_spd_dataset,
     wishart_stack,
@@ -23,6 +25,8 @@ from spdsliced.adaptation import PARTICLE_LOSSES
 from spdsliced.cli import build_parser, main
 from spdsliced.data_io import ExperimentReport
 from spdsliced.experiments import ALL_METRICS, SAMPLE_COMPLEXITY_METRICS
+
+from conftest import SPLIT_BUDGET
 
 COMMANDS = ("distance", "gen-wishart", "benchmark-runtime", "sample-complexity",
             "projection-complexity", "adapt", "kernel-ridge")
@@ -699,14 +703,117 @@ def golden_dir(tmp_path_factory):
     return d
 
 
+@pytest.fixture(params=[None, "1", "3"], ids=["threads-unset", "threads-1", "threads-3"])
+def split_pool(request, monkeypatch):
+    """SPDSLICED_THREADS unset with the default chunk budget, or set to 1
+    or 3 with chunks small enough that every stack splits."""
+    monkeypatch.delenv("SPDSLICED_THREADS", raising=False)
+    if request.param is not None:
+        monkeypatch.setenv("SPDSLICED_THREADS", request.param)
+        monkeypatch.setattr(linalg, "_CHUNK_ELEMS", SPLIT_BUDGET)
+    return request.param
+
+
 @pytest.mark.parametrize("n_b", [30, 25], ids=["n-eq-m", "n-ne-m"])
 @pytest.mark.parametrize("metric", ALL_METRICS)
-def test_default_distance_report_bytes(golden_dir, monkeypatch, metric, n_b):
+def test_default_distance_report_bytes(golden_dir, monkeypatch, split_pool, metric, n_b):
     monkeypatch.chdir(golden_dir)
     report = f"r-{metric}-{n_b}.json"
     assert main(["distance", "a.json", f"b{n_b}.json", "--metric", metric, "--output", report]) == 0
     digest = hashlib.sha256((golden_dir / report).read_bytes()).hexdigest()
     assert digest == GOLDEN_DISTANCE_REPORTS[(metric, n_b)]
+
+
+def _without_wall_clock(text: str) -> str:
+    """A report without its top-level ``timing`` and ``seconds_*`` row fields."""
+    doc = json.loads(text)
+    doc.pop("timing", None)
+    doc["rows"] = [{k: v for k, v in r.items() if not k.startswith("seconds_")} for r in doc["rows"]]
+    return json.dumps(doc, sort_keys=True)
+
+
+# SHA-256 of each output file of a tiny run of the commands that call the
+# stack maps beyond `distance`; reports are hashed without their wall-clock
+# fields.  Pinned from the tree whose stacks ran on one core.
+GOLDEN_COMMANDS = {
+    "gen-wishart": (
+        ["--d", "3", "--n", "12", "--dof", "6", "--classes", "2", "--seed", "7",
+         "--output", "s.json", "--output-shifted", "t.json", "--shift-angle", "0.5",
+         "--shift-identity", "0.693", "--shift-random", "0.5", "--report", "g.json"],
+        {"s.json": "9139d16afbd56a9b64dcce7fbd628c573977be3674d3f488a6fc99501bd1fa11",
+         "t.json": "932c41235cd53525d7b04c033657df6927eb76d6fee4d0ace5a6d8a738b80257",
+         "g.json": "a12d6d3b2747780018ee66f26e2ed8aa608049c51f18faf9e2b96e618bed77ac"}),
+    "projection-complexity": (
+        ["--dims", "2,4", "--L-grid", "1,3,10", "--L-star", "40", "--repeats", "3", "--n", "20",
+         "--seed", "3", "--output", "p.json"],
+        {"p.json": "6c7c3833a875e3a57f68567facb266ff5a50b0db2f5da2d1623de2474882a90c"}),
+    "sample-complexity": (
+        ["--dims", "2,4", "--n-grid", "6,20", "--repeats", "2", "--projections", "20",
+         "--seed", "4", "--output", "c.json"],
+        {"c.json": "0c5dd84b4653f25aaccdeaca47769ba4825f6900ad1fae3d06c6537f78db95af"}),
+    "benchmark-runtime": (
+        ["--n-grid", "6,20", "--d", "4", "--projections", "10", "--metrics",
+         "spdsw,logsw,hspdsw,lew,les,aiw", "--repeats", "1", "--seed", "5", "--output", "b.json"],
+        {"b.json": "dc74cf9b0afe32267dd1c8c20ef2f7ed27f4f1ba4eb45c41ff28ccd824b67b62"}),
+}
+
+
+@pytest.mark.parametrize("command", GOLDEN_COMMANDS)
+def test_pooled_command_output_bytes(command, split_pool, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv, digests = GOLDEN_COMMANDS[command]
+    assert main([command, *argv]) == 0
+    for name, digest in digests.items():
+        data = (tmp_path / name).read_bytes()
+        if name not in ("s.json", "t.json"):  # the datasets are hashed as written
+            data = _without_wall_clock(data.decode()).encode()
+        assert hashlib.sha256(data).hexdigest() == digest, f"{command}: {name} moved"
+
+
+def test_non_pd_matrix_in_last_chunk_same_error_on_pool(tmp_path, monkeypatch, capsys):
+    mats = wishart_stack(RngState(3), 10, 4, 9)
+    mats[9] = np.diag([1.0, 1.0, 1.0, -1.0])
+    bad, good = tmp_path / "bad.json", tmp_path / "good.json"
+    save_spd_dataset(str(bad), mats)
+    save_spd_dataset(str(good), wishart_stack(RngState(4), 10, 4, 9))
+    errs = []
+    for threads in (None, "1", "3"):
+        if threads is not None:
+            monkeypatch.setenv("SPDSLICED_THREADS", threads)
+            monkeypatch.setattr(linalg, "_CHUNK_ELEMS", SPLIT_BUDGET)
+        assert main(["distance", str(bad), str(good), "--metric", "spdsw"]) == 3
+        errs.append(capsys.readouterr().err)
+    assert "matrix 9 in the stack" in errs[0] and errs.count(errs[0]) == 3
+
+
+@pytest.mark.parametrize("text", ["abc", "0", "-1", ""])
+def test_bad_thread_environment_is_usage_error(text, dataset_pair, monkeypatch, capsys):
+    monkeypatch.setenv("SPDSLICED_THREADS", text)
+    with pytest.raises(SystemExit) as exc:
+        main(["distance", *dataset_pair, "--metric", "spdsw"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith("error: argument --threads: expected a positive integer "
+                        f"(--threads, SPDSLICED_THREADS), got {text!r}\n")
+    assert "Traceback" not in err
+    # --threads is the count of its call, so the variable is not read.
+    assert main(["--threads", "2", "distance", *dataset_pair, "--metric", "spdsw"]) == 0
+
+
+def test_threads_option_holds_for_its_call_only(dataset_pair, monkeypatch):
+    monkeypatch.delenv("SPDSLICED_THREADS", raising=False)
+    seen = []
+    run_distance = experiments.run_distance
+
+    @functools.wraps(run_distance)
+    def recording(*args, **kwargs):
+        seen.append(linalg.THREADS.get())
+        return run_distance(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "run_distance", recording)
+    for argv in (["--threads", "1"], [], ["--threads", "3"], []):
+        assert main([*argv, "distance", *dataset_pair, "--metric", "spdsw"]) == 0
+    assert seen == [1, None, 3, None] and linalg.THREADS.get() is None
 
 
 @pytest.mark.parametrize("command", ["gen-wishart", "distance"])
@@ -766,8 +873,10 @@ def test_default_particle_step_converges(gen_seed, adapt_seed, loss, tmp_path):
 # SHA-256 of the top-level and each subcommand's --help text at 80 columns,
 # pinned from the tree whose parser still restated every runner default:
 # no help text prints a default, so leaving them to the runners moves none.
+# The top-level text was re-pinned when --threads came to set the workers
+# of the stack-chunk pool.
 HELP_DIGESTS = {
-    None: "637117a3a31a65e470abb7c513bdee2e4d1ee5ad666a3f02a13dcd59faacf013",
+    None: "ea106597ce020cdc683d7579126f3c11d0bcbb9842b669a836f7e11a80dc18f2",
     "distance": "b5609149a3a992691845153460753c20f3c212561046706a7e3f09e8fd30df19",
     "gen-wishart": "5d5f730570f698330498141a55bb2a593d155856fc33228936c85b5d3a8dae41",
     "benchmark-runtime": "235b3ace83be07cae1df1ab70d7179afad6d5550906a79c73c297c57554a3bba",

@@ -1,3 +1,9 @@
+import os
+import signal
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -21,6 +27,7 @@ from spdsliced import (
     wishart_stack,
 )
 from spdsliced.errors import DimensionMismatch, NotPositiveDefinite
+from spdsliced import linalg
 from spdsliced.linalg import (
     EXP_CAP,
     _daleckii_krein,
@@ -28,16 +35,19 @@ from spdsliced.linalg import (
     _log_divided_differences,
     exp_frechet_sym,
     exp_stack,
+    eigh_stack,
     log_stack,
+    pairwise_ai_dists,
     pairwise_sq_dists,
     reconstruct,
+    stack_map,
     symmetrize,
     udu_stack,
     unvech_isometric,
     vech_isometric,
 )
 
-from conftest import random_spd, random_sym, wishart_measure
+from conftest import assert_all_equal, on_threads, random_spd, random_sym, wishart_measure
 
 
 class TestTypes:
@@ -380,7 +390,119 @@ class TestPairwiseSqDists:
         assert np.array_equal(got, got.T)
         assert np.all(np.diag(got) == 0.0)
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    def test_one_column_of_many_features_matches_unblocked(self, n):
+        # Past 8192 features einsum sums a single pair in another order, so
+        # a one-row chunk against one column borrows a neighbouring row.
+        rng = np.random.default_rng(n)
+        x, y = rng.standard_normal((n, 10_000)), rng.standard_normal((1, 10_000))
+        assert np.array_equal(pairwise_sq_dists(x, y), _plain_sq_dists(x, y))
+
     def test_bit_identical_on_adaptation_vech_logs(self):
         vs = vech_isometric(log_stack(wishart_stack(RngState(1), 150, 20, 40)))
         vt = vech_isometric(log_stack(wishart_stack(RngState(2), 120, 20, 40)))
         assert np.array_equal(pairwise_sq_dists(vs, vt), _plain_sq_dists(vs, vt))
+
+
+class TestStackMap:
+    """Chunk boundaries come from the element budget alone, so every pooled
+    result equals the serial one bit for bit."""
+
+    def test_first_failing_chunk_raises_after_every_chunk_ran(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_CHUNK_ELEMS", 1)
+        done = []
+
+        def chunk(start, stop):
+            if start == 2:
+                time.sleep(0.05)  # chunk 4 fails first in time
+            if start in (2, 4):
+                raise ValueError(f"chunk {start}")
+            done.append(start)
+
+        with pytest.raises(ValueError, match="^chunk 2$"):
+            on_threads(3, lambda: stack_map(chunk, 6, 1))
+        assert sorted(done) == [0, 1, 3, 5]
+
+    @pytest.mark.parametrize("workers, count", [(3, 1), (1, 6)], ids=["one-chunk", "one-worker"])
+    def test_one_chunk_or_one_worker_runs_inline(self, monkeypatch, workers, count):
+        monkeypatch.setattr(linalg, "_CHUNK_ELEMS", 1)
+        threads = set()
+        on_threads(workers, lambda: stack_map(lambda i, j: threads.add(threading.get_ident()), count, 1))
+        assert threads == {threading.get_ident()}
+
+    @pytest.mark.parametrize("text", ["abc", "1.5"])
+    def test_environment_count_that_is_no_integer_is_rejected(self, monkeypatch, text):
+        # The CLI turns this into a usage error before any stack map runs.
+        monkeypatch.setenv("SPDSLICED_THREADS", text)
+        with pytest.raises(ValueError):
+            stack_map(lambda i, j: None, 3, 1)
+
+    def test_results_come_back_in_chunk_order(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_CHUNK_ELEMS", 2)
+        assert on_threads(3, lambda: stack_map(lambda i, j: (i, j), 7, 1)) == [
+            (0, 2), (2, 4), (4, 6), (6, 7)]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_makes_its_own_pool(self, monkeypatch):
+        # The parent's pool threads do not exist in a forked child; a child
+        # that reused the pool would wait forever (here: until the alarm).
+        monkeypatch.setattr(linalg, "_CHUNK_ELEMS", 1)
+        assert on_threads(2, lambda: stack_map(lambda i, j: i, 4, 1)) == [0, 1, 2, 3]
+        pid = os.fork()
+        if pid == 0:
+            signal.alarm(20)
+            os._exit(on_threads(2, lambda: stack_map(lambda i, j: i, 4, 1)) != [0, 1, 2, 3])
+        assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+
+    def test_maps_from_many_threads_at_once(self, monkeypatch):
+        # Six callers race to create the pool and share its four workers;
+        # every chunk writes only its own slice of its caller's output.
+        monkeypatch.setattr(linalg, "_CHUNK_ELEMS", 64)
+        monkeypatch.setenv("SPDSLICED_THREADS", "4")
+        mats = wishart_stack(RngState(7), 40, 4, 9)
+        expected = on_threads(1, lambda: log_stack(mats))
+        results = [None] * 6
+
+        def work(k):
+            results[k] = log_stack(mats)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(np.array_equal(r, expected) for r in results)
+
+    def test_eigh_log_exp_stacks(self, on_workers):
+        mats = wishart_stack(RngState(3), 21, 4, 9)
+        sym = log_stack(mats)
+        w, q = np.linalg.eigh(mats)
+        assert_all_equal([(w, q)] + on_workers(lambda: eigh_stack(mats)))
+        assert_all_equal(on_workers(lambda: log_stack(mats)))
+        assert_all_equal(on_workers(lambda: exp_stack(sym)))
+
+    def test_pairwise_dists(self, on_workers):
+        x, y = wishart_stack(RngState(4), 9, 3, 7), wishart_stack(RngState(5), 7, 3, 7)
+        vx, vy = vech_isometric(log_stack(x)), vech_isometric(log_stack(y))
+        assert_all_equal(on_workers(lambda: pairwise_ai_dists(x, y)))
+        assert_all_equal([_plain_sq_dists(vx, vy)] + on_workers(lambda: pairwise_sq_dists(vx, vy)))
+        assert_all_equal([_plain_sq_dists(vx, vx)] + on_workers(lambda: pairwise_sq_dists(vx, vx)))
+
+    def test_non_pd_matrix_in_last_chunk_names_its_index(self, on_workers):
+        mats = wishart_stack(RngState(6), 10, 4, 9)
+        mats[9] = np.diag([1.0, 1.0, 1.0, -1.0])
+
+        def message():
+            with pytest.raises(NotPositiveDefinite) as exc:
+                eigh_stack(mats)
+            return str(exc.value)
+
+        messages = on_workers(message)
+        assert messages[0].startswith("matrix 9 in the stack")
+        assert len(set(messages)) == 1

@@ -75,6 +75,18 @@ def test_golden_basis_digests(kind, seed, stream, d, count, digest):
     assert hashlib.sha256(basis.directions.tobytes()).hexdigest() == digest
 
 
+def test_golden_basis_digests_on_split_pool(on_workers):
+    # Each chunk re-seats its own Philox on the counter blocks of its
+    # indices, so bases built from many pooled chunks keep their digests.
+    def digests():
+        return [hashlib.sha256(build_projection_basis(RngState(seed, stream), d, count, kind)
+                               .directions.tobytes()).hexdigest()
+                for kind, seed, stream, d, count, _ in GOLDEN_BASES]
+
+    for got in on_workers(digests):
+        assert got == [digest for *_, digest in GOLDEN_BASES]
+
+
 def _per_index_basis(state, d, count, kind):
     # Independent oracle: the per-index loop, one jumped Philox and one QR
     # and norm per direction, as the basis was built before batching.

@@ -30,10 +30,11 @@ from spdsliced.errors import (
     EmptyMeasure,
     NotUnitNorm,
 )
+from spdsliced import sliced
 from spdsliced.sampling import ProjectionBasis
 from spdsliced.sliced import DiscrepancyReport, ProjectedMeasure
 
-from conftest import random_spd, random_sym, wishart_measure
+from conftest import assert_all_equal, random_spd, random_sym, wishart_measure
 
 
 def unit_sym(rng, d):
@@ -384,6 +385,20 @@ class TestHspdsw:
                                         sampler_kind="eig_uniform", seed=None)
         with pytest.raises(DegenerateDirection):
             hspdsw(mu, nu, basis_no_seed)
+
+    def test_split_pool_keeps_coordinates_and_redraws(self, on_workers, monkeypatch):
+        # Directions 1 and 4 are degenerate: they are redrawn in index order
+        # before the coordinates run chunk by chunk on the pool.
+        mu, nu = wishart_measure(1, 8, 2), wishart_measure(2, 5, 2)
+        dirs = build_projection_basis(RngState(9), 2, 6).directions.copy()
+        dirs[[1, 4]] = np.eye(2) / np.sqrt(2.0)
+        basis = ProjectionBasis(dim=2, count=6, directions=dirs, sampler_kind="eig_uniform",
+                                seed=RngState(123))
+        coords = []
+        monkeypatch.setattr(sliced, "_sliced_mean", lambda a, b, p: coords.append((a, b)) or 1.0)
+        reports = on_workers(lambda: hspdsw(mu, nu, basis))
+        assert len(set(reports)) == 1 and reports[0].degenerate_resampled == 2
+        assert_all_equal(coords)
 
 
 class TestDiscrepancyReport:
