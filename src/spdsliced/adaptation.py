@@ -28,7 +28,7 @@ from .errors import (
 from .baselines import CostMatrix, exact_wasserstein, sinkhorn
 from .linalg import (
     eigh_stack,
-    exp_frechet_sym,
+    exp_frechet_adjoint,
     exp_stack,
     log_frechet_stack,
     pairwise_sq_dists,
@@ -72,10 +72,9 @@ class LabeledSpdDataset:
             object.__setattr__(self, "labels", lab)
 
 
-# Unconstrained chain parametrization: translations through the matrix
-# exponential of a symmetric matrix, rotations through the exponential of
-# a skew-symmetric one.  Both maps are onto, and gradients live in plain
-# Euclidean coordinates.
+# Unconstrained chain parametrization: translations exp(S) of a symmetric S,
+# rotations exp(K) of a skew-symmetric K, both by :func:`linalg.exp_stack`.
+# Both maps are onto, and gradients live in plain Euclidean coordinates.
 
 
 @dataclass(frozen=True)
@@ -92,22 +91,19 @@ class ChainParam:
         object.__setattr__(self, "matrix", m)
 
     def materialize(self) -> np.ndarray:
-        if self.kind == "translation":
-            return exp_stack(self.matrix[None])[0]
-        from scipy.linalg import expm  # scipy loads only where a command runs it
-
-        return expm(self.matrix)
+        return exp_stack(self.matrix[None])[0]
 
 
 def identity_chain_params(d: int, kinds=("translation", "rotation")) -> list[ChainParam]:
     return [ChainParam(kind, np.zeros((d, d))) for kind in kinds]
 
 
-def apply_chain_matrices(mats: list[np.ndarray], points: np.ndarray) -> np.ndarray:
-    out = points
+def chain_images(mats: list[np.ndarray], points: np.ndarray) -> list[np.ndarray]:
+    """``points`` and their image after each congruence C -> W^T C W of the chain."""
+    images = [points]
     for w in mats:
-        out = w.T @ out @ w
-    return out
+        images.append(w.T @ images[-1] @ w)
+    return images
 
 
 # -- loss/gradient building blocks -------------------------------------------
@@ -218,9 +214,7 @@ def _transform_loss(source: EmpiricalSpdMeasure, evaluate_logs, gradient_logs):
 
     def evaluate(params):
         mats = [prm.materialize() for prm in params]
-        inputs = [source.points]
-        for w in mats:
-            inputs.append(w.T @ inputs[-1] @ w)
+        inputs = chain_images(mats, source.points)
         w_eig, q_eig = eigh_stack(_finite(inputs[-1], "adaptation step"))
         logs = reconstruct(np.log(w_eig), q_eig)
         loss, inner = evaluate_logs(logs)
@@ -231,17 +225,12 @@ def _transform_loss(source: EmpiricalSpdMeasure, evaluate_logs, gradient_logs):
         grad_pts = log_frechet_stack(w_eig, q_eig, gradient_logs(logs, inner))
         param_grads: list[np.ndarray | None] = [None] * len(params)
         for k in range(len(params) - 1, -1, -1):
-            x, w = inputs[k], mats[k]
+            x, w, prm = inputs[k], mats[k], params[k]
             # sum_n X_n W G_n as one (d, n*d) @ (n*d, d) product
             d = w.shape[0]
             grad_w = 2.0 * (np.swapaxes(x @ w, 0, 1).reshape(d, -1) @ grad_pts.reshape(-1, d))
-            if params[k].kind == "translation":
-                param_grads[k] = exp_frechet_sym(params[k].matrix, symmetrize(grad_w)).array
-            else:
-                from scipy.linalg import expm_frechet
-
-                full = expm_frechet(params[k].matrix.T, grad_w, compute_expm=False)
-                param_grads[k] = 0.5 * (full - full.T)
+            # projected as the step's matrix is: symmetric or skew
+            param_grads[k] = ChainParam(prm.kind, exp_frechet_adjoint(prm.matrix, grad_w)).matrix
             if k > 0:
                 grad_pts = w @ grad_pts @ w.T
         return param_grads
@@ -411,12 +400,10 @@ def run_adaptation(
             identity_chain_params(measure.dim), *_transform_loss(measure, evaluate, gradient),
             config,
             scale_step=lambda gs, a: [a * g for g in gs],
-            add_step=lambda ps, deltas: [
-                replace(p, matrix=p.matrix + d) for p, d in zip(ps, deltas)
-            ],
+            add_step=lambda ps, ds: [replace(p, matrix=p.matrix + d) for p, d in zip(ps, ds)],
         )
         mats = [prm.materialize() for prm in final_params]
-        adapted = EmpiricalSpdMeasure(apply_chain_matrices(mats, measure.points))
+        adapted = EmpiricalSpdMeasure(chain_images(mats, measure.points)[-1])
 
     return AdaptationTrace(
         losses=losses,

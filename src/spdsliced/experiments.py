@@ -191,17 +191,15 @@ def run_gen_wishart(
         if shift_angle == 0.0 and shift_identity == 0.0 and shift_random == 0.0:
             shifted = points  # identity shift: byte-identical pair
         else:
-            from scipy.linalg import expm  # scipy loads only where a command runs it
-
             gen = rng.substream(10_000).generator()
             omega = gen.standard_normal((d, d))
-            rotation = expm(_with_norm(0.5 * (omega - omega.T), shift_angle))
+            rotation = exp_stack(_with_norm(0.5 * (omega - omega.T), shift_angle)[None])[0]
             rand_sym = _with_norm(symmetrize(gen.standard_normal((d, d))), shift_random)
-            translation = shift_identity * np.eye(d) + rand_sym
             logs = log_stack(points)
-            # A huge angle gives scipy's expm a non-finite rotation.
-            shifted = exp_stack(_finite(rotation.T @ logs @ rotation + translation,
-                                        "shifted log stack"))
+            with np.errstate(over="ignore"):  # an overflow is reported by _finite or exp_stack
+                translation = shift_identity * np.eye(d) + rand_sym
+                shifted = exp_stack(_finite(rotation.T @ logs @ rotation + translation,
+                                            "shifted log stack"))
         save_spd_dataset(output_shifted, shifted, labels)
         rows.append({"path": output_shifted, "count": int(n), "dim": int(d), "labels": labels is not None})
 

@@ -1,14 +1,14 @@
 """Symmetric/SPD matrix primitives.
 
 Everything here reduces to one numerical kernel: the eigendecomposition of a
-real symmetric matrix (delegated to LAPACK through ``numpy.linalg.eigh``).
-Matrix log/exp, the two geodesic distances and the Daleckii-Krein
-derivatives are built on top of it; the UDU^T factorization is read off a
-Cholesky factor of the index-reversed matrix.  Each operation has one
-batched kernel, and the single-matrix functions are stack-of-one calls of
-it.  Every matrix function rebuilt from eigenpairs goes through
-:func:`reconstruct`; pairwise squared distances between vector rows go
-through :func:`pairwise_sq_dists`; stacks are chunked by :func:`stack_map`.
+real symmetric matrix, or of the Hermitian iK of a skew K, by LAPACK through
+``numpy.linalg.eigh``.  Matrix log/exp (rotations included), the geodesic
+distances and the Daleckii-Krein derivatives are built on top of it; the UDU^T
+factorization is read off a Cholesky factor of the index-reversed matrix.
+Each operation has one batched kernel, and the single-matrix functions are
+stack-of-one calls of it.  Every matrix function rebuilt from eigenpairs goes
+through :func:`reconstruct`; pairwise squared distances between vector rows
+go through :func:`pairwise_sq_dists`; stacks are chunked by :func:`stack_map`.
 """
 
 from __future__ import annotations
@@ -27,6 +27,11 @@ PD_TOLERANCE_FACTOR = 1e-12
 # Largest eigenvalue admitted by the matrix exponential; log(float64 max)
 # is ~709.78, kept with a safety margin.
 EXP_CAP = 700.0
+
+# Largest imaginary part J admitted in exp(K) = R + iJ of a skew K: R^T R - I = -J^T J, within
+# d * 1e-14 entrywise.  Past angles of ~1e9, eigh's error in mu breaks the conjugate pairing of
+# the eigenvalues, J grows to O(1), and float64 resolves no rotation.
+ROTATION_RESIDUE = 1e-7
 
 # Relative eigenvalue gap below which the first divided difference of the
 # log switches to its limit value 1/lambda.
@@ -78,20 +83,20 @@ def pd_tolerance(eigenvalues: np.ndarray) -> np.ndarray:
 
 
 def reconstruct(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Q diag(f) Q^T from eigenvectors Q and (transformed) eigenvalues f, for
+    """Q diag(f) Q^H from eigenvectors Q and (transformed) eigenvalues f, for
     one matrix (d, d) or a stack (b, d, d), by batched matmul chunk by chunk."""
     if vectors.ndim == 2:
         return reconstruct(values[None], vectors[None])[0]
-    out = np.empty(vectors.shape)
+    out = np.empty(vectors.shape, vectors.dtype)
     stack_map(lambda i, j: np.matmul(vectors[i:j] * values[i:j, None, :],
-                                     np.swapaxes(vectors[i:j], -2, -1), out=out[i:j]),
+                                     np.swapaxes(vectors[i:j], -2, -1).conj(), out=out[i:j]),
               len(vectors), vectors[0].size)
     return out
 
 
 def _eigh(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``np.linalg.eigh`` of a stack (b, d, d), chunk by chunk into one output."""
-    w, q = np.empty(mats.shape[:-1]), np.empty(mats.shape)
+    w, q = np.empty(mats.shape[:-1]), np.empty(mats.shape, mats.dtype)
 
     def chunk(i, j):
         w[i:j], q[i:j] = np.linalg.eigh(mats[i:j])
@@ -182,18 +187,23 @@ def sym_log(m) -> SymMatrix:
     return as_spd(m).log
 
 
-def _exp_eig(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs (exp w, Q) of the exponentials of a symmetric stack (b, d, d)."""
-    w, q = _eigh(mats)
-    if np.any(w > EXP_CAP):
+def _generator_eig(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs (mu, U), K = U diag(mu) U^H, of a stack (b, d, d) of real generators: all
+    skew, by eigh of the Hermitian iK (real lambda, mu = -i lambda), or else symmetrized, by
+    their own eigh (OverflowError where exp(mu) would overflow)."""
+    if np.any(mats) and np.array_equal(mats, -np.swapaxes(mats, -2, -1)):
+        lam, u = _eigh(1j * mats)
+        return -1j * lam, u
+    w, q = _eigh(symmetrize(mats))
+    if not np.all(w <= EXP_CAP):  # a NaN, from a non-finite input, fails too
         raise OverflowError(f"eigenvalue {np.max(w):.3e} exceeds the exponential cap {EXP_CAP}")
-    return np.exp(w), q
+    return w, q
 
 
 def sym_exp(s) -> SpdMatrix:
     """Matrix exponential of a symmetric matrix, positive definite by construction."""
-    ew, q = _exp_eig(as_sym(s).array[None])
-    return SpdMatrix(reconstruct(ew[0], q[0]), _eig=(ew[0], q[0]))
+    w, q = _generator_eig(as_sym(s).array[None])
+    return SpdMatrix(reconstruct(np.exp(w[0]), q[0]), _eig=(np.exp(w[0]), q[0]))
 
 
 def dist_log_euclidean(x, y) -> float:
@@ -255,9 +265,9 @@ def _exp_divided_differences(w: np.ndarray) -> np.ndarray:
 
 
 def _daleckii_krein(q: np.ndarray, g: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Q (G o Q^T H Q) Q^T for stacks of eigenvectors Q, Loewner matrices G
-    and symmetric directions H, all (b, d, d)."""
-    qt = np.swapaxes(q, -1, -2)
+    """Q (G o Q^H H Q) Q^H for stacks of eigenvectors Q, Loewner matrices G
+    and directions H, all (b, d, d)."""
+    qt = np.swapaxes(q, -1, -2).conj()
     return q @ (g * (qt @ h @ q)) @ qt
 
 
@@ -268,15 +278,6 @@ def log_frechet_derivative(m, h) -> SymMatrix:
     _check_same_dim(m, h)
     w, q = m.eig
     return SymMatrix(log_frechet_stack(w[None], q[None], h.array[None])[0])
-
-
-def exp_frechet_sym(s, h) -> SymMatrix:
-    """Directional derivative of the matrix exp at symmetric S along
-    symmetric H. Same divided-difference scheme as the log derivative."""
-    s, h = as_sym(s), as_sym(h)
-    _check_same_dim(s, h)
-    w, q = np.linalg.eigh(s.array[None])
-    return SymMatrix(_daleckii_krein(q, _exp_divided_differences(w), h.array[None])[0])
 
 
 def udu_decompose(m) -> tuple[np.ndarray, np.ndarray]:
@@ -328,8 +329,21 @@ def log_stack(mats: np.ndarray) -> np.ndarray:
 
 
 def exp_stack(mats: np.ndarray) -> np.ndarray:
-    """Matrix exponentials of a stack of symmetric matrices (b, d, d)."""
-    return reconstruct(*_exp_eig(symmetrize(mats)))
+    """exp(K) = U e^mu U^H of a stack (b, d, d) of generators as :func:`_generator_eig` reads
+    them: SPD, or rotations exact at K = 0 (OverflowError past float64's ROTATION_RESIDUE)."""
+    mu, u = _generator_eig(mats)
+    e = reconstruct(np.exp(mu), u)
+    residue = np.max(np.abs(e.imag)) if np.iscomplexobj(e) else 0.0
+    if not residue <= ROTATION_RESIDUE:
+        raise OverflowError(f"rotation angle beyond float64 resolution (residue {residue:.1e})")
+    return e.real
+
+
+def exp_frechet_adjoint(k: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Adjoint of the Frechet derivative of exp at one generator K (d, d),
+    applied to G: the derivative at K^T, Re(U (conj(Gamma) o U^H G U) U^H)."""
+    mu, u = _generator_eig(k[None])
+    return _daleckii_krein(u, np.conj(_exp_divided_differences(mu)), g[None])[0].real
 
 
 def log_frechet_stack(w: np.ndarray, q: np.ndarray, h: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ import itertools
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -451,17 +452,12 @@ class TestScipyLoadsOnlyWhereRun:
             ["kernel-ridge", "--train", f["manifest"], "--folds", "2", "--projections", "5",
              "--quantiles", "5", "--output", f["out"]],
             self._adapt(f, "particles"),
-        ]
-        assert self._loaded_after_each(commands, tmp_path) == [[]] * len(commands)
-
-    def test_rotations_load_only_scipy_linalg(self, files, tmp_path):
-        f = files
-        commands = [
+            # Rotations go through the same eigendecomposition as translations.
             ["gen-wishart", "--d", "2", "--n", "6", "--dof", "4", "--output", f["gen"],
              "--output-shifted", f["shifted"], "--shift-angle", "0.3"],
             self._adapt(f, "transform"),
         ]
-        assert self._loaded_after_each(commands, tmp_path) == [["scipy.linalg"]] * 2
+        assert self._loaded_after_each(commands, tmp_path) == [[]] * len(commands)
 
     def test_exact_transport_loads_scipy_optimize(self, files, tmp_path):
         f = files
@@ -741,7 +737,7 @@ GOLDEN_COMMANDS = {
          "--output", "s.json", "--output-shifted", "t.json", "--shift-angle", "0.5",
          "--shift-identity", "0.693", "--shift-random", "0.5", "--report", "g.json"],
         {"s.json": "9139d16afbd56a9b64dcce7fbd628c573977be3674d3f488a6fc99501bd1fa11",
-         "t.json": "932c41235cd53525d7b04c033657df6927eb76d6fee4d0ace5a6d8a738b80257",
+         "t.json": "2ff793c37adcdfc3b4557e56d5ac211b4784c1358665630d21e924d50366f669",
          "g.json": "a12d6d3b2747780018ee66f26e2ed8aa608049c51f18faf9e2b96e618bed77ac"}),
     "projection-complexity": (
         ["--dims", "2,4", "--L-grid", "1,3,10", "--L-star", "40", "--repeats", "3", "--n", "20",
@@ -828,14 +824,33 @@ def test_output_in_missing_directory_is_data_error(command, dataset_pair, tmp_pa
     assert not (tmp_path / "missing").exists()
 
 
-def test_overflowing_shift_angle_is_numerical_failure(tmp_path, capsys):
-    # scipy's expm returns a non-finite rotation for so large an angle.
+def _shifted_gen_wishart(tmp_path, *shift):
+    """Exit code of a d=3 shifted ``gen-wishart``, with every warning an error."""
     gen = ["gen-wishart", "--d", "3", "--n", "8", "--dof", "9", "--output", str(tmp_path / "s.json"),
            "--output-shifted", str(tmp_path / "t.json"), "--report", str(tmp_path / "r.json")]
-    assert main(gen + ["--shift-angle", "1e30"]) == 0
-    (tmp_path / "t.json").unlink()
-    assert main(gen + ["--shift-angle", "1e100"]) == 4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return main(gen + list(shift))
+
+
+def test_overflowing_shift_angle_is_numerical_failure(tmp_path, capsys):
+    # float64 resolves no rotation at these angles; the translation pair
+    # overflows the shifted log stack itself.
+    for angle in ("1e30", "1e100"):
+        assert _shifted_gen_wishart(tmp_path, "--shift-angle", angle) == 4
+        assert capsys.readouterr().err.startswith(
+            "error: rotation angle beyond float64 resolution (residue ")
+    assert _shifted_gen_wishart(tmp_path, "--shift-identity", "1.7e308",
+                                "--shift-random", "1.7e308") == 4
     assert capsys.readouterr().err == "error: shifted log stack overflowed to non-finite values\n"
+    assert not (tmp_path / "t.json").exists()
+
+
+def test_shift_whose_exponential_overflows_writes_nothing(tmp_path, capsys):
+    # The finite shifted logs symmetrize to inf, and eigh gives NaN
+    # eigenvalues: the exponential cap must reject them.
+    assert _shifted_gen_wishart(tmp_path, "--shift-identity", "1e308") == 4
+    assert capsys.readouterr().err == "error: eigenvalue nan exceeds the exponential cap 700.0\n"
     assert not (tmp_path / "t.json").exists()
 
 

@@ -33,7 +33,7 @@ from spdsliced.linalg import (
     _daleckii_krein,
     _exp_divided_differences,
     _log_divided_differences,
-    exp_frechet_sym,
+    exp_frechet_adjoint,
     exp_stack,
     eigh_stack,
     log_stack,
@@ -226,9 +226,68 @@ class TestLogFrechetDerivative:
         s = random_sym(nprng, 3)
         h = random_sym(nprng, 3)
         m = sym_exp(s)
-        forward = exp_frechet_sym(s, h).array
+        forward = exp_frechet_adjoint(s, h)
         back = log_frechet_derivative(m, forward).array
         assert np.linalg.norm(back - h) <= 1e-9 * max(1.0, np.linalg.norm(h))
+
+
+def _generators(seed, count=500, max_norm=30.0, skew=True):
+    """``count`` pairs (K, G): K a random skew (or symmetric) generator of
+    size 2..20 and Frobenius norm up to ``max_norm``, G a random direction."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        d = int(rng.integers(2, 21))
+        z = rng.standard_normal((d, d))
+        k = 0.5 * (z - z.T) if skew else symmetrize(z)
+        yield k * (rng.uniform(0.0, max_norm) / np.linalg.norm(k)), rng.standard_normal((d, d))
+
+
+def expm(k):
+    return exp_stack(k[None])[0]
+
+
+class TestExpm:
+    """The one exponential of symmetric and skew generators, with scipy's
+    Pade ``expm`` and ``expm_frechet`` as the reference."""
+
+    @staticmethod
+    def _assert_close(got, want):
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_rotations_match_scipy(self):
+        for k, g in _generators(90):
+            self._assert_close(expm(k), scipy.linalg.expm(k))
+            # The adjoint of the derivative at K is the derivative at K^T.
+            self._assert_close(exp_frechet_adjoint(k, g),
+                               scipy.linalg.expm_frechet(k.T, g, compute_expm=False))
+
+    def test_symmetric_generators_match_scipy(self):
+        for s, g in _generators(91, count=100, max_norm=5.0, skew=False):
+            self._assert_close(expm(s), scipy.linalg.expm(s))
+            self._assert_close(exp_frechet_adjoint(s, g),
+                               scipy.linalg.expm_frechet(s, g, compute_expm=False))
+
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    def test_zero_generator_is_exact(self, d, nprng):
+        g = nprng.standard_normal((d, d))
+        assert np.array_equal(expm(np.zeros((d, d))), np.eye(d))
+        assert np.array_equal(exp_frechet_adjoint(np.zeros((d, d)), g), g)
+
+    @pytest.mark.parametrize("d", [3, 5, 20])
+    def test_angles_give_a_rotation_or_overflow(self, d):
+        # An angle float64 cannot resolve raises; every rotation returned
+        # is orthogonal to 1e-12.
+        z = np.random.default_rng(92 + d).standard_normal((d, d))
+        unit = 0.5 * (z - z.T) / np.linalg.norm(0.5 * (z - z.T))
+        raised = []
+        for e in range(101):
+            try:
+                r = expm(unit * 10.0**e)
+            except OverflowError:
+                raised.append(e)
+                continue
+            assert np.max(np.abs(r.T @ r - np.eye(d))) <= 1e-12, e
+        assert raised and min(raised) > 6
 
 
 def _daleckii_krein_einsum(q, g, h):
