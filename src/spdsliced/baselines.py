@@ -7,8 +7,13 @@ runs unconditionally in the log domain.
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
 
@@ -99,12 +104,33 @@ def build_cost_matrix(
                       ground_metric=metric, power=p)
 
 
+@functools.cache
+def _assignment_solver():
+    """scipy's ``_lsap`` extension: Crouse's shortest augmenting path, the C
+    ``linear_sum_assignment`` that ``scipy.optimize`` re-exports.  It is loaded
+    straight from scipy's package directory, because importing
+    ``scipy.optimize`` for this one function costs ~48 MB and ~0.4 s; a scipy
+    without that extension file gets the public import."""
+    name = "scipy.optimize._lsap"
+    if name in sys.modules:
+        return sys.modules[name]
+    package = importlib.util.find_spec("scipy")
+    spec = package and FileFinder(
+        os.path.join(package.submodule_search_locations[0], "optimize"),
+        (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
+    if spec is None:
+        import scipy.optimize
+        return scipy.optimize
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def exact_wasserstein(cost: CostMatrix, size_cap: int = EXACT_SIZE_CAP) -> TransportPlan:
     """Optimal transport between uniform marginals, solved as a balanced
     assignment (n == m) or on the replicated common-denominator grid for
     small unequal sizes."""
-    from scipy.optimize import linear_sum_assignment  # scipy loads only where a command runs it
-
+    linear_sum_assignment = _assignment_solver().linear_sum_assignment
     n, m = cost.shape
     if n * m > size_cap:
         raise InstanceTooLarge(f"instance {n}x{m} exceeds the size cap {size_cap}")

@@ -15,6 +15,7 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -89,8 +90,11 @@ def load_spd_dataset(path: str) -> LabeledSpdDataset:
     if d < 1 or n < 1 or len(matrices) != n:
         raise DataValidationError(f"{path!r}: dim/count inconsistent with matrices")
     try:
+        # Exact types: float() would also take the string "1.5" and the boolean true.
+        if not set(map(type, chain.from_iterable(matrices))) <= {float, int}:
+            raise TypeError("entries are not JSON numbers")
         pts = np.asarray(matrices, dtype=float).reshape(n, d, d)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DataValidationError(f"{path!r}: matrices are not {n} rows of {d * d} numbers") from exc
     if not np.all(np.isfinite(pts)):
         raise DataValidationError(f"{path!r}: non-finite entries")

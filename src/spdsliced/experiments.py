@@ -184,9 +184,7 @@ def run_gen_wishart(
     else:
         points = wishart_stack(rng, n, d, dof, scale=base_scale)
         labels = None
-    save_spd_dataset(output, points, labels)
-    rows = [{"path": output, "count": int(n), "dim": int(d), "labels": labels is not None}]
-
+    files = [(output, points)]  # saved once the shift has been computed: a failing one writes nothing
     if output_shifted is not None:
         if shift_angle == 0.0 and shift_identity == 0.0 and shift_random == 0.0:
             shifted = points  # identity shift: byte-identical pair
@@ -200,8 +198,11 @@ def run_gen_wishart(
                 translation = shift_identity * np.eye(d) + rand_sym
                 shifted = exp_stack(_finite(rotation.T @ logs @ rotation + translation,
                                             "shifted log stack"))
-        save_spd_dataset(output_shifted, shifted, labels)
-        rows.append({"path": output_shifted, "count": int(n), "dim": int(d), "labels": labels is not None})
+        files.append((output_shifted, shifted))
+    for path, stack in files:
+        save_spd_dataset(path, stack, labels)
+    rows = [{"path": path, "count": int(n), "dim": int(d), "labels": labels is not None}
+            for path, _ in files]
 
     config = {
         "d": d, "n": n, "dof": dof, "seed": seed, "scale_path": scale_path,

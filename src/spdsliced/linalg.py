@@ -54,18 +54,28 @@ def stack_map(fn, count: int, item_elems: int) -> list:
     """``[fn(start, stop), ...]`` over chunks of ``count`` items of ``item_elems``
     elements, as many as fit in ``_CHUNK_ELEMS``; ``fn`` writes only its own
     slice of any output and calls no stack map.  One chunk or worker (:data:`THREADS`,
-    else SPDSLICED_THREADS, else the CPU affinity) runs inline; else the chunks
-    run on a thread pool, and the first exception in chunk order is raised after all finish."""
+    else SPDSLICED_THREADS, else the CPU affinity) runs inline; else a pool of
+    ``workers - 1`` threads takes chunks from the front while the caller takes the
+    not yet started ones from the back, and the first exception in chunk order
+    is raised after all finish."""
     step = max(1, _CHUNK_ELEMS // max(1, item_elems))
     bounds = [(i, min(i + step, count)) for i in range(0, count, step)]
     workers = THREADS.get() or int(os.environ.get("SPDSLICED_THREADS") or 0) or (
         len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
     if len(bounds) < 2 or workers < 2:
         return [fn(*bound) for bound in bounds]
-    from concurrent.futures import ThreadPoolExecutor, wait
+    from concurrent.futures import Future, ThreadPoolExecutor, wait
     key = (os.getpid(), workers)  # setdefault: a racing thread's spare pool is dropped unused
-    pool = _pools.get(key) or _pools.setdefault(key, ThreadPoolExecutor(workers, "spdsliced"))
+    pool = _pools.get(key) or _pools.setdefault(key, ThreadPoolExecutor(workers - 1, "spdsliced"))
     futures = [pool.submit(fn, *bound) for bound in bounds]
+    for k in reversed(range(len(futures))):
+        if not futures[k].cancel():  # the pool has reached this chunk, hence all before it
+            break
+        futures[k] = Future()
+        try:
+            futures[k].set_result(fn(*bounds[k]))
+        except Exception as exc:  # raised in chunk order below, like the pool's
+            futures[k].set_exception(exc)
     wait(futures)
     return [future.result() for future in futures]
 

@@ -1,9 +1,13 @@
+import importlib.util
 import itertools
 import math
+import subprocess
+import sys
+import types
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
+from scipy.optimize import linear_sum_assignment, linprog
 from scipy.special import logsumexp as scipy_logsumexp
 
 from spdsliced import (
@@ -14,6 +18,7 @@ from spdsliced import (
     sym_exp,
     wasserstein_1d,
 )
+from spdsliced import baselines
 from spdsliced.baselines import CostMatrix, TransportPlan, logsumexp
 from spdsliced.errors import DimensionMismatch, IllConditioned, InstanceTooLarge
 
@@ -130,6 +135,74 @@ class TestExactWasserstein:
         cost = CostMatrix(entries=entries, ground_metric="log_euclidean", power=2.0)
         with pytest.raises(InstanceTooLarge):
             exact_wasserstein(cost, size_cap=10**9)
+
+
+_IMPORT_ORDER_PROBE = """
+import sys
+import numpy as np
+from spdsliced.baselines import _assignment_solver
+cost = np.random.default_rng(5).integers(0, 4, (30, 30)).astype(float)
+if sys.argv[1] == "solver-first":
+    got = _assignment_solver().linear_sum_assignment(cost)
+    assert "scipy.optimize" not in sys.modules
+    from scipy.optimize import linear_sum_assignment
+else:
+    from scipy.optimize import linear_sum_assignment
+    got = _assignment_solver().linear_sum_assignment(cost)
+for rows, cols in (got, _assignment_solver().linear_sum_assignment(cost)):
+    ref_rows, ref_cols = linear_sum_assignment(cost)
+    assert np.array_equal(rows, ref_rows) and np.array_equal(cols, ref_cols)
+"""
+
+
+def _replicated_grid(rng, n, m):
+    common = math.lcm(n, m)
+    cost = rng.random((n, m))
+    return cost[np.ix_(np.repeat(np.arange(n), common // n), np.repeat(np.arange(m), common // m))]
+
+
+class TestAssignmentSolver:
+    """The extension loaded from scipy's directory, and the public import
+    that replaces it when the directory holds none, give the assignment of
+    ``scipy.optimize.linear_sum_assignment``."""
+
+    @pytest.fixture(params=["extension", "fallback"])
+    def solver(self, request, monkeypatch, tmp_path):
+        monkeypatch.delitem(sys.modules, "scipy.optimize._lsap", raising=False)
+        if request.param == "fallback":
+            (tmp_path / "optimize").mkdir()
+            find_spec = importlib.util.find_spec
+            monkeypatch.setattr(importlib.util, "find_spec", lambda name, package=None: (
+                types.SimpleNamespace(submodule_search_locations=[str(tmp_path)])
+                if name == "scipy" else find_spec(name, package)))
+        baselines._assignment_solver.cache_clear()
+        solver = baselines._assignment_solver()
+        yield request.param, solver
+        baselines._assignment_solver.cache_clear()
+
+    def test_loads_from_the_branch(self, solver):
+        branch, module = solver
+        assert module.__name__ == {"extension": "scipy.optimize._lsap",
+                                   "fallback": "scipy.optimize"}[branch]
+
+    @pytest.mark.parametrize("case", ["random", "ties", "grid"])
+    def test_matches_scipy_optimize(self, solver, case):
+        rng = np.random.default_rng(11)
+        costs = {
+            "random": [rng.random((k, k)) for k in (1, 2, 7, 50, 200)],
+            "ties": [rng.integers(0, k, (40, 40)).astype(float) for k in (1, 2, 3)],
+            "grid": [_replicated_grid(rng, n, m) for n, m in ((4, 6), (9, 6), (10, 25))],
+        }[case]
+        for cost in costs:
+            rows, cols = solver[1].linear_sum_assignment(cost)
+            ref_rows, ref_cols = linear_sum_assignment(cost)
+            assert np.array_equal(rows, ref_rows) and np.array_equal(cols, ref_cols)
+
+    @pytest.mark.parametrize("order", ["solver-first", "scipy-first"])
+    def test_either_import_order(self, order):
+        out = subprocess.run([sys.executable, "-c", _IMPORT_ORDER_PROBE, order],
+                             capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
 
 
 class TestLogsumexp:

@@ -459,13 +459,12 @@ class TestScipyLoadsOnlyWhereRun:
         ]
         assert self._loaded_after_each(commands, tmp_path) == [[]] * len(commands)
 
-    def test_exact_transport_loads_scipy_optimize(self, files, tmp_path):
+    def test_exact_transport_loads_only_the_assignment_kernel(self, files, tmp_path):
         f = files
         commands = [self._distance(f, "lew"), self._distance(f, "aiw"),
                     ["sample-complexity", "--dims", "2", "--n-grid", "5", "--repeats", "1",
                      "--projections", "5", "--output", f["out"]]]
-        everything = ["scipy.linalg", "scipy.optimize", "scipy.special"]
-        assert self._loaded_after_each(commands, tmp_path) == [everything] * 3
+        assert self._loaded_after_each(commands, tmp_path) == [[]] * 3
 
 
 class TestPublicSurface:
@@ -844,6 +843,7 @@ def test_overflowing_shift_angle_is_numerical_failure(tmp_path, capsys):
                                 "--shift-random", "1.7e308") == 4
     assert capsys.readouterr().err == "error: shifted log stack overflowed to non-finite values\n"
     assert not (tmp_path / "t.json").exists()
+    assert not (tmp_path / "s.json").exists()
 
 
 def test_shift_whose_exponential_overflows_writes_nothing(tmp_path, capsys):
@@ -852,6 +852,7 @@ def test_shift_whose_exponential_overflows_writes_nothing(tmp_path, capsys):
     assert _shifted_gen_wishart(tmp_path, "--shift-identity", "1e308") == 4
     assert capsys.readouterr().err == "error: eigenvalue nan exceeds the exponential cap 700.0\n"
     assert not (tmp_path / "t.json").exists()
+    assert not (tmp_path / "s.json").exists()
 
 
 def test_allocation_failure_is_numerical_failure(dataset_pair, monkeypatch, capsys):

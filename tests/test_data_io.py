@@ -113,7 +113,8 @@ class TestDatasetValidation:
     @pytest.mark.parametrize("field, value", [
         ("dim", 1.7), ("dim", True), ("dim", "2"), ("count", 1.0), ("count", None),
         ("matrices", {"a": 1}), ("matrices", [{"a": 1}]), ("matrices", 5),
-        ("matrices", [[2.0, 0.1, {"a": 1}, 1.0]]),
+        ("matrices", [[2.0, 0.1, {"a": 1}, 1.0]]), ("matrices", [["2.0", 0.1, 0.1, 1.0]]),
+        ("matrices", [[True, 0.0, 0.0, 1.0]]), ("matrices", [[10**400, 0.1, 0.1, 1.0]]),
     ])
     def test_rejects_malformed_fields(self, tmp_path, field, value):
         doc = self._valid_doc()

@@ -489,6 +489,15 @@ class TestStackMap:
         on_threads(workers, lambda: stack_map(lambda i, j: threads.add(threading.get_ident()), count, 1))
         assert threads == {threading.get_ident()}
 
+    def test_caller_is_one_of_two_workers(self, monkeypatch):
+        # At 2 workers the pool holds one thread; the caller is the other.
+        monkeypatch.setattr(linalg, "_CHUNK_ELEMS", 1)
+        threads = set()
+        on_threads(2, lambda: stack_map(lambda i, j: threads.add(threading.get_ident()), 8, 1))
+        pool = linalg._pools[(os.getpid(), 2)]
+        assert pool._max_workers == 1 and len(pool._threads) == 1
+        assert threads <= {threading.get_ident()} | {t.ident for t in pool._threads}
+
     @pytest.mark.parametrize("text", ["abc", "1.5"])
     def test_environment_count_that_is_no_integer_is_rejected(self, monkeypatch, text):
         # The CLI turns this into a usage error before any stack map runs.
