@@ -1,10 +1,11 @@
 """Dataset and report file formats.
 
 Datasets are JSON documents holding a stack of SPD matrices (row-major
-flattened) with optional integer labels; experiment reports are JSON or
-long-format CSV.  All writes are atomic (temp file + rename), so a partial
-write never parses as a valid file; a write that fails (missing directory,
-no permission, full disk) raises InputError naming the path.
+flattened) with optional integer labels, read and written with orjson;
+experiment reports are JSON or long-format CSV.  All writes are atomic
+(temp file + rename), so a partial write never parses as a valid file; a
+write that fails (missing directory, no permission, full disk) raises
+InputError naming the path.
 """
 
 from __future__ import annotations
@@ -13,11 +14,12 @@ import csv
 import io
 import json
 import os
-import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
+import orjson
 
 from . import __version__
 from .adaptation import LabeledSpdDataset
@@ -29,33 +31,75 @@ FORMAT_VERSION = "1"
 # Loader tolerance on |M - M^T| before symmetrization.
 SYMMETRY_TOLERANCE = 1e-8
 
+# Labels load into a C long array.
+_LABEL_LIMIT = 2**63
 
-def _atomic_write_text(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
+
+def _cannot_write(path: str, exc: OSError) -> InputError:
+    return InputError(f"cannot write {path!r}: {exc.strerror or exc}")
+
+
+def _stage(path: str, data: bytes) -> str:
+    """Write ``data`` to a new temp file beside ``path``; return its name.
+    The file is created as ``open(path, "w")`` would create it, so it gets
+    the umask's default mode."""
+    if os.path.isdir(path):  # refused here, before any staged file is renamed
+        raise InputError(f"cannot write {path!r}: Is a directory")
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}.part")
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(text)
-            os.replace(tmp, path)
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(data)
         except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+            os.unlink(tmp)
             raise
     except OSError as exc:
-        raise InputError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
+        raise _cannot_write(path, exc) from exc
+    return tmp
 
 
-def save_spd_dataset(path: str, points, labels=None) -> None:
-    """Write a dataset file; ``points`` is an (n, d, d) stack, a measure,
-    or a LabeledSpdDataset (whose labels win unless overridden)."""
+@contextmanager
+def staged_writes(files):
+    """Write each ``(path, bytes)`` pair to a temp file beside its path, run
+    the block, then rename every temp file into place.  Nothing is renamed
+    until all files are written and the block has returned, so a write or a
+    block that fails leaves none of these files behind."""
+    staged: list[tuple[str, str]] = []
+    try:
+        for path, data in files:
+            staged.append((_stage(path, data), path))
+        yield
+        for tmp, path in staged:
+            try:
+                os.replace(tmp, path)
+            except OSError as exc:
+                raise _cannot_write(path, exc) from exc
+    finally:
+        for tmp, _ in staged:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+
+
+def _atomic_write(path: str, data: bytes) -> None:
+    with staged_writes([(path, data)]):
+        pass
+
+
+def encode_spd_dataset(points, labels=None) -> bytes:
+    """The dataset file bytes of ``points``: an (n, d, d) stack, a measure,
+    or a LabeledSpdDataset (whose labels win unless overridden).  A stack
+    with a non-finite entry raises DataValidationError, as no JSON number
+    spells it."""
     if isinstance(points, LabeledSpdDataset):
         if labels is None:
             labels = points.labels
         points = points.measure.points
     elif isinstance(points, EmpiricalSpdMeasure):
         points = points.points
-    pts = np.asarray(points, dtype=float)
+    pts = np.ascontiguousarray(points, dtype=np.float64)
+    if not np.all(np.isfinite(pts)):
+        raise DataValidationError("cannot save a stack with non-finite entries")
     n, d = pts.shape[0], pts.shape[1]
     doc: dict = {
         "format_version": FORMAT_VERSION,
@@ -64,23 +108,29 @@ def save_spd_dataset(path: str, points, labels=None) -> None:
     }
     if labels is not None:
         doc["labels"] = [int(v) for v in np.asarray(labels).ravel()]
-    doc["matrices"] = [row.ravel().tolist() for row in pts]
-    _atomic_write_text(path, json.dumps(doc))
+    doc["matrices"] = pts.reshape(n, d * d)
+    return orjson.dumps(doc, option=orjson.OPT_SERIALIZE_NUMPY)
+
+
+def save_spd_dataset(path: str, points, labels=None) -> None:
+    """Write a dataset file; ``points`` and ``labels`` are as for
+    :func:`encode_spd_dataset`."""
+    _atomic_write(path, encode_spd_dataset(points, labels))
 
 
 def load_spd_dataset(path: str) -> LabeledSpdDataset:
     """Read and validate a dataset file.
 
-    Validation failures (schema, ``dim`` or ``count`` not a JSON integer,
-    asymmetry beyond 1e-8, non-SPD matrices, labels that are not ``count``
-    nonnegative integers) raise DataValidationError.  Positive definiteness
-    is checked by filling the measure's log cache, so each matrix is
-    decomposed once.
+    Validation failures (malformed JSON, ``dim`` or ``count`` not a JSON
+    integer, non-finite entries, asymmetry beyond 1e-8, non-SPD matrices,
+    labels that are not ``count`` integers in 0..2**63-1) raise
+    DataValidationError.  Positive definiteness is checked by filling the
+    measure's log cache, so each matrix is decomposed once.
     """
     try:
-        with open(path) as handle:
-            doc = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+        with open(path, "rb") as handle:
+            doc = orjson.loads(handle.read())
+    except (OSError, orjson.JSONDecodeError) as exc:
         raise DataValidationError(f"cannot read dataset {path!r}: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format_version") != FORMAT_VERSION:
         raise DataValidationError(f"{path!r}: unsupported or missing format_version")
@@ -105,8 +155,8 @@ def load_spd_dataset(path: str) -> LabeledSpdDataset:
     if labels is not None:
         if not isinstance(labels, list) or len(labels) != n:
             raise DataValidationError(f"{path!r}: labels must be a list of length count {n}")
-        if not all(type(v) is int and v >= 0 for v in labels):
-            raise DataValidationError(f"{path!r}: labels must be nonnegative integers")
+        if not all(type(v) is int and 0 <= v < _LABEL_LIMIT for v in labels):
+            raise DataValidationError(f"{path!r}: labels must be integers in 0..2**63-1")
         labels = np.asarray(labels, dtype=int)
     measure = EmpiricalSpdMeasure(pts)
     try:
@@ -127,6 +177,7 @@ class ExperimentReport:
     version: str = __version__
 
     def to_json(self) -> str:
+        # The stdlib encoder, not orjson: these indented bytes are pinned.
         return json.dumps(
             {
                 "experiment": self.experiment,
@@ -161,8 +212,8 @@ def _csv_value(v):
 
 def write_report(report: ExperimentReport, path: str, fmt: str = "json") -> None:
     if fmt == "json":
-        _atomic_write_text(path, report.to_json())
+        _atomic_write(path, report.to_json().encode())
     elif fmt == "csv":
-        _atomic_write_text(path, report.to_csv())
+        _atomic_write(path, report.to_csv().encode())
     else:
         raise ValueError(f"unknown report format {fmt!r}")

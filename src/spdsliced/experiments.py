@@ -20,7 +20,14 @@ from .adaptation import (
     train_log_linear_classifier,
 )
 from .baselines import EXACT_SIZE_CAP, build_cost_matrix, exact_wasserstein, sinkhorn
-from .data_io import ExperimentReport, load_spd_dataset, save_spd_dataset, write_report
+from .data_io import (
+    ExperimentReport,
+    encode_spd_dataset,
+    load_spd_dataset,
+    save_spd_dataset,
+    staged_writes,
+    write_report,
+)
 from .errors import DataValidationError, DimensionMismatch, MissingLabels
 from .kernels import (
     cross_sq_distances,
@@ -199,8 +206,10 @@ def run_gen_wishart(
                 shifted = exp_stack(_finite(rotation.T @ logs @ rotation + translation,
                                             "shifted log stack"))
         files.append((output_shifted, shifted))
-    for path, stack in files:
-        save_spd_dataset(path, stack, labels)
+    # The shifted file is written before the dataset is saved and renamed
+    # after it, so a failing write leaves neither file.
+    with staged_writes([(path, encode_spd_dataset(stack, labels)) for path, stack in files[1:]]):
+        save_spd_dataset(output, points, labels)
     rows = [{"path": path, "count": int(n), "dim": int(d), "labels": labels is not None}
             for path, _ in files]
 

@@ -386,6 +386,22 @@ def test_malformed_manifest_entry_is_data_error(bad, dataset_pair, tmp_path, cap
     assert capsys.readouterr().err.startswith("error: ")
 
 
+_ONE_BY_ONE = b'{"format_version": "1", "dim": 1, "count": 1, "matrices": [[%s]]}'
+
+
+@pytest.mark.parametrize("raw", [
+    _ONE_BY_ONE % b"NaN", _ONE_BY_ONE % b"Infinity", _ONE_BY_ONE % b"-Infinity",
+    _ONE_BY_ONE % b"1e400", b"\xef\xbb\xbf" + _ONE_BY_ONE % b"2.0",
+    _ONE_BY_ONE.replace(b"{", b'{"x": "\xe9", ') % b"2.0",
+], ids=["NaN", "Infinity", "-Infinity", "1e400", "byte-order-mark", "latin-1-byte"])
+def test_unparsable_dataset_is_data_error(raw, dataset_pair, tmp_path, capsys):
+    a, _ = dataset_pair
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(raw)
+    assert main(["distance", str(bad), a, "--metric", "spdsw"]) == 3
+    assert capsys.readouterr().err.startswith(f"error: cannot read dataset {str(bad)!r}")
+
+
 def test_malformed_matrices_are_data_error(dataset_pair, tmp_path, capsys):
     a, _ = dataset_pair
     bad = tmp_path / "dict.json"
@@ -729,14 +745,15 @@ def _without_wall_clock(text: str) -> str:
 
 # SHA-256 of each output file of a tiny run of the commands that call the
 # stack maps beyond `distance`; reports are hashed without their wall-clock
-# fields.  Pinned from the tree whose stacks ran on one core.
+# fields.  Pinned from the tree whose stacks ran on one core; the datasets
+# re-pinned when their encoder became orjson (same values, compact bytes).
 GOLDEN_COMMANDS = {
     "gen-wishart": (
         ["--d", "3", "--n", "12", "--dof", "6", "--classes", "2", "--seed", "7",
          "--output", "s.json", "--output-shifted", "t.json", "--shift-angle", "0.5",
          "--shift-identity", "0.693", "--shift-random", "0.5", "--report", "g.json"],
-        {"s.json": "9139d16afbd56a9b64dcce7fbd628c573977be3674d3f488a6fc99501bd1fa11",
-         "t.json": "2ff793c37adcdfc3b4557e56d5ac211b4784c1358665630d21e924d50366f669",
+        {"s.json": "eb732d96a60875453c4c9082de81af4aea55583f1d77ea8e0201a11a379ad278",
+         "t.json": "0f61f3ab736a268afa18c1b915e12465112ab1378ec9d1c1c36cc4c5bd17c27d",
          "g.json": "a12d6d3b2747780018ee66f26e2ed8aa608049c51f18faf9e2b96e618bed77ac"}),
     "projection-complexity": (
         ["--dims", "2,4", "--L-grid", "1,3,10", "--L-star", "40", "--repeats", "3", "--n", "20",
@@ -763,6 +780,30 @@ def test_pooled_command_output_bytes(command, split_pool, tmp_path, monkeypatch)
         if name not in ("s.json", "t.json"):  # the datasets are hashed as written
             data = _without_wall_clock(data.decode()).encode()
         assert hashlib.sha256(data).hexdigest() == digest, f"{command}: {name} moved"
+
+
+# SHA-256 of the gen-wishart datasets above as the stdlib encoder writes
+# them, pinned when it was the dataset encoder.
+STDLIB_DATASET_DIGESTS = {
+    "s.json": "9139d16afbd56a9b64dcce7fbd628c573977be3674d3f488a6fc99501bd1fa11",
+    "t.json": "2ff793c37adcdfc3b4557e56d5ac211b4784c1358665630d21e924d50366f669",
+}
+
+
+def test_gen_wishart_dataset_decodes_to_the_sampler_output(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen-wishart", *GOLDEN_COMMANDS["gen-wishart"][0]]) == 0
+    docs = {name: json.loads((tmp_path / name).read_text()) for name in STDLIB_DATASET_DIGESTS}
+    # --n 12 --classes 2 --dof 6 --seed 7: six matrices per class, scales I and 2I.
+    rng = RngState(7)
+    expected = np.concatenate([wishart_stack(rng.substream(k), 6, 3, 6, scale=(1.0 + k) * np.eye(3))
+                               for k in range(2)])
+    stored = np.asarray(docs["s.json"]["matrices"], dtype=float).reshape(12, 3, 3)
+    assert np.array_equal(stored.view(np.int64), expected.view(np.int64))
+    assert docs["s.json"]["labels"] == [0] * 6 + [1] * 6
+    for name, doc in docs.items():
+        digest = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+        assert digest == STDLIB_DATASET_DIGESTS[name], f"{name}: values moved"
 
 
 def test_non_pd_matrix_in_last_chunk_same_error_on_pool(tmp_path, monkeypatch, capsys):
@@ -821,6 +862,28 @@ def test_output_in_missing_directory_is_data_error(command, dataset_pair, tmp_pa
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {path!r}") and err.count("\n") == 1
     assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("missing", ["s.json", "t.json"])
+def test_failing_gen_wishart_write_leaves_no_file(missing, tmp_path, capsys):
+    paths = {name: str(tmp_path / ("missing" if name == missing else "") / name)
+             for name in ("s.json", "t.json")}
+    assert main(["gen-wishart", "--d", "3", "--n", "8", "--dof", "9",
+                 "--output", paths["s.json"], "--output-shifted", paths["t.json"],
+                 "--shift-angle", "0.3"]) == 3
+    assert capsys.readouterr().err == (
+        f"error: cannot write {paths[missing]!r}: No such file or directory\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_shifted_path_naming_a_directory_writes_nothing(tmp_path, capsys):
+    shifted = tmp_path / "t"
+    shifted.mkdir()
+    assert main(["gen-wishart", "--d", "3", "--n", "8", "--dof", "9",
+                 "--output", str(tmp_path / "s.json"), "--output-shifted", str(shifted),
+                 "--shift-angle", "0.3"]) == 3
+    assert capsys.readouterr().err == f"error: cannot write {str(shifted)!r}: Is a directory\n"
+    assert list(tmp_path.iterdir()) == [shifted] and list(shifted.iterdir()) == []
 
 
 def _shifted_gen_wishart(tmp_path, *shift):

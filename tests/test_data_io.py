@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -13,6 +14,17 @@ from spdsliced import (
     write_report,
 )
 from spdsliced.errors import DataValidationError
+
+# Off-diagonal values whose spelling differs between orjson and the stdlib
+# (the [1e-5, 1e-4) decade, exponents above 1e16), subnormals and -0.0,
+# each in a symmetric 2x2 matrix whose diagonal keeps it positive definite.
+EDGE_VALUES = [(6.42e-05, 1.0, 2.0), (1e-05, 1.0, 1.0), (9.999999999999999e-05, 3.0, 1.0),
+               (5e-324, 1.0, 1.0), (-2.2250738585072014e-308, 1.0, 1.0), (-0.0, 1.0, 1.0),
+               (0.0, 1.2345678901234567e17, 3.3e16), (1e16, 3.0000000000000004e16, 2e16)]
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
 
 
 class TestDatasetRoundTrip:
@@ -33,6 +45,51 @@ class TestDatasetRoundTrip:
         loaded = load_spd_dataset(str(path))
         assert np.array_equal(loaded.measure.points, pts)
         assert loaded.labels is None
+
+    def test_edge_values_roundtrip_bit_exactly(self, tmp_path):
+        pts = np.array([[[a, x], [x, b]] for x, a, b in EDGE_VALUES])
+        path = tmp_path / "d.json"
+        save_spd_dataset(str(path), pts)
+        loaded = load_spd_dataset(str(path)).measure.points
+        stdlib = np.asarray(json.loads(path.read_text())["matrices"]).reshape(pts.shape)
+        assert np.array_equal(_bits(loaded), _bits(pts))
+        assert np.array_equal(_bits(stdlib), _bits(pts))
+
+    def test_loads_stdlib_encoded_file_bit_exactly(self, tmp_path):
+        pts = np.concatenate([wishart_stack(RngState(5), 6, 3, 8),
+                              [[[a, 0.0, x], [0.0, a, 0.0], [x, 0.0, b]]
+                               for x, a, b in EDGE_VALUES]])
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({"format_version": "1", "dim": 3, "count": len(pts),
+                                    "labels": list(range(len(pts))),
+                                    "matrices": [m.ravel().tolist() for m in pts]}))
+        assert ", " in path.read_text()
+        loaded = load_spd_dataset(str(path))
+        assert np.array_equal(_bits(loaded.measure.points), _bits(pts))
+        assert loaded.labels.tolist() == list(range(len(pts)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_save_refuses_non_finite_stack(self, tmp_path, bad):
+        pts = wishart_stack(RngState(4), 3, 2, 5)
+        path = tmp_path / "d.json"
+        save_spd_dataset(str(path), pts)
+        before = path.read_bytes()
+        pts[1, 0, 0] = bad
+        with pytest.raises(DataValidationError, match="non-finite"):
+            save_spd_dataset(str(path), pts)
+        with pytest.raises(DataValidationError, match="non-finite"):
+            save_spd_dataset(str(tmp_path / "new.json"), pts)
+        assert path.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["d.json"]
+
+    def test_files_get_the_mode_of_a_plain_open(self, tmp_path):
+        with open(tmp_path / "plain.json", "w") as handle:
+            handle.write("{}")
+        save_spd_dataset(str(tmp_path / "d.json"), wishart_stack(RngState(4), 2, 2, 5))
+        write_report(ExperimentReport(experiment="demo", config={}), str(tmp_path / "r.json"))
+        modes = {name: stat.S_IMODE(os.stat(tmp_path / name).st_mode)
+                 for name in ("plain.json", "d.json", "r.json")}
+        assert len(set(modes.values())) == 1, modes
 
     def test_schema_fields(self, tmp_path):
         pts = wishart_stack(RngState(4), 2, 2, 5)
@@ -101,7 +158,8 @@ class TestDatasetValidation:
         with pytest.raises(DataValidationError):
             load_spd_dataset(self._write(tmp_path / "x.json", doc))
 
-    @pytest.mark.parametrize("labels", [[-1, 0], ["x", 0], 3, [0.5, 1.7], [True, 0]])
+    @pytest.mark.parametrize("labels", [[-1, 0], ["x", 0], 3, [0.5, 1.7], [True, 0],
+                                        [9223372036854775808, 0], [2**64, 0]])
     def test_rejects_malformed_labels(self, tmp_path, labels):
         doc = self._valid_doc()
         doc["count"] = 2
