@@ -32,9 +32,7 @@ _EXPORTS = {
     # sliced
     "EmpiricalSpdMeasure": "sliced",
     "EmpiricalSymMeasure": "sliced",
-    "ProjectedMeasure": "sliced",
     "DiscrepancyReport": "sliced",
-    "geodesic_project": "sliced",
     "geodesic_coordinate": "sliced",
     "busemann_coordinate_ai": "sliced",
     "wasserstein_1d": "sliced",

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from .linalg import (
     log_frechet_stack,
     pairwise_sq_dists,
     reconstruct,
-    symmetrize,
     vech_isometric,
 )
 from .sampling import ProjectionBasis, RngState, build_projection_basis
@@ -46,6 +45,10 @@ from .sliced import (
 )
 
 PARTICLE_LOSSES = ("spdsw", "logsw", "lew", "les")
+
+# Order p of every adaptation loss, and the run-wide cap on step halvings.
+ORDER = 2.0
+MAX_HALVINGS = 20
 
 # Log-linear classifier: L2 penalty on the weights (bias unpenalized), and
 # the gradient-norm tolerance and iteration cap of its Newton solve.
@@ -72,30 +75,22 @@ class LabeledSpdDataset:
             object.__setattr__(self, "labels", lab)
 
 
-# Unconstrained chain parametrization: translations exp(S) of a symmetric S,
-# rotations exp(K) of a skew-symmetric K, both by :func:`linalg.exp_stack`.
-# Both maps are onto, and gradients live in plain Euclidean coordinates.
+# Unconstrained chain parametrization: a generator stack [S, K] (2, d, d),
+# S symmetric and K skew-symmetric, gives the translation exp(S) and then the
+# rotation exp(K), each by :func:`linalg.exp_stack`.  Both maps are onto, and
+# gradients live in plain Euclidean coordinates.  The identity chain is zeros.
+
+_GENERATOR_SIGNS = np.array([1.0, -1.0])[:, None, None]
 
 
-@dataclass(frozen=True)
-class ChainParam:
-    kind: str  # "translation" | "rotation"
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        if self.kind not in ("translation", "rotation"):
-            raise ValueError(f"unknown step kind {self.kind!r}")
-        m = np.asarray(self.matrix, dtype=float)
-        m = symmetrize(m) if self.kind == "translation" else 0.5 * (m - m.T)
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-    def materialize(self) -> np.ndarray:
-        return exp_stack(self.matrix[None])[0]
+def _project_generators(g: np.ndarray) -> np.ndarray:
+    """A (2, d, d) stack projected onto [symmetric, skew-symmetric]."""
+    return 0.5 * (g + _GENERATOR_SIGNS * np.swapaxes(g, -2, -1))
 
 
-def identity_chain_params(d: int, kinds=("translation", "rotation")) -> list[ChainParam]:
-    return [ChainParam(kind, np.zeros((d, d))) for kind in kinds]
+def chain_matrices(generators: np.ndarray) -> list[np.ndarray]:
+    """The congruence matrix W of each generator, in chain order."""
+    return [exp_stack(g[None])[0] for g in generators]
 
 
 def chain_images(mats: list[np.ndarray], points: np.ndarray) -> list[np.ndarray]:
@@ -202,38 +197,38 @@ def _log_loss(loss_kind, target, basis, p, epsilon):
 
 
 def _transform_loss(source: EmpiricalSpdMeasure, evaluate_logs, gradient_logs):
-    """``(evaluate, gradient)`` over chain parameters, built on those of the
-    log loss.
+    """``(evaluate, gradient)`` over the chain's generator stack, built on
+    those of the log loss.
 
-    ``evaluate`` materializes the chain and runs one eigendecomposition of
-    the transformed stack.  ``gradient`` runs the chain rule log ->
-    congruence steps -> exponential parametrization; the first factor uses
-    the Daleckii-Krein derivative of the matrix log at the transformed
-    points.
+    ``evaluate`` exponentiates the generators and runs one
+    eigendecomposition of the transformed stack.  ``gradient`` runs the
+    chain rule log -> congruence steps -> exponential parametrization; the
+    first factor uses the Daleckii-Krein derivative of the matrix log at the
+    transformed points.
     """
 
-    def evaluate(params):
-        mats = [prm.materialize() for prm in params]
-        inputs = chain_images(mats, source.points)
+    def evaluate(generators):
+        mats = chain_matrices(generators)
+        with np.errstate(over="ignore", invalid="ignore"):  # _finite rejects what overflows
+            inputs = chain_images(mats, source.points)
         w_eig, q_eig = eigh_stack(_finite(inputs[-1], "adaptation step"))
         logs = reconstruct(np.log(w_eig), q_eig)
         loss, inner = evaluate_logs(logs)
         return loss, (mats, inputs, w_eig, q_eig, logs, inner)
 
-    def gradient(params, ctx):
+    def gradient(generators, ctx):
         mats, inputs, w_eig, q_eig, logs, inner = ctx
         grad_pts = log_frechet_stack(w_eig, q_eig, gradient_logs(logs, inner))
-        param_grads: list[np.ndarray | None] = [None] * len(params)
-        for k in range(len(params) - 1, -1, -1):
-            x, w, prm = inputs[k], mats[k], params[k]
+        grads = np.empty_like(generators)
+        for k in range(len(generators) - 1, -1, -1):
+            x, w = inputs[k], mats[k]
             # sum_n X_n W G_n as one (d, n*d) @ (n*d, d) product
             d = w.shape[0]
             grad_w = 2.0 * (np.swapaxes(x @ w, 0, 1).reshape(d, -1) @ grad_pts.reshape(-1, d))
-            # projected as the step's matrix is: symmetric or skew
-            param_grads[k] = ChainParam(prm.kind, exp_frechet_adjoint(prm.matrix, grad_w)).matrix
+            grads[k] = exp_frechet_adjoint(generators[k], grad_w)
             if k > 0:
                 grad_pts = w @ grad_pts @ w.T
-        return param_grads
+        return _project_generators(grads)
 
     return evaluate, gradient
 
@@ -242,7 +237,7 @@ def loss_and_gradient_particles(
     source_logs,
     target: EmpiricalSpdMeasure,
     basis: ProjectionBasis,
-    p: float = 2.0,
+    p: float = ORDER,
 ) -> tuple[float, np.ndarray]:
     """Sliced loss between the source particles (symmetric log
     coordinates) and the log-pushforward of the target, with exact-a.e.
@@ -258,24 +253,28 @@ def loss_and_gradient_particles(
 
 
 def loss_and_gradient_transform(
-    params: list[ChainParam],
+    generators: np.ndarray,
     source: EmpiricalSpdMeasure,
     target: EmpiricalSpdMeasure,
     basis: ProjectionBasis | None,
-    p: float = 2.0,
+    p: float = ORDER,
     loss_kind: str = "spdsw",
     epsilon: float = 1.0,
-) -> tuple[float, list[np.ndarray]]:
-    """Loss of the transformed source against the target and Euclidean
-    gradients of the unconstrained chain parameters (see
-    :func:`_transform_loss`)."""
+) -> tuple[float, np.ndarray]:
+    """Loss of the transformed source against the target and the Euclidean
+    gradient (2, d, d) of the chain's generator stack [S, K], whose
+    symmetric and skew parts are read (see :func:`_transform_loss`)."""
     if source.dim != target.dim:
         raise DimensionMismatch(f"dimensions differ: {source.dim} vs {target.dim}")
+    generators = np.asarray(generators, dtype=float)
+    if generators.shape != (2, source.dim, source.dim):
+        raise DimensionMismatch(f"generators of shape {generators.shape}, not (2, d, d)")
+    generators = _project_generators(generators)
     evaluate, gradient = _transform_loss(source, *_log_loss(
         loss_kind, _fixed_target(target.logs, basis, loss_kind), basis, p, epsilon
     ))
-    loss, ctx = evaluate(params)
-    return loss, gradient(params, ctx)
+    loss, ctx = evaluate(generators)
+    return loss, gradient(generators, ctx)
 
 
 # -- descent driver -----------------------------------------------------------
@@ -291,9 +290,7 @@ class AdaptationConfig:
     epochs: int = 500
     learning_rate: float = 1.0
     seed: int = 0
-    p: float = 2.0
     safeguard: bool = True
-    max_halvings: int = 20
     epsilon: float = 1.0
 
 
@@ -320,9 +317,9 @@ def _basis_for(config: AdaptationConfig, d: int) -> ProjectionBasis | None:
     return build_projection_basis(RngState(config.seed), d, config.num_projections, kind)
 
 
-def _descend(state, evaluate, gradient, config: AdaptationConfig, scale_step, add_step):
-    """Fixed-step descent from ``state``, halving the step while a candidate
-    does not lower the loss (under the safeguard).
+def _descend(state: np.ndarray, evaluate, gradient, config: AdaptationConfig):
+    """Fixed-step descent from the float array ``state``, halving the step
+    while a candidate does not lower the loss (under the safeguard).
 
     Each state is evaluated once: ``evaluate(state)`` returns the loss and
     a context, and the accepted candidate's context feeds the next
@@ -348,12 +345,12 @@ def _descend(state, evaluate, gradient, config: AdaptationConfig, scale_step, ad
         grads = gradient(state, ctx)
         stepped = False
         while True:
-            cand = add_step(state, scale_step(grads, -lr))
+            cand = state + -lr * grads
             cand_loss, cand_ctx = guarded(cand)
             if not config.safeguard or cand_loss <= cur_loss:
                 stepped = True
                 break
-            if halvings >= config.max_halvings:
+            if halvings >= MAX_HALVINGS:
                 break
             lr *= 0.5
             halvings += 1
@@ -385,25 +382,18 @@ def run_adaptation(
     basis = _basis_for(config, measure.dim)
     evaluate, gradient = _log_loss(
         config.loss_kind, _fixed_target(target.logs, basis, config.loss_kind), basis,
-        config.p, config.epsilon,
+        ORDER, config.epsilon,
     )
 
     if mode == "particles":
-        final_state, losses, lr = _descend(
-            measure.logs.copy(), evaluate, gradient, config,
-            scale_step=lambda g, a: a * g,
-            add_step=lambda s, delta: s + delta,
-        )
+        final_state, losses, lr = _descend(measure.logs.copy(), evaluate, gradient, config)
         adapted = EmpiricalSpdMeasure(exp_stack(final_state))
     else:
-        final_params, losses, lr = _descend(
-            identity_chain_params(measure.dim), *_transform_loss(measure, evaluate, gradient),
-            config,
-            scale_step=lambda gs, a: [a * g for g in gs],
-            add_step=lambda ps, ds: [replace(p, matrix=p.matrix + d) for p, d in zip(ps, ds)],
+        final_state, losses, lr = _descend(
+            np.zeros((2, measure.dim, measure.dim)),
+            *_transform_loss(measure, evaluate, gradient), config,
         )
-        mats = [prm.materialize() for prm in final_params]
-        adapted = EmpiricalSpdMeasure(chain_images(mats, measure.points)[-1])
+        adapted = EmpiricalSpdMeasure(chain_images(chain_matrices(final_state), measure.points)[-1])
 
     return AdaptationTrace(
         losses=losses,

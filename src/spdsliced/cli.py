@@ -77,8 +77,14 @@ def _metric_list(allowed: tuple[str, ...]):
 
 
 def _bandwidth(text: str):
-    """'median' or a positive finite number."""
-    return text if text == "median" else _positive_float(text)
+    """'median' or a positive finite number whose 2 sigma^2 does not underflow to 0."""
+    if text == "median":
+        return text
+    sigma = _positive_float(text)
+    if not 2.0 * sigma * sigma > 0.0:
+        raise argparse.ArgumentTypeError(f"expected 'median' or a number whose 2*sigma^2 > 0, "
+                                         f"got {text!r}")
+    return sigma
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import time
 
 import numpy as np
@@ -450,7 +451,7 @@ def _load_manifest(path: str, bands: int | None = None) -> list[dict]:
     try:
         with open(path) as handle:
             doc = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # bad JSON, bytes or an integer of > 4300 digits
         raise DataValidationError(f"cannot read manifest {path!r}: {exc}") from exc
     entries = doc.get("entries") if isinstance(doc, dict) else doc
     if not isinstance(entries, list) or not entries:
@@ -462,7 +463,8 @@ def _load_manifest(path: str, bands: int | None = None) -> list[dict]:
             target = e["target"]
         except (KeyError, TypeError) as exc:
             raise DataValidationError(f"{path!r}: malformed manifest entry: {exc}") from exc
-        if type(target) not in (int, float) or not math.isfinite(target):
+        # Compared, not converted: an integer beyond the float range fails too.
+        if type(target) not in (int, float) or not abs(target) <= sys.float_info.max:
             raise DataValidationError(f"{path!r}: target {target!r} is not a finite number")
         if not isinstance(paths, list) or not paths or not all(isinstance(p, str) for p in paths):
             raise DataValidationError(f"{path!r}: dataset paths must be strings, got {paths!r}")

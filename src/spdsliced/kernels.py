@@ -154,9 +154,10 @@ class GramMatrix:
 
 def gaussian_weights(sq: np.ndarray, sigma: float) -> np.ndarray:
     """exp(-sq / (2 sigma^2)) entrywise, for any block of squared distances."""
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
-    return np.exp(-sq / (2.0 * sigma * sigma))
+    two_var = 2.0 * sigma * sigma
+    if not (sigma > 0.0 and two_var > 0.0):  # a zero distance over 2 sigma^2 == 0 is 0/0
+        raise ValueError(f"sigma must be positive with 2*sigma^2 > 0, got {sigma!r}")
+    return np.exp(-sq / two_var)
 
 
 def gaussian_gram(sq: np.ndarray, sigma: float) -> GramMatrix:

@@ -1,4 +1,4 @@
-"""Projections onto geodesics, 1D Wasserstein, and the sliced estimators.
+"""Coordinates along geodesics, 1D Wasserstein, and the sliced estimators.
 
 The estimator family follows one template: project both empirical measures
 onto each of L slicing directions, compute the closed-form 1D Wasserstein
@@ -21,14 +21,12 @@ from .errors import (
     NotUnitNorm,
 )
 from .linalg import (
-    SpdMatrix,
     SymMatrix,
     _check_same_dim,
     as_spd,
     as_sym,
     log_stack,
     stack_map,
-    sym_exp,
     symmetrize,
     udu_stack,
 )
@@ -93,17 +91,6 @@ class EmpiricalSpdMeasure(EmpiricalSymMeasure):
 
 
 @dataclass(frozen=True)
-class ProjectedMeasure:
-    """One-dimensional pushforward of an empirical measure."""
-
-    coords: np.ndarray
-
-    @property
-    def sorted_view(self) -> np.ndarray:
-        return np.sort(self.coords)
-
-
-@dataclass(frozen=True)
 class DiscrepancyReport:
     """Value and metadata emitted by every distance computation.
 
@@ -133,12 +120,6 @@ def _check_unit_direction(a: SymMatrix) -> SymMatrix:
     if abs(np.linalg.norm(a.array) - 1.0) > 1e-10:
         raise NotUnitNorm("direction must have unit Frobenius norm (1e-10)")
     return a
-
-
-def geodesic_project(a, m) -> SpdMatrix:
-    """Projection of M onto the geodesic {exp(tA)} through the identity,
-    exp(<A, log M>_F A)."""
-    return sym_exp(geodesic_coordinate(a, m) * as_sym(a).array)
 
 
 def geodesic_coordinate(a, m) -> float:

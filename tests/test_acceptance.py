@@ -38,7 +38,6 @@ from spdsliced import (
     wishart_stack,
 )
 from spdsliced.adaptation import (
-    ChainParam,
     _fixed_target,
     _log_loss,
     _sliced_evaluate,
@@ -347,26 +346,19 @@ def test_criterion_09_gradient_correctness():
     worst_chain = 0.0
     for case in range(100):
         crng = np.random.default_rng(9006 + case)
-        params = [
-            ChainParam("translation", 0.2 * symmetrize(crng.standard_normal((3, 3)))),
-            ChainParam("rotation", 0.2 * (lambda z: 0.5 * (z - z.T))(crng.standard_normal((3, 3)))),
-        ]
+        sym = symmetrize(crng.standard_normal((3, 3)))
+        z = crng.standard_normal((3, 3))
+        params = 0.2 * np.stack([sym, 0.5 * (z - z.T)])  # generators [S, K]: symmetric, skew
         _, grads = loss_and_gradient_transform(params, source, target, basis, loss_kind="spdsw")
         k = case % 2
-        if params[k].kind == "translation":
-            h = symmetrize(crng.standard_normal((3, 3)))
-        else:
-            z = crng.standard_normal((3, 3))
-            h = 0.5 * (z - z.T)
+        z = crng.standard_normal((3, 3))
+        h = symmetrize(z) if k == 0 else 0.5 * (z - z.T)
         h /= np.linalg.norm(h)
         eps = 1e-6
-        shifted = lambda sign: [
-            ChainParam(p.kind, p.matrix + sign * eps * h) if j == k else p
-            for j, p in enumerate(params)
-        ]
-        fd = (
-            chain_loss(shifted(+1))[0] - chain_loss(shifted(-1))[0]
-        ) / (2 * eps)
+        plus, minus = params.copy(), params.copy()
+        plus[k] += eps * h
+        minus[k] -= eps * h
+        fd = (chain_loss(plus)[0] - chain_loss(minus)[0]) / (2 * eps)
         rel = abs(float(np.sum(grads[k] * h)) - fd) / max(abs(fd), 1e-12)
         worst_chain = max(worst_chain, rel)
         assert rel <= 1e-4

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -15,9 +16,10 @@ from spdsliced import (
     run_adaptation,
     train_log_linear_classifier,
 )
+from spdsliced import adaptation
 from spdsliced.adaptation import (
+    ORDER,
     PARTICLE_LOSSES,
-    ChainParam,
     _basis_for,
     _fixed_target,
     _log_loss,
@@ -30,7 +32,7 @@ from spdsliced.adaptation import (
     _transport_evaluate,
     _transport_gradient,
     chain_images,
-    identity_chain_params,
+    chain_matrices,
 )
 from spdsliced.baselines import CostMatrix
 from spdsliced.errors import (
@@ -48,6 +50,7 @@ from spdsliced.linalg import (
     log_stack,
     pairwise_sq_dists,
     reconstruct,
+    symmetrize,
     vech_isometric,
 )
 
@@ -59,10 +62,19 @@ def sym_direction(rng, d):
     return h / np.linalg.norm(h)
 
 
+def skew(z):
+    return 0.5 * (z - z.T)
+
+
 def skew_direction(rng, d):
-    z = rng.standard_normal((d, d))
-    h = 0.5 * (z - z.T)
+    h = skew(rng.standard_normal((d, d)))
     return h / np.linalg.norm(h)
+
+
+def project_like_chain_params(g):
+    # The sym/skew projection each chain parameter object applied to its
+    # matrix on construction, before the chain became one generator stack.
+    return np.stack([symmetrize(g[0]), skew(g[1])])
 
 
 class TestParticleLossGradient:
@@ -128,21 +140,16 @@ class TestTransformLossGradient:
         source = wishart_measure(1, 10, 3)
         target = EmpiricalSpdMeasure(source.points.copy())
         basis = build_projection_basis(RngState(2), 3, 20)
-        params = identity_chain_params(3)
-        loss, grads = loss_and_gradient_transform(params, source, target, basis)
+        loss, grads = loss_and_gradient_transform(np.zeros((2, 3, 3)), source, target, basis)
         assert loss <= 1e-24
-        assert all(np.all(np.isfinite(g)) for g in grads)
+        assert grads.shape == (2, 3, 3) and np.all(np.isfinite(grads))
 
     @staticmethod
-    def _fixed_plan_cost(params, source, target, plan):
+    def _fixed_plan_cost(generators, source, target, plan):
         # The les/lew gradients differentiate the cost through a frozen
         # plan (envelope convention); the finite-difference oracle must
         # evaluate that same function.
-        from spdsliced.adaptation import chain_images
-        from spdsliced.linalg import vech_isometric
-
-        mats = [p.materialize() for p in params]
-        logs = log_stack(chain_images(mats, source.points)[-1])
+        logs = log_stack(chain_images(chain_matrices(generators), source.points)[-1])
         diff = vech_isometric(logs)[:, None, :] - vech_isometric(target.logs)[None, :, :]
         return float(np.sum(plan * np.einsum("ijk,ijk->ij", diff, diff)))
 
@@ -151,21 +158,13 @@ class TestTransformLossGradient:
         source = wishart_measure(3, 8, 3)
         target = wishart_measure(4, 8, 3)
         basis = build_projection_basis(RngState(5), 3, 20)
-        params = [
-            ChainParam("translation", 0.2 * random_sym(nprng, 3)),
-            ChainParam("rotation", 0.2 * (lambda z: 0.5 * (z - z.T))(nprng.standard_normal((3, 3)))),
-        ]
+        params = np.stack([0.2 * random_sym(nprng, 3), 0.2 * skew(nprng.standard_normal((3, 3)))])
         epsilon = 5.0
         _, grads = loss_and_gradient_transform(
             params, source, target, basis, loss_kind=loss_kind, epsilon=epsilon
         )
         if loss_kind == "les":
-            from spdsliced.adaptation import _plan_for, chain_images
-            from spdsliced.baselines import CostMatrix
-            from spdsliced.linalg import vech_isometric
-
-            mats = [p.materialize() for p in params]
-            logs = log_stack(chain_images(mats, source.points)[-1])
+            logs = log_stack(chain_images(chain_matrices(params), source.points)[-1])
             diff = vech_isometric(logs)[:, None, :] - vech_isometric(target.logs)[None, :, :]
             sq = np.einsum("ijk,ijk->ij", diff, diff)
             cost = CostMatrix(entries=sq, ground_metric="log_euclidean", power=2.0)
@@ -183,13 +182,15 @@ class TestTransformLossGradient:
                 return evaluate(prms)[0]
 
         eps = 1e-6
-        for k, param in enumerate(params):
+        for k in range(2):
             for _ in range(3):
-                h = (sym_direction if param.kind == "translation" else skew_direction)(nprng, 3)
-                shifted = lambda sign: [
-                    ChainParam(p.kind, p.matrix + sign * eps * h) if j == k else p
-                    for j, p in enumerate(params)
-                ]
+                h = (sym_direction, skew_direction)[k](nprng, 3)
+
+                def shifted(sign):
+                    moved = params.copy()
+                    moved[k] += sign * eps * h
+                    return moved
+
                 fd = (loss_at(shifted(+1)) - loss_at(shifted(-1))) / (2.0 * eps)
                 an = float(np.sum(grads[k] * h))
                 assert abs(fd - an) <= 1e-4 * max(abs(fd), 1e-8)
@@ -205,7 +206,7 @@ class TestTransformLossGradient:
         target = wishart_measure(11, 8, d)
         basis = build_projection_basis(RngState(12), d, 30)
         s_diag = np.diag(nprng.uniform(-0.4, 0.4, d))
-        params = [ChainParam("translation", s_diag)]
+        params = np.stack([s_diag, np.zeros((d, d))])  # the rotation is the identity
         _, grads = loss_and_gradient_transform(params, source, target, basis)
         shifted_logs = log_stack(pts) + 2.0 * s_diag
         _, particle_grads = loss_and_gradient_particles(shifted_logs, target, basis)
@@ -214,11 +215,16 @@ class TestTransformLossGradient:
         want_diag = np.diag(closed_form)
         assert np.max(np.abs(got_diag - want_diag)) <= 1e-8 * max(1.0, np.max(np.abs(want_diag)))
 
-    def test_materialize_chain_validates(self):
-        params = identity_chain_params(3)
-        assert [prm.kind for prm in params] == ["translation", "rotation"]
-        for prm in params:
-            assert np.array_equal(prm.materialize(), np.eye(3))
+    def test_zero_generators_are_the_identity_chain(self):
+        for w in chain_matrices(np.zeros((2, 3, 3))):
+            assert np.array_equal(w, np.eye(3))
+
+    def test_generators_of_another_shape_are_rejected(self):
+        source = wishart_measure(1, 6, 3)
+        basis = build_projection_basis(RngState(2), 3, 10)
+        for shape in [(3, 3), (1, 3, 3), (2, 2, 2)]:
+            with pytest.raises(DimensionMismatch):
+                loss_and_gradient_transform(np.zeros(shape), source, source, basis)
 
 
 class TestRunAdaptation:
@@ -430,8 +436,7 @@ class TestFixedTargetMatchesPerCallOracle:
         state = wishart_measure(23, 10, 3).logs.copy()
         fixed = _fixed_target(target.logs, basis, kind)
         source = wishart_measure(24, 10, 3)
-        params = [ChainParam("translation", 0.1 * np.eye(3)),
-                  ChainParam("rotation", np.zeros((3, 3)))]
+        params = np.stack([0.1 * np.eye(3), np.zeros((3, 3))])
         got = [
             _sliced_evaluate_and_gradient(state, fixed, basis),
             (_sliced_evaluate(state, fixed, basis, 2.0)[0], None),
@@ -568,35 +573,40 @@ def _oracle_log_loss_grad(logs, target, basis, p, loss_kind, epsilon, want_grad)
     return _oracle_transport_loss_grad(logs, target, loss_kind, epsilon, want_grad)
 
 
-def _oracle_transform_loss_grad(params, source, *args, contract=None):
-    mats = [prm.materialize() for prm in params]
+def _oracle_chain_matrices(generators):
+    return [exp_stack(g[None])[0] for g in generators]
+
+
+def _oracle_transform_loss_grad(generators, source, *args, contract=None):
+    mats = _oracle_chain_matrices(generators)
     inputs = [source.points]
     for w in mats:
         inputs.append(w.T @ inputs[-1] @ w)
     w_eig, q_eig = eigh_stack(inputs[-1])
     loss, grad_logs = _oracle_log_loss_grad(reconstruct(np.log(w_eig), q_eig), *args, True)
     grad_pts = log_frechet_stack(w_eig, q_eig, grad_logs)
-    grads = [None] * len(params)
-    for k in range(len(params) - 1, -1, -1):
+    grads = np.empty_like(generators)
+    for k in (1, 0):
         x, w = inputs[k], mats[k]
         if contract is None:
             d = w.shape[0]
             grad_w = 2.0 * (np.swapaxes(x @ w, 0, 1).reshape(d, -1) @ grad_pts.reshape(-1, d))
         else:
             grad_w = contract(x, w, grad_pts)
-        grads[k] = ChainParam(params[k].kind,
-                              exp_frechet_adjoint(params[k].matrix, grad_w)).matrix
+        grads[k] = exp_frechet_adjoint(generators[k], grad_w)
         if k > 0:
             grad_pts = w @ grad_pts @ w.T
-    return loss, grads
+    return loss, project_like_chain_params(grads)
 
 
-def _oracle_chain_loss_only(params, source, *args):
-    logs = log_stack(chain_images([prm.materialize() for prm in params], source.points)[-1])
+def _oracle_chain_loss_only(generators, source, *args):
+    logs = log_stack(chain_images(_oracle_chain_matrices(generators), source.points)[-1])
     return _oracle_log_loss_grad(logs, *args, False)[0]
 
 
-def _oracle_descend(state, loss_grad, loss_only, config, scale_step, add_step):
+def _oracle_descend(state, loss_grad, loss_only, config, project=lambda cand: cand):
+    # ``project`` restates what building a candidate did to it: transform
+    # candidates were projected again, as chain parameter objects.
     def guarded_loss(candidate):
         if not config.safeguard:
             return loss_only(candidate)
@@ -613,12 +623,12 @@ def _oracle_descend(state, loss_grad, loss_only, config, scale_step, add_step):
         _, grads = loss_grad(state)
         stepped = False
         while True:
-            cand = add_step(state, scale_step(grads, -lr))
+            cand = project(state + -lr * grads)
             cand_loss = guarded_loss(cand)
             if not config.safeguard or cand_loss <= cur_loss:
                 stepped = True
                 break
-            if halvings >= config.max_halvings:
+            if halvings >= adaptation.MAX_HALVINGS:
                 break
             lr *= 0.5
             halvings += 1
@@ -636,24 +646,23 @@ def _oracle_run_adaptation(mode, source, target, config):
     descent."""
     measure = source.measure
     basis = _basis_for(config, measure.dim)
-    args = (_fixed_target(target.logs, basis, config.loss_kind), basis, config.p,
+    args = (_fixed_target(target.logs, basis, config.loss_kind), basis, ORDER,
             config.loss_kind, config.epsilon)
     if mode == "particles":
         final, losses, lr = _oracle_descend(
             measure.logs.copy(),
             lambda s: _oracle_log_loss_grad(s, *args, True),
             lambda s: _oracle_log_loss_grad(s, *args, False)[0],
-            config, lambda g, a: a * g, lambda s, delta: s + delta,
+            config,
         )
         return losses, lr, EmpiricalSpdMeasure(exp_stack(final)).points
     final, losses, lr = _oracle_descend(
-        identity_chain_params(measure.dim),
-        lambda ps: _oracle_transform_loss_grad(ps, measure, *args),
-        lambda ps: _oracle_chain_loss_only(ps, measure, *args),
-        config, lambda gs, a: [a * g for g in gs],
-        lambda ps, deltas: [replace(p, matrix=p.matrix + d) for p, d in zip(ps, deltas)],
+        np.zeros((2, measure.dim, measure.dim)),
+        lambda gs: _oracle_transform_loss_grad(gs, measure, *args),
+        lambda gs: _oracle_chain_loss_only(gs, measure, *args),
+        config, project=project_like_chain_params,
     )
-    mats = [p.materialize() for p in final]
+    mats = _oracle_chain_matrices(final)
     return losses, lr, EmpiricalSpdMeasure(chain_images(mats, measure.points)[-1]).points
 
 
@@ -684,11 +693,13 @@ class TestDescentMatchesTwoEvaluationOracle:
         ("particles", "les", 1e3, 2),
         ("transform", "logsw", 10.0, 3),
     ], ids=["particles-halves", "transform-halves", "particles-cap", "transform-cap"])
-    def test_step_halving(self, mode, kind, lr, halvings):
+    def test_step_halving(self, mode, kind, lr, halvings, monkeypatch):
         source = LabeledSpdDataset(wishart_measure(74, 10, 3), np.arange(10) % 2)
         target = wishart_measure(75, 8, 3)
+        if halvings is not None:
+            monkeypatch.setattr(adaptation, "MAX_HALVINGS", halvings)
         cfg = AdaptationConfig(loss_kind=kind, epochs=8, num_projections=20, learning_rate=lr,
-                               seed=76, epsilon=5.0, max_halvings=halvings or 20)
+                               seed=76, epsilon=5.0)
         trace = _assert_run_matches_oracle(mode, source, target, cfg)
         assert trace.final_learning_rate < lr
         if halvings is not None:
@@ -708,18 +719,33 @@ class TestDescentMatchesTwoEvaluationOracle:
 
     @pytest.mark.parametrize("mode", ["particles", "transform"])
     @pytest.mark.parametrize("kind", PARTICLE_LOSSES)
-    def test_overflowing_step_halves_or_raises(self, kind, mode):
+    def test_overflowing_step_halves_or_raises(self, kind, mode, monkeypatch):
         # A step so large that the state or the cost overflows is "too
         # large" under the safeguard, and an OverflowError without it.
         source = LabeledSpdDataset(wishart_measure(80, 10, 3), np.arange(10) % 2)
         target = wishart_measure(81, 10, 3)
+        monkeypatch.setattr(adaptation, "MAX_HALVINGS", 4)
         cfg = AdaptationConfig(loss_kind=kind, epochs=3, num_projections=20, seed=82,
-                               learning_rate=1e300, max_halvings=4)
+                               learning_rate=1e300)
         trace = run_adaptation(mode, source, target, cfg)
         assert trace.final_learning_rate == 1e300 / 2**4
         assert np.all(trace.losses == trace.losses[0])
         with pytest.raises(OverflowError):
             run_adaptation(mode, source, target, replace(cfg, safeguard=False))
+
+    @pytest.mark.parametrize("kind", PARTICLE_LOSSES)
+    def test_overflowing_congruence_halves_without_warning(self, kind):
+        # At this step exp(S) is finite for some losses but W^T C W is not:
+        # the safeguard halves, and numpy's overflow stays silent.
+        source = LabeledSpdDataset(wishart_measure(80, 10, 3), np.arange(10) % 2)
+        target = wishart_measure(81, 10, 3)
+        cfg = AdaptationConfig(loss_kind=kind, epochs=3, num_projections=20, seed=82,
+                               learning_rate=1e6, epsilon=5.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            trace = run_adaptation("transform", source, target, cfg)
+        assert trace.final_learning_rate < cfg.learning_rate
+        assert np.all(np.diff(trace.losses) <= 0.0)
 
 
 # -- each matmul contraction against the einsum it replaced ---------------------
@@ -788,8 +814,7 @@ class TestContractionsMatchEinsumOracles:
         basis = build_projection_basis(RngState(57), 5, 500, _SLICED_KINDS[kind])
         source = wishart_measure(58, 200, 5, dof=40)
         fixed = _fixed_target(wishart_measure(59, 200, 5, dof=40).logs, basis, kind)
-        params = [ChainParam("translation", 0.1 * random_sym(rng, 5)),
-                  ChainParam("rotation", 0.1 * rng.standard_normal((5, 5)))]
+        params = np.stack([0.1 * random_sym(rng, 5), skew(0.1 * rng.standard_normal((5, 5)))])
         evaluate, gradient = _transform_loss(
             source, *_log_loss(kind, fixed, basis, 2.0, 10.0)
         )

@@ -263,6 +263,7 @@ class TestArgumentRanges:
         ["kernel-ridge", "--train", "m.json", "--sigma", "-1"],
         ["kernel-ridge", "--train", "m.json", "--sigma", "nan"],
         ["kernel-ridge", "--train", "m.json", "--sigma", "wide"],
+        ["kernel-ridge", "--train", "m.json", "--sigma", "1e-200"],
         ["gen-wishart", "--d", "2", "--n", "5", "--dof", "4", "--classes", "-1", "--output", "{out}"],
         ["gen-wishart", "--d", "2", "--n", "5", "--dof", "4", "--classes", "1", "--output", "{out}"],
         ["gen-wishart", "--d", "2", "--n", "5", "--dof", "4", "--classes", "2",
@@ -289,7 +290,7 @@ class TestArgumentRanges:
     ], ids=["projections-0", "order-0.5", "epsilon-0", "epsilon-neg", "dims-0",
             "repeats-0", "n-0", "epochs-neg", "metrics-unknown", "metrics-one-unknown",
             "sample-metrics-unknown", "sample-metrics-les", "folds-1", "sigma-neg",
-            "sigma-nan", "sigma-word", "classes-neg", "classes-1", "class-step-neg2",
+            "sigma-nan", "sigma-word", "sigma-underflow", "classes-neg", "classes-1", "class-step-neg2",
             "class-step-neg1", "class-step-nan", "classes-above-n", "gen-seed-neg",
             "distance-seed-neg", "adapt-seed-2pow64", "ridge-seed-huge", "runtime-seed-neg",
             "sample-seed-neg", "projection-seed-neg", "shift-angle-nan", "shift-identity-inf",
@@ -375,6 +376,7 @@ def test_more_folds_than_entries_is_data_error(tmp_path, capsys):
 @pytest.mark.parametrize("bad", [
     {"target": "nan"}, {"target": "inf"}, {"target": float("nan")}, {"target": "1.5"},
     {"target": True}, {"path": 0}, {"path": None}, {"paths": "a.json"}, {"paths": []},
+    {"target": 10**400},
 ])
 def test_malformed_manifest_entry_is_data_error(bad, dataset_pair, tmp_path, capsys):
     a, b = dataset_pair
@@ -382,6 +384,17 @@ def test_malformed_manifest_entry_is_data_error(bad, dataset_pair, tmp_path, cap
     entries[3] = {"paths": [a], "target": 3.0, **bad}  # "path", when given, wins
     manifest = tmp_path / "m.json"
     manifest.write_text(json.dumps(entries))  # float("nan") is written as NaN
+    assert main(["kernel-ridge", "--train", str(manifest), "--folds", "2"]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("raw", [
+    b'[{"path": "a.json", "target": 1' + b"0" * 5000 + b"}]",
+    b'[{"path": "a.json", "target": 1, "x": "\xe9"}]',
+], ids=["5001-digit-target", "latin-1-byte"])
+def test_unparsable_manifest_is_data_error(raw, tmp_path, capsys):
+    manifest = tmp_path / "m.json"
+    manifest.write_bytes(raw)
     assert main(["kernel-ridge", "--train", str(manifest), "--folds", "2"]) == 3
     assert capsys.readouterr().err.startswith("error: ")
 
@@ -747,37 +760,118 @@ def _without_wall_clock(text: str) -> str:
 # stack maps beyond `distance`; reports are hashed without their wall-clock
 # fields.  Pinned from the tree whose stacks ran on one core; the datasets
 # re-pinned when their encoder became orjson (same values, compact bytes).
+# The adapt and kernel-ridge runs read the inputs of _write_golden_inputs;
+# they were pinned from the tree whose transform descent stepped a list of
+# chain parameter objects.
 GOLDEN_COMMANDS = {
     "gen-wishart": (
-        ["--d", "3", "--n", "12", "--dof", "6", "--classes", "2", "--seed", "7",
+        ["gen-wishart", "--d", "3", "--n", "12", "--dof", "6", "--classes", "2", "--seed", "7",
          "--output", "s.json", "--output-shifted", "t.json", "--shift-angle", "0.5",
          "--shift-identity", "0.693", "--shift-random", "0.5", "--report", "g.json"],
         {"s.json": "eb732d96a60875453c4c9082de81af4aea55583f1d77ea8e0201a11a379ad278",
          "t.json": "0f61f3ab736a268afa18c1b915e12465112ab1378ec9d1c1c36cc4c5bd17c27d",
          "g.json": "a12d6d3b2747780018ee66f26e2ed8aa608049c51f18faf9e2b96e618bed77ac"}),
     "projection-complexity": (
-        ["--dims", "2,4", "--L-grid", "1,3,10", "--L-star", "40", "--repeats", "3", "--n", "20",
-         "--seed", "3", "--output", "p.json"],
+        ["projection-complexity", "--dims", "2,4", "--L-grid", "1,3,10", "--L-star", "40",
+         "--repeats", "3", "--n", "20", "--seed", "3", "--output", "p.json"],
         {"p.json": "6c7c3833a875e3a57f68567facb266ff5a50b0db2f5da2d1623de2474882a90c"}),
     "sample-complexity": (
-        ["--dims", "2,4", "--n-grid", "6,20", "--repeats", "2", "--projections", "20",
-         "--seed", "4", "--output", "c.json"],
+        ["sample-complexity", "--dims", "2,4", "--n-grid", "6,20", "--repeats", "2",
+         "--projections", "20", "--seed", "4", "--output", "c.json"],
         {"c.json": "0c5dd84b4653f25aaccdeaca47769ba4825f6900ad1fae3d06c6537f78db95af"}),
     "benchmark-runtime": (
-        ["--n-grid", "6,20", "--d", "4", "--projections", "10", "--metrics",
+        ["benchmark-runtime", "--n-grid", "6,20", "--d", "4", "--projections", "10", "--metrics",
          "spdsw,logsw,hspdsw,lew,les,aiw", "--repeats", "1", "--seed", "5", "--output", "b.json"],
         {"b.json": "dc74cf9b0afe32267dd1c8c20ef2f7ed27f4f1ba4eb45c41ff28ccd824b67b62"}),
 }
+
+# adapt of s.json onto t.json: (mode, loss, extra options) -> digests of the
+# report and the adapted dataset.  The two "halving" runs start from a step
+# that the safeguard halves 15 (particles) and 7 (transform) times.
+_ADAPT_RUNS = {
+    "particles-spdsw": ("particles", "spdsw", [], (
+        "426cefcda822f723f042a7aab76c610f55868f136a070bdb58678e656a73ddcc",
+        "4750b4b4efefd393c2723db46f9199110c1dbd1986920ff64926b3d9dedcf9cc")),
+    "particles-logsw": ("particles", "logsw", [], (
+        "57926ebc63c016998dce383c4e30f50d1b8fc096ec35103c5110414ee87740e9",
+        "4434b88a6f78c300ccf26bbc7991128b883f85d06f55fcfd5a78114084b6e2cb")),
+    "particles-lew": ("particles", "lew", [], (
+        "eef24875193e3ce6160b2b6daa4f31da075815271dbc77c6f673ed7603bd94fd",
+        "521d1e06f8fb2a7cb71bced2b813430ef8b7ecd11700740638175676c244fc45")),
+    "particles-les": ("particles", "les", ["--epsilon", "5"], (
+        "7e88bd7d403860fa7c93c0b20bbc3187ad68a4c83295ea1a7f656eace2c2d099",
+        "467c8a5a5e9c7db8ee27d9400294e10078a2eabfc6607c3b768439aeb926b6a2")),
+    "transform-spdsw": ("transform", "spdsw", [], (
+        "9e8db9276622b46004777a7222a1ed8a2f60e61bddca25e4ea94c12db14196e2",
+        "cb98c4ea7aed896148ae147c43a61a1468ada827d6050aa1a7677a898fd3103d")),
+    "transform-logsw": ("transform", "logsw", [], (
+        "eecd4c71e7ddac5e4e0c44306ca46c80e408852c81156398b52c88828af32fd9",
+        "41b4c4503f712ac435d46080e6066a89c893f19b89708e24ba30d476857d763d")),
+    "transform-lew": ("transform", "lew", [], (
+        "f7ded344fa0260c020fa847036f2095100873c6f2f372077c4b65bdc324f7803",
+        "5e8090666ed94a0090139d37310efc229a9145c49571a882e506e2b637e91dd8")),
+    "transform-les": ("transform", "les", ["--epsilon", "5"], (
+        "f9d6c73dbe5b1cc402cdebc11112f3138ed14f2ea842bd59c2c77fb650a42663",
+        "8a33d2accc09ad781825bb531d0b1510e7cc65745f20670414bfbea7e55f65dd")),
+    "particles-halving": ("particles", "spdsw", ["--lr", "1e6"], (
+        "22cfa4c86b646edf5d9cc103b4f194036edee1f3b453ca785397189148f22c17",
+        "6999dd8ec5d6b47374f19d6a56d9466e87fdc5759c9dbd96716e04f3e89dd847")),
+    "transform-halving": ("transform", "lew", ["--lr", "10"], (
+        "6525d25c1bdad7fb230d2be5421a68b38fd62c9f51c71e86c46eaa874b9c7ac5",
+        "f3d29a10b331aabd20d27e860ce02d02c7f23c8e780d3876b90f288f279c5f68")),
+}
+GOLDEN_COMMANDS.update({
+    f"adapt-{run}": (
+        ["adapt", "--source", "s.json", "--target", "t.json", "--mode", mode, "--loss", loss,
+         "--epochs", "6", "--projections", "20", "--seed", "1", *extra,
+         "--output", "r.json", "--output-adapted", "adapted.json"],
+        dict(zip(("r.json", "adapted.json"), digests)))
+    for run, (mode, loss, extra, digests) in _ADAPT_RUNS.items()
+})
+# kernel-ridge on the train and test manifests, with the median bandwidth
+# and a fixed one: --sigma -> digests of the report and the predictions.
+_RIDGE_RUNS = {
+    "median": ("128d02deb68c86f2a4aa5cd2d31eed612727d4776c6394b7801498c68b9c5314",
+               "67184ac00fb2c178485c6bf7bdaf4d5f278b4deb2ccd19bdc039c95dffa4d93c"),
+    "0.3": ("af41c4aa3b2c5d03e31d9e2d273c6c43a6d9540a82c72a4ca2e65c1cead07576",
+            "ec8d33dea49f920d8960a21c436e27d2562680e1b2db9287592a91c7b0504541"),
+}
+GOLDEN_COMMANDS.update({
+    f"kernel-ridge-sigma-{sigma}": (
+        ["kernel-ridge", "--train", "train.json", "--test", "test.json", "--folds", "3",
+         "--projections", "10", "--quantiles", "8", "--sigma", sigma, "--seed", "2",
+         "--output", "r.json", "--output-predictions", "predictions.csv"],
+        dict(zip(("r.json", "predictions.csv"), digests)))
+    for sigma, digests in _RIDGE_RUNS.items()
+})
+
+# Outputs hashed as written: the datasets, and the predictions table, which
+# carries no wall clock.
+_RAW_OUTPUTS = ("s.json", "t.json", "adapted.json", "predictions.csv")
+
+
+def _write_golden_inputs(directory):
+    """The gen-wishart run's s.json (labeled) and t.json (shifted), and train
+    (6 entries) and test (2 entries) manifests over k0.json ... k7.json."""
+    assert main(GOLDEN_COMMANDS["gen-wishart"][0]) == 0
+    for i in range(8):
+        assert main(["gen-wishart", "--d", "3", "--n", "12", "--dof", "6", "--seed", str(20 + i),
+                     "--output", f"k{i}.json", "--report", "g.json"]) == 0
+    for name, indices in (("train.json", range(6)), ("test.json", range(6, 8))):
+        (directory / name).write_text(
+            json.dumps([{"path": f"k{i}.json", "target": 0.5 * i} for i in indices]))
 
 
 @pytest.mark.parametrize("command", GOLDEN_COMMANDS)
 def test_pooled_command_output_bytes(command, split_pool, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     argv, digests = GOLDEN_COMMANDS[command]
-    assert main([command, *argv]) == 0
+    if argv[0] in ("adapt", "kernel-ridge"):
+        _write_golden_inputs(tmp_path)
+    assert main(argv) == 0
     for name, digest in digests.items():
         data = (tmp_path / name).read_bytes()
-        if name not in ("s.json", "t.json"):  # the datasets are hashed as written
+        if name not in _RAW_OUTPUTS:
             data = _without_wall_clock(data.decode()).encode()
         assert hashlib.sha256(data).hexdigest() == digest, f"{command}: {name} moved"
 
@@ -792,7 +886,7 @@ STDLIB_DATASET_DIGESTS = {
 
 def test_gen_wishart_dataset_decodes_to_the_sampler_output(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    assert main(["gen-wishart", *GOLDEN_COMMANDS["gen-wishart"][0]]) == 0
+    assert main(GOLDEN_COMMANDS["gen-wishart"][0]) == 0
     docs = {name: json.loads((tmp_path / name).read_text()) for name in STDLIB_DATASET_DIGESTS}
     # --n 12 --classes 2 --dof 6 --seed 7: six matrices per class, scales I and 2I.
     rng = RngState(7)

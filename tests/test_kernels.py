@@ -18,7 +18,7 @@ from spdsliced import (
     sum_kernels,
 )
 from spdsliced.errors import BasisMismatch, IllConditioned, SizeMismatch
-from spdsliced.kernels import GramMatrix, feature_sq_distances, kfold_indices
+from spdsliced.kernels import GramMatrix, feature_sq_distances, gaussian_weights, kfold_indices
 
 from conftest import random_spd, wishart_measure
 
@@ -80,6 +80,14 @@ class TestGaussianKernel:
         gram = gaussian_kernel(feats, sigma=0.7)
         assert np.all(np.diag(gram.entries) == 1.0)
         assert np.array_equal(gram.entries, gram.entries.T)
+
+    def test_sigma_whose_variance_underflows_is_rejected(self):
+        # 2 sigma^2 rounds to 0 below ~1e-162, and a zero distance over it is 0/0.
+        sq = np.array([[0.0, 1e-300], [1e-300, 0.0]])
+        for sigma in (1e-200, 1e-163, 0.0, -1.0):
+            with pytest.raises(ValueError):
+                gaussian_weights(sq, sigma)
+        assert np.all(np.isfinite(gaussian_weights(sq, 1e-161)))
 
     def test_large_sigma_saturates_to_one(self):
         basis = build_projection_basis(RngState(4), 3, 8)

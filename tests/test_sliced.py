@@ -14,7 +14,6 @@ from spdsliced import (
     busemann_coordinate_ai,
     dist_log_euclidean,
     geodesic_coordinate,
-    geodesic_project,
     hspdsw,
     log_sw,
     mc_error_estimate,
@@ -32,7 +31,7 @@ from spdsliced.errors import (
 )
 from spdsliced import sliced
 from spdsliced.sampling import ProjectionBasis
-from spdsliced.sliced import DiscrepancyReport, ProjectedMeasure
+from spdsliced.sliced import DiscrepancyReport
 
 from conftest import assert_all_equal, random_spd, random_sym, wishart_measure
 
@@ -60,33 +59,11 @@ def brute_force_wpp(x, y, p):
     return float(np.mean(np.abs(xr - yr) ** p))
 
 
-class TestGeodesicProjection:
-    def test_point_on_geodesic_is_fixed(self, nprng):
-        a = unit_sym(nprng, 3)
-        m = sym_exp(1.7 * a)
-        proj = geodesic_project(a, m)
-        assert np.linalg.norm(proj.array - m.array) <= 1e-10 * np.linalg.norm(m.array)
-
-    def test_identity_projects_to_identity(self, nprng):
-        a = unit_sym(nprng, 3)
-        assert np.allclose(geodesic_project(a, np.eye(3)).array, np.eye(3), atol=1e-12)
-
-    def test_grid_minimality(self, nprng):
-        grid = np.linspace(-10.0, 10.0, 100)
-        for _ in range(100):
-            a = unit_sym(nprng, 3)
-            m = random_spd(nprng, 3)
-            proj = geodesic_project(a, m)
-            best = dist_log_euclidean(proj, m)
-            for t in grid:
-                assert best <= dist_log_euclidean(sym_exp(t * a), m) + 1e-10
-
+class TestGeodesicCoordinate:
     def test_rejects_non_unit_direction(self, nprng):
         with pytest.raises(NotUnitNorm):
-            geodesic_project(2.0 * unit_sym(nprng, 3), np.eye(3))
+            geodesic_coordinate(2.0 * unit_sym(nprng, 3), np.eye(3))
 
-
-class TestGeodesicCoordinate:
     def test_identity_is_zero(self, nprng):
         assert geodesic_coordinate(unit_sym(nprng, 4), np.eye(4)) == 0.0
 
@@ -187,10 +164,6 @@ class TestWasserstein1d:
         # 3^1000 overflows; the W_p^p helper the estimators share reports it.
         with pytest.raises(OverflowError):
             wasserstein_1d([0.0], [3.0], 1000.0)
-
-    def test_projected_measure_sorted_view(self):
-        pm = ProjectedMeasure(np.array([3.0, 1.0, 2.0]))
-        assert np.array_equal(pm.sorted_view, [1.0, 2.0, 3.0])
 
 
 class TestSpdsw:
