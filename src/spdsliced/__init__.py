@@ -10,8 +10,6 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     # linalg
-    "SymMatrix": "linalg",
-    "SpdMatrix": "linalg",
     "sym_log": "linalg",
     "sym_exp": "linalg",
     "dist_log_euclidean": "linalg",

@@ -27,6 +27,7 @@ from .errors import (
 )
 from .baselines import CostMatrix, exact_wasserstein, sinkhorn
 from .linalg import (
+    _finite,
     eigh_stack,
     exp_frechet_adjoint,
     exp_stack,
@@ -39,7 +40,6 @@ from .sampling import ProjectionBasis, RngState, build_projection_basis
 from .sliced import (
     SLICED_ESTIMATORS,
     EmpiricalSpdMeasure,
-    _finite,
     _mean_wpp,
     _merged_quantile_grid,
 )

@@ -18,8 +18,8 @@ from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFin
 import numpy as np
 
 from .errors import DimensionMismatch, IllConditioned, InstanceTooLarge
-from .linalg import pairwise_ai_dists, pairwise_sq_dists, vech_isometric
-from .sliced import EmpiricalSpdMeasure, _finite
+from .linalg import _finite, pairwise_ai_dists, pairwise_sq_dists, vech_isometric
+from .sliced import EmpiricalSpdMeasure
 
 GROUND_METRICS = ("log_euclidean", "affine_invariant")
 

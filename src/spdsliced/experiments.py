@@ -42,13 +42,12 @@ from .kernels import (
     quantile_feature,
     sum_kernels,
 )
-from .linalg import exp_stack, log_stack, sym_dim, symmetrize
+from .linalg import _finite, exp_stack, log_stack, sym_dim, symmetrize
 from .sampling import RngState, build_projection_basis, wishart_stack
 from .sliced import (
     SLICED_ESTIMATORS,
     DiscrepancyReport,
     EmpiricalSpdMeasure,
-    _finite,
     mc_error_estimate,
 )
 
@@ -179,19 +178,22 @@ def run_gen_wishart(
     if scale_path is not None:
         base_scale = load_spd_dataset(scale_path).measure.points[0]
 
-    if classes is not None and classes >= 2:
-        counts = [n // classes + (1 if k < n % classes else 0) for k in range(classes)]
-        blocks, labels = [], []
-        for k, nk in enumerate(counts):
-            factor = 1.0 + class_scale_step * k
-            scale = factor * (np.eye(d) if base_scale is None else base_scale)
-            blocks.append(wishart_stack(rng.substream(k), nk, d, dof, scale=scale))
-            labels.extend([k] * nk)
-        points = np.concatenate(blocks)
-        labels = np.asarray(labels, dtype=int)
-    else:
-        points = wishart_stack(rng, n, d, dof, scale=base_scale)
-        labels = None
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported by _finite
+        if classes is not None and classes >= 2:
+            counts = [n // classes + (1 if k < n % classes else 0) for k in range(classes)]
+            blocks, labels = [], []
+            for k, nk in enumerate(counts):
+                factor = 1.0 + class_scale_step * k
+                scale = _finite(factor * (np.eye(d) if base_scale is None else base_scale),
+                                "class scale")
+                blocks.append(wishart_stack(rng.substream(k), nk, d, dof, scale=scale))
+                labels.extend([k] * nk)
+            points = np.concatenate(blocks)
+            labels = np.asarray(labels, dtype=int)
+        else:
+            points = wishart_stack(rng, n, d, dof, scale=base_scale)
+            labels = None
+        points = _finite(points, "Wishart stack")
     files = [(output, points)]  # saved once the shift has been computed: a failing one writes nothing
     if output_shifted is not None:
         if shift_angle == 0.0 and shift_identity == 0.0 and shift_random == 0.0:

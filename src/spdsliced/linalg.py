@@ -86,6 +86,14 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + np.swapaxes(a, -2, -1))
 
 
+def _finite(x, what: str):
+    """``x`` itself, or OverflowError when it holds a non-finite value: a
+    sum, product or power overflowed (an adaptation step treats it as too large)."""
+    if not np.all(np.isfinite(x)):
+        raise OverflowError(f"{what} overflowed to non-finite values")
+    return x
+
+
 def pd_tolerance(eigenvalues: np.ndarray) -> np.ndarray:
     """Positive-definiteness threshold relative to the spectral radius."""
     scale = np.max(np.abs(eigenvalues), axis=-1)
@@ -115,86 +123,30 @@ def _eigh(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, q
 
 
-class SymMatrix:
-    """A real symmetric d x d matrix.
-
-    Inputs are symmetrized on construction ((M + M^T)/2): covariance
-    estimators routinely produce tiny asymmetries, so rejecting them would
-    be hostile. The stored array is immutable.
-    """
-
-    __slots__ = ("array", "dim")
-
-    def __init__(self, entries):
-        a = np.asarray(entries, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-        a = symmetrize(a)
-        if not np.all(np.isfinite(a)):
-            raise ValueError("matrix entries must be finite")
-        a.flags.writeable = False
-        object.__setattr__(self, "array", a)
-        object.__setattr__(self, "dim", a.shape[0])
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __repr__(self):
-        return f"{type(self).__name__}(dim={self.dim})"
+def sym_stack(points) -> np.ndarray:
+    """The (n, d, d) stack ``points``, symmetrized: DimensionMismatch on another
+    shape, ValueError on a non-finite entry, OverflowError where (A + A^T)/2 does.
+    A single matrix M is checked as the stack ``[M]``."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 3 or pts.shape[1] != pts.shape[2]:
+        raise DimensionMismatch(f"expected an (n, d, d) stack, got shape {pts.shape}")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("matrix entries must be finite")
+    with np.errstate(over="ignore"):  # an overflow is reported by _finite
+        return _finite(symmetrize(pts), "symmetrized stack")
 
 
-class SpdMatrix(SymMatrix):
-    """A symmetric positive definite d x d matrix.
-
-    The eigendecomposition ``eig``, the pair (w, Q) with M = Q diag(w) Q^T
-    and w ascending, is computed at construction (it both validates positive
-    definiteness and backs every subsequent operation). The matrix log is
-    cached on first use; the cache fill is idempotent and therefore
-    race-safe.
-    """
-
-    __slots__ = ("eig", "_log")
-
-    def __init__(self, entries, _eig: tuple[np.ndarray, np.ndarray] | None = None):
-        super().__init__(entries)
-        w, q = np.linalg.eigh(self.array) if _eig is None else _eig
-        tol = pd_tolerance(w)
-        if w[0] <= tol:
-            raise NotPositiveDefinite(
-                f"smallest eigenvalue {w[0]:.3e} is at or below tolerance {tol:.3e}"
-            )
-        object.__setattr__(self, "eig", (w, q))
-        object.__setattr__(self, "_log", None)
-
-    @property
-    def log(self) -> SymMatrix:
-        """Matrix logarithm, computed once and cached."""
-        cached = object.__getattribute__(self, "_log")
-        if cached is None:
-            w, q = self.eig
-            cached = SymMatrix(reconstruct(np.log(w), q))
-            object.__setattr__(self, "_log", cached)
-        return cached
+def _pair(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """Two matrices as symmetrized stacks of one, of the same dimension."""
+    x, y = sym_stack([x]), sym_stack([y])
+    if x.shape != y.shape:
+        raise DimensionMismatch(f"dimensions differ: {x.shape[-1]} vs {y.shape[-1]}")
+    return x, y
 
 
-def as_sym(x) -> SymMatrix:
-    return x if isinstance(x, SymMatrix) and not isinstance(x, SpdMatrix) else SymMatrix(
-        x.array if isinstance(x, SymMatrix) else x
-    )
-
-
-def as_spd(x) -> SpdMatrix:
-    return x if isinstance(x, SpdMatrix) else SpdMatrix(x.array if isinstance(x, SymMatrix) else x)
-
-
-def _check_same_dim(x: SymMatrix, y: SymMatrix) -> None:
-    if x.dim != y.dim:
-        raise DimensionMismatch(f"dimensions differ: {x.dim} vs {y.dim}")
-
-
-def sym_log(m) -> SymMatrix:
+def sym_log(m) -> np.ndarray:
     """Matrix logarithm of an SPD matrix, Q diag(log w) Q^T."""
-    return as_spd(m).log
+    return log_stack(sym_stack([m]))[0]
 
 
 def _generator_eig(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -210,24 +162,20 @@ def _generator_eig(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, q
 
 
-def sym_exp(s) -> SpdMatrix:
-    """Matrix exponential of a symmetric matrix, positive definite by construction."""
-    w, q = _generator_eig(as_sym(s).array[None])
-    return SpdMatrix(reconstruct(np.exp(w[0]), q[0]), _eig=(np.exp(w[0]), q[0]))
+def sym_exp(s) -> np.ndarray:
+    """Matrix exponential of a symmetric matrix."""
+    return exp_stack(sym_stack([s]))[0]
 
 
 def dist_log_euclidean(x, y) -> float:
     """Log-Euclidean geodesic distance ||log X - log Y||_F."""
-    x, y = as_spd(x), as_spd(y)
-    _check_same_dim(x, y)
-    return float(np.linalg.norm(x.log.array - y.log.array))
+    log_x, log_y = log_stack(np.concatenate(_pair(x, y)))
+    return float(np.linalg.norm(log_x - log_y))
 
 
 def dist_affine_invariant(x, y) -> float:
     """Affine-invariant geodesic distance ||log(X^{-1/2} Y X^{-1/2})||_F."""
-    x, y = as_spd(x), as_spd(y)
-    _check_same_dim(x, y)
-    return float(pairwise_ai_dists(x.array[None], y.array[None])[0, 0])
+    return float(pairwise_ai_dists(*_pair(x, y))[0, 0])
 
 
 def pairwise_ai_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -281,13 +229,11 @@ def _daleckii_krein(q: np.ndarray, g: np.ndarray, h: np.ndarray) -> np.ndarray:
     return q @ (g * (qt @ h @ q)) @ qt
 
 
-def log_frechet_derivative(m, h) -> SymMatrix:
+def log_frechet_derivative(m, h) -> np.ndarray:
     """Directional derivative of the matrix log at M along symmetric H
     (Daleckii-Krein first divided differences)."""
-    m, h = as_spd(m), as_sym(h)
-    _check_same_dim(m, h)
-    w, q = m.eig
-    return SymMatrix(log_frechet_stack(w[None], q[None], h.array[None])[0])
+    m, h = _pair(m, h)
+    return log_frechet_stack(*eigh_stack(m), h)[0]
 
 
 def udu_decompose(m) -> tuple[np.ndarray, np.ndarray]:
@@ -296,7 +242,9 @@ def udu_decompose(m) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(U, D)`` with D as a length-d vector of diagonal entries.
     Raises NotPositiveDefinite on a nonpositive pivot.
     """
-    u, d = udu_stack(as_spd(m).array[None])
+    m = sym_stack([m])
+    eigh_stack(m)  # the positive-definiteness check of every SPD input
+    u, d = udu_stack(m)
     return u[0], d[0]
 
 

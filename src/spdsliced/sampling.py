@@ -19,15 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateSample, DimensionMismatch, NotPositiveDefinite, NotUnitNorm
-from .linalg import (
-    SpdMatrix,
-    SymMatrix,
-    as_spd,
-    stack_map,
-    sym_dim,
-    symmetrize,
-    unvech_isometric,
-)
+from .linalg import eigh_stack, stack_map, sym_dim, sym_stack, symmetrize, unvech_isometric
 
 _UINT64_MAX = 2**64 - 1
 _WISHART_CHUNK_ELEMS = 20_000_000  # normals per chunk of a Wishart stack
@@ -137,10 +129,10 @@ def _lambda_s_rows(normals: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]
     return _lambda_s_stack(theta, p), zero
 
 
-def sample_lambda_s(rng, d: int) -> SymMatrix:
+def sample_lambda_s(rng, d: int) -> np.ndarray:
     """Uniform unit-Frobenius-norm symmetric matrix A = P diag(theta) P^T
     with P Haar-orthogonal and theta uniform on the sphere."""
-    return SymMatrix(_guarded_draw(_as_generator(rng), d, "eig_uniform"))
+    return _guarded_draw(_as_generator(rng), d, "eig_uniform")
 
 
 def _vec_sphere_rows(normals: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -148,14 +140,15 @@ def _vec_sphere_rows(normals: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarra
     return unvech_isometric(v), zero
 
 
-def sample_wishart(rng, d: int, dof: int, scale=None) -> SpdMatrix:
+def sample_wishart(rng, d: int, dof: int, scale=None) -> np.ndarray:
     """Normalized Wishart draw (1/dof) sum_k z_k z_k^T with z_k ~ N(0, scale):
     a stack of one, redrawn once if it fails the positive-definiteness check."""
     gen = _as_generator(rng)
     for _ in range(2):
-        draw = wishart_stack(gen, 1, d, dof, scale)[0]
+        draw = wishart_stack(gen, 1, d, dof, scale)
         try:
-            return SpdMatrix(draw)
+            eigh_stack(draw)
+            return draw[0]
         except NotPositiveDefinite:
             pass
     raise DegenerateSample("Wishart sample failed the positive-definiteness check twice")
@@ -164,10 +157,10 @@ def sample_wishart(rng, d: int, dof: int, scale=None) -> SpdMatrix:
 def _scale_factor(d: int, scale) -> np.ndarray | None:
     if scale is None:
         return None
-    scale = as_spd(scale)
-    if scale.dim != d:
-        raise DimensionMismatch(f"scale has dim {scale.dim}, expected {d}")
-    w, q = scale.eig
+    scale = sym_stack([scale])
+    if scale.shape[-1] != d:
+        raise DimensionMismatch(f"scale has dim {scale.shape[-1]}, expected {d}")
+    (w,), (q,) = eigh_stack(scale)
     return q * np.sqrt(w)  # factor F with F F^T = scale
 
 

@@ -20,16 +20,7 @@ from .errors import (
     EmptyMeasure,
     NotUnitNorm,
 )
-from .linalg import (
-    SymMatrix,
-    _check_same_dim,
-    as_spd,
-    as_sym,
-    log_stack,
-    stack_map,
-    symmetrize,
-    udu_stack,
-)
+from .linalg import _finite, _pair, log_stack, stack_map, sym_stack, udu_stack
 from .sampling import ProjectionBasis, RngState, build_projection_basis
 
 # Eigenvalue gap below which a slicing direction is treated as degenerate
@@ -47,13 +38,9 @@ class EmpiricalSymMeasure:
     __slots__ = ("points", "_logs")
 
     def __init__(self, points):
-        pts = symmetrize(np.asarray(points, dtype=float))
-        if pts.ndim != 3 or pts.shape[1] != pts.shape[2]:
-            raise DimensionMismatch(f"expected an (n, d, d) stack, got shape {pts.shape}")
+        pts = sym_stack(points)
         if pts.shape[0] < 1:
             raise EmptyMeasure("an empirical measure needs at least one point")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("points must be finite")
         pts.flags.writeable = False
         self.points = pts
         self._logs = None
@@ -116,18 +103,18 @@ class DiscrepancyReport:
         return self.value ** (1.0 / self.order_p)
 
 
-def _check_unit_direction(a: SymMatrix) -> SymMatrix:
-    if abs(np.linalg.norm(a.array) - 1.0) > 1e-10:
+def _direction_pair(a, m) -> tuple[np.ndarray, np.ndarray]:
+    """A unit-norm direction and a matrix, as stacks of one of the same dimension."""
+    a, m = _pair(a, m)
+    if abs(np.linalg.norm(a) - 1.0) > 1e-10:
         raise NotUnitNorm("direction must have unit Frobenius norm (1e-10)")
-    return a
+    return a, m
 
 
 def geodesic_coordinate(a, m) -> float:
     """Signed coordinate <A, log M>_F of M along the geodesic {exp(tA)}."""
-    a = _check_unit_direction(as_sym(a))
-    m = as_spd(m)
-    _check_same_dim(a, m)
-    return float(np.sum(a.array * m.log.array))
+    a, m = _direction_pair(a, m)
+    return float(np.sum(a * log_stack(m)))
 
 
 def _busemann_frames(directions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -146,13 +133,11 @@ def busemann_coordinate_ai(a, m) -> float:
     Diagonalize A = P diag(theta) P^T with theta sorted descending, move M
     to that basis, UDU-factor it, and return -sum_i theta_i log D_ii.
     """
-    a = _check_unit_direction(as_sym(a))
-    m = as_spd(m)
-    _check_same_dim(a, m)
-    (theta,), (frame,), (degenerate,) = _busemann_frames(a.array[None])
+    a, m = _direction_pair(a, m)
+    (theta,), (frame,), (degenerate,) = _busemann_frames(a)
     if degenerate:
         raise DegenerateDirection("direction has (near-)repeated eigenvalues")
-    return float(_busemann_coords_stack(m.array[None], frame, theta)[0])
+    return float(_busemann_coords_stack(m, frame, theta)[0])
 
 
 # -- 1D Wasserstein ----------------------------------------------------------
@@ -169,14 +154,6 @@ def _merged_quantile_grid(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.nd
     ix = np.searchsorted(bx, qs)
     iy = np.searchsorted(by, qs)
     return lens, ix, iy
-
-
-def _finite(x, what: str):
-    """``x`` itself, or OverflowError when it holds a non-finite value: a
-    power or sum overflowed (an adaptation step treats it as too large)."""
-    if not np.all(np.isfinite(x)):
-        raise OverflowError(f"{what} overflowed to non-finite values")
-    return x
 
 
 def _wpp_rows(xs_sorted: np.ndarray, ys_sorted: np.ndarray, p: float) -> np.ndarray:

@@ -106,8 +106,8 @@ class TestExactWasserstein:
         a /= np.linalg.norm(a)
         tx = nprng.uniform(-2.0, 2.0, 8)
         ty = nprng.uniform(-2.0, 2.0, 8)
-        mu = EmpiricalSpdMeasure(np.stack([sym_exp(t * a).array for t in tx]))
-        nu = EmpiricalSpdMeasure(np.stack([sym_exp(t * a).array for t in ty]))
+        mu = EmpiricalSpdMeasure(np.stack([sym_exp(t * a) for t in tx]))
+        nu = EmpiricalSpdMeasure(np.stack([sym_exp(t * a) for t in ty]))
         cost = build_cost_matrix(mu, nu, "log_euclidean", 2.0)
         assert abs(exact_wasserstein(cost).cost - wasserstein_1d(tx, ty, 2.0)) <= 1e-12
 

@@ -845,9 +845,28 @@ GOLDEN_COMMANDS.update({
     for sigma, digests in _RIDGE_RUNS.items()
 })
 
+# gen-wishart scaled by the first matrix of k0.json, a non-diagonal 3x3,
+# plainly and per class: --class-scale-step -> digests of the dataset and
+# the report.  Pinned from the tree whose scale was an SpdMatrix object.
+_SCALE_RUNS = {
+    "plain": ([], (
+        "72bbd4fd63184d50dfaa4e747feb4edb82c0351ce9836bdb87da9a62dffbd76c",
+        "77e3c2dc2aae14fb749a05dfb219cefaf28677d72753a36c5cc900c0394d9c82")),
+    "classes": (["--classes", "3", "--class-scale-step", "0.5"], (
+        "53579df24b61df89406709f03dbe2d36254ba8820e9e384b9f2f0dcc8efd75a9",
+        "5f8990b319acb0e0b6cba3d550e63ce0e5985f6b3c94a70455ce86f38158265d")),
+}
+GOLDEN_COMMANDS.update({
+    f"gen-wishart-scale-{run}": (
+        ["gen-wishart", "--d", "3", "--n", "12", "--dof", "6", "--seed", "9", "--scale", "k0.json",
+         *extra, "--output", "w.json", "--report", "g.json"],
+        dict(zip(("w.json", "g.json"), digests)))
+    for run, (extra, digests) in _SCALE_RUNS.items()
+})
+
 # Outputs hashed as written: the datasets, and the predictions table, which
 # carries no wall clock.
-_RAW_OUTPUTS = ("s.json", "t.json", "adapted.json", "predictions.csv")
+_RAW_OUTPUTS = ("s.json", "t.json", "w.json", "adapted.json", "predictions.csv")
 
 
 def _write_golden_inputs(directory):
@@ -866,7 +885,7 @@ def _write_golden_inputs(directory):
 def test_pooled_command_output_bytes(command, split_pool, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     argv, digests = GOLDEN_COMMANDS[command]
-    if argv[0] in ("adapt", "kernel-ridge"):
+    if argv[0] in ("adapt", "kernel-ridge") or "k0.json" in argv:
         _write_golden_inputs(tmp_path)
     assert main(argv) == 0
     for name, digest in digests.items():
@@ -1010,6 +1029,33 @@ def test_shift_whose_exponential_overflows_writes_nothing(tmp_path, capsys):
     assert capsys.readouterr().err == "error: eigenvalue nan exceeds the exponential cap 700.0\n"
     assert not (tmp_path / "t.json").exists()
     assert not (tmp_path / "s.json").exists()
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["distance", "{big}", "{big}", "--metric", "spdsw"], "symmetrized stack"),
+    (["gen-wishart", "--d", "2", "--n", "4", "--dof", "2", "--scale", "{big}"],
+     "symmetrized stack"),
+    (["gen-wishart", "--d", "2", "--n", "4", "--dof", "2", "--classes", "2",
+      "--class-scale-step", "1e308"], "symmetrized stack"),
+    (["gen-wishart", "--d", "2", "--n", "4", "--dof", "2", "--classes", "2",
+      "--class-scale-step", "4e307"], "Wishart stack"),
+    (["gen-wishart", "--d", "2", "--n", "4", "--dof", "2", "--classes", "2",
+      "--class-scale-step", "1e200", "--scale", "{large}"], "class scale"),
+], ids=["distance-dataset", "scale-dataset", "class-step-symmetrized", "class-step-draws",
+        "class-step-times-scale"])
+def test_overflow_on_the_way_to_a_stack_is_numerical_failure(argv, what, tmp_path, capsys):
+    # Finite and exactly symmetric entries whose A + A^T overflows, or
+    # Wishart draws or class scales that overflow.
+    files = {}
+    for name, top in (("big", 1e308), ("large", 1e200)):
+        files[name] = tmp_path / f"{name}.json"
+        save_spd_dataset(str(files[name]), np.repeat(top * np.eye(2)[None], 2, axis=0))
+    argv = [a.format(**files) for a in argv] + ["--output", str(tmp_path / "out.json")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 4
+    assert capsys.readouterr().err == f"error: {what} overflowed to non-finite values\n"
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_allocation_failure_is_numerical_failure(dataset_pair, monkeypatch, capsys):

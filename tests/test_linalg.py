@@ -13,8 +13,6 @@ from hypothesis import strategies as st
 from spdsliced import (
     EmpiricalSpdMeasure,
     RngState,
-    SpdMatrix,
-    SymMatrix,
     build_cost_matrix,
     build_projection_basis,
     dist_affine_invariant,
@@ -36,6 +34,7 @@ from spdsliced.linalg import (
     exp_frechet_adjoint,
     exp_stack,
     eigh_stack,
+    log_frechet_stack,
     log_stack,
     pairwise_ai_dists,
     pairwise_sq_dists,
@@ -50,83 +49,47 @@ from spdsliced.linalg import (
 from conftest import assert_all_equal, on_threads, random_spd, random_sym, wishart_measure
 
 
-class TestTypes:
-    def test_symmetrizes_on_construction(self, nprng):
-        a = nprng.standard_normal((4, 4))
-        m = SymMatrix(a)
-        assert np.array_equal(m.array, m.array.T)
-        assert np.allclose(m.array, 0.5 * (a + a.T))
-
-    def test_rejects_nonsquare_and_nonfinite(self):
-        with pytest.raises(DimensionMismatch):
-            SymMatrix(np.zeros((2, 3)))
-        with pytest.raises(ValueError):
-            SymMatrix(np.array([[np.inf, 0.0], [0.0, 1.0]]))
-
-    def test_immutability(self):
-        m = SymMatrix(np.eye(2))
-        with pytest.raises(AttributeError):
-            m.dim = 3
-        with pytest.raises(ValueError):
-            m.array[0, 0] = 5.0
-
-    def test_spd_rejects_indefinite(self):
-        with pytest.raises(NotPositiveDefinite):
-            SpdMatrix(np.diag([1.0, -0.5]))
-        with pytest.raises(NotPositiveDefinite):
-            SpdMatrix(np.diag([1.0, 0.0]))
-
-    def test_cached_log_reconstructs(self, nprng):
-        m = SpdMatrix(random_spd(nprng, 5))
-        rebuilt = sym_exp(m.log)
-        rel = np.linalg.norm(rebuilt.array - m.array) / np.linalg.norm(m.array)
-        assert rel < 1e-8
-        assert m.log is m.log  # cache is filled once
-
-    def test_eigenpair_invariants(self, nprng):
-        m = SpdMatrix(random_spd(nprng, 6))
-        w, q = m.eig
-        assert np.linalg.norm(q.T @ q - np.eye(6)) < 1e-10
-        rel = np.linalg.norm(reconstruct(w, q) - m.array) / np.linalg.norm(m.array)
-        assert rel < 1e-10
-
-
 class TestLogExp:
     def test_log_identity_is_zero(self):
-        assert np.allclose(sym_log(np.eye(3)).array, 0.0)
+        assert np.allclose(sym_log(np.eye(3)), 0.0)
 
     def test_log_diagonal(self):
         out = sym_log(np.diag([np.e, 1.0]))
-        assert np.allclose(out.array, np.diag([1.0, 0.0]), atol=1e-14)
+        assert np.allclose(out, np.diag([1.0, 0.0]), atol=1e-14)
 
     def test_exp_zero_is_identity(self):
-        assert np.allclose(sym_exp(np.zeros((4, 4))).array, np.eye(4))
+        assert np.allclose(sym_exp(np.zeros((4, 4))), np.eye(4))
 
     def test_exp_diagonal(self):
         out = sym_exp(np.diag([1.0, 0.0]))
-        assert np.allclose(out.array, np.diag([np.e, 1.0]), atol=1e-14)
+        assert np.allclose(out, np.diag([np.e, 1.0]), atol=1e-14)
 
     def test_roundtrip_wishart(self, nprng):
         for _ in range(20):
             m = random_spd(nprng, 4)
-            back = sym_exp(sym_log(m)).array
+            back = sym_exp(sym_log(m))
             assert np.linalg.norm(back - m) / np.linalg.norm(m) < 1e-10
 
     def test_roundtrip_log_of_exp(self, nprng):
         for _ in range(20):
             s = random_sym(nprng, 4, scale=2.0)
-            back = sym_log(sym_exp(s)).array
+            back = sym_log(sym_exp(s))
             assert np.linalg.norm(back - s) <= 1e-10 * max(1.0, np.linalg.norm(s))
 
     def test_matches_scipy_logm(self, nprng):
         m = random_spd(nprng, 5)
-        ours = sym_log(m).array
+        ours = sym_log(m)
         theirs = scipy.linalg.logm(m)
         assert np.linalg.norm(ours - theirs) < 1e-10
+        # An asymmetric input is read as its symmetric part.
+        a = m + 1e-3 * nprng.standard_normal((5, 5))
+        assert np.array_equal(sym_log(a), sym_log((a + a.T) / 2))
 
     def test_exp_overflow_guard(self):
         with pytest.raises(OverflowError):
             sym_exp(np.diag([EXP_CAP + 1.0, 0.0]))
+        with pytest.raises(ValueError):  # a non-finite entry is no overflow
+            sym_exp(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -134,7 +97,7 @@ class TestLogExp:
         rng = np.random.default_rng(seed)
         s = random_sym(rng, 3)
         s *= min(1.0, 6.0 / max(np.abs(np.linalg.eigvalsh(s))))  # condition <= ~1e6
-        back = sym_log(sym_exp(s)).array
+        back = sym_log(sym_exp(s))
         assert np.linalg.norm(back - s) <= 1e-10 * max(1.0, np.linalg.norm(s))
 
 
@@ -157,6 +120,8 @@ class TestDistances:
     def test_le_dimension_mismatch(self, nprng):
         with pytest.raises(DimensionMismatch):
             dist_log_euclidean(random_spd(nprng, 2), random_spd(nprng, 3))
+        with pytest.raises(DimensionMismatch):
+            dist_log_euclidean(np.zeros((2, 3)), np.zeros((2, 3)))
 
     def test_ai_self_distance_zero(self, nprng):
         m = random_spd(nprng, 4)
@@ -188,13 +153,13 @@ class TestLogFrechetDerivative:
     def test_identity_base_point(self, nprng):
         h = random_sym(nprng, 4)
         out = log_frechet_derivative(np.eye(4), h)
-        assert np.allclose(out.array, h, atol=1e-12)
+        assert np.allclose(out, h, atol=1e-12)
 
     def test_linearity(self, nprng):
         m = random_spd(nprng, 4)
         h1, h2 = random_sym(nprng, 4), random_sym(nprng, 4)
-        lhs = log_frechet_derivative(m, 2.0 * h1 - 3.0 * h2).array
-        rhs = 2.0 * log_frechet_derivative(m, h1).array - 3.0 * log_frechet_derivative(m, h2).array
+        lhs = log_frechet_derivative(m, 2.0 * h1 - 3.0 * h2)
+        rhs = 2.0 * log_frechet_derivative(m, h1) - 3.0 * log_frechet_derivative(m, h2)
         assert np.linalg.norm(lhs - rhs) <= 1e-12 * max(1.0, np.linalg.norm(rhs))
 
     @staticmethod
@@ -207,7 +172,7 @@ class TestLogFrechetDerivative:
         for _ in range(20):
             m = random_spd(nprng, 4)
             h = random_sym(nprng, 4)
-            ours = log_frechet_derivative(m, h).array
+            ours = log_frechet_derivative(m, h)
             oracle = self._fd_oracle(m, h)
             assert np.linalg.norm(ours - oracle) / np.linalg.norm(oracle) <= 1e-6
 
@@ -217,7 +182,7 @@ class TestLogFrechetDerivative:
         w = np.array([0.5, 1.0, 1.0 + 1e-7, 3.0])
         m = (q * w) @ q.T
         h = random_sym(nprng, 4)
-        ours = log_frechet_derivative(m, h).array
+        ours = log_frechet_derivative(m, h)
         oracle = self._fd_oracle(m, h)
         assert np.linalg.norm(ours - oracle) / np.linalg.norm(oracle) <= 1e-6
 
@@ -227,7 +192,7 @@ class TestLogFrechetDerivative:
         h = random_sym(nprng, 3)
         m = sym_exp(s)
         forward = exp_frechet_adjoint(s, h)
-        back = log_frechet_derivative(m, forward).array
+        back = log_frechet_derivative(m, forward)
         assert np.linalg.norm(back - h) <= 1e-9 * max(1.0, np.linalg.norm(h))
 
 
@@ -382,8 +347,11 @@ class TestUdu:
             assert np.array_equal(ds[k], d)
 
     def test_rejects_indefinite(self):
-        with pytest.raises(NotPositiveDefinite):
-            udu_decompose(np.diag([1.0, -1.0]))
+        for diag in ([1.0, -1.0], [1.0, -0.5], [1.0, 0.0]):
+            with pytest.raises(NotPositiveDefinite):
+                udu_decompose(np.diag(diag))
+            with pytest.raises(NotPositiveDefinite):
+                sym_log(np.diag(diag))
 
 
 class TestVectorization:
@@ -422,6 +390,22 @@ class TestStackReconstruction:
         got = exp_stack(mats)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
+
+    def test_scalar_functions_are_rows_of_the_stack_kernels(self, nprng):
+        # 3000 6x6 matrices span several stack_map chunks; each scalar call
+        # equals its matrix's row of the batched kernel bit for bit.
+        mats = wishart_stack(RngState(8), 3000, 6, 12)
+        logs = log_stack(mats)
+        h = symmetrize(nprng.standard_normal(mats.shape))
+        exps, frechet = exp_stack(logs), log_frechet_stack(*eigh_stack(mats), h)
+        us, ds = udu_stack(mats)
+        assert len(stack_map(lambda i, j: None, len(mats), 36)) > 1
+        for k in range(len(mats)):
+            assert np.array_equal(sym_log(mats[k]), logs[k])
+            assert np.array_equal(sym_exp(logs[k]), exps[k])
+            assert np.array_equal(log_frechet_derivative(mats[k], h[k]), frechet[k])
+            u, d = udu_decompose(mats[k])
+            assert np.array_equal(u, us[k]) and np.array_equal(d, ds[k])
 
     def test_blocks_match_one_batched_matmul(self):
         mats = wishart_stack(RngState(3), 3000, 20, 40)  # two blocks of Q

@@ -136,7 +136,7 @@ def test_scalar_samplers_are_basis_index_zero(seed, stream, d):
     def first(kind):
         return build_projection_basis(state, d, 3, kind).directions[0]
 
-    assert np.array_equal(sample_lambda_s(state, d).array, first("eig_uniform"))
+    assert np.array_equal(sample_lambda_s(state, d), first("eig_uniform"))
     assert np.array_equal(unvech_isometric(sample_sphere(state, sym_dim(d))), first("vec_sphere"))
 
 
@@ -198,8 +198,8 @@ class TestLambdaS:
     def test_unit_norm_and_symmetry(self):
         for i in range(20):
             a = sample_lambda_s(RngState(i), 4)
-            assert abs(np.linalg.norm(a.array) - 1.0) <= 1e-12
-            assert np.array_equal(a.array, a.array.T)
+            assert abs(np.linalg.norm(a) - 1.0) <= 1e-12
+            assert np.array_equal(a, a.T)
 
     def test_eigenvalues_match_sphere_draw(self):
         # Replays the documented draw order: theta first, then P.
@@ -207,7 +207,7 @@ class TestLambdaS:
         a = sample_lambda_s(state, 4)
         gen = state.generator()
         theta = sample_sphere_batch(gen, 4, 1)[0]
-        eigs = np.linalg.eigvalsh(a.array)
+        eigs = np.linalg.eigvalsh(a)
         assert np.allclose(np.sort(eigs), np.sort(theta), atol=1e-10)
 
     def test_eigenvalues_distributed_as_sphere(self):
@@ -241,7 +241,7 @@ class TestVecSphere:
 class TestWishart:
     def test_scalar_case_positive(self):
         m = sample_wishart(RngState(3), 1, 1)
-        assert m.array[0, 0] > 0.0
+        assert m[0, 0] > 0.0
 
     def test_mean_approaches_scale(self):
         draws = wishart_stack(RngState(17), 10_000, 3, 100)
@@ -250,7 +250,7 @@ class TestWishart:
     def test_output_is_spd(self):
         for i in range(10):
             m = sample_wishart(RngState(i), 4, 6)
-            eigs = np.linalg.eigvalsh(m.array)
+            eigs = np.linalg.eigvalsh(m)
             assert eigs[0] > pd_tolerance(eigs)
 
     def test_scale_matrix(self):
@@ -383,7 +383,7 @@ class TestProjectionBasis:
                 build_projection_basis(RngState(0), 0, 3, kind)
 
     @pytest.mark.parametrize("kind,draw", [
-        ("eig_uniform", lambda state, d: sample_lambda_s(state, d).array),
+        ("eig_uniform", lambda state, d: sample_lambda_s(state, d)),
         ("vec_sphere", lambda state, d: sampling._guarded_draw(state.generator(), d, "vec_sphere")),
     ])
     def test_degenerate_scalar_draw_redraws_the_whole_row(self, kind, draw, monkeypatch):

@@ -86,7 +86,7 @@ class TestBusemannCoordinate:
         a = np.diag([0.8, -0.6]) / np.linalg.norm(np.diag([0.8, -0.6]))
         m = np.diag([2.0, 0.5])
         got = busemann_coordinate_ai(a, m)
-        expected = -np.trace(a @ sym_log(m).array)
+        expected = -np.trace(a @ sym_log(m))
         assert abs(got - expected) <= 1e-14
 
     def test_identity_is_zero(self, nprng):
@@ -183,7 +183,7 @@ class TestSpdsw:
         mu = EmpiricalSpdMeasure(x[None])
         nu = EmpiricalSpdMeasure(y[None])
         basis = build_projection_basis(RngState(3), 3, 64)
-        s = sym_log(x).array - sym_log(y).array
+        s = sym_log(x) - sym_log(y)
         direct = np.mean([np.sum(a * s) ** 2 for a in basis.directions])
         rep = spdsw(mu, nu, basis, 2.0)
         assert abs(rep.value - direct) <= 1e-12 * max(1.0, direct)
@@ -217,6 +217,8 @@ class TestSpdsw:
         basis = build_projection_basis(RngState(5), 3, 4)
         with pytest.raises(DimensionMismatch):
             spdsw(mu, nu, basis)
+        with pytest.raises(DimensionMismatch):
+            EmpiricalSpdMeasure(np.ones((2, 3, 4)))
 
     def test_accepts_vec_sphere_basis(self):
         mu = wishart_measure(1, 10, 3)
@@ -291,7 +293,7 @@ class TestLogSw:
         x = np.diag([5.0, 1.0])
         y = np.eye(d)
         mu, nu = EmpiricalSpdMeasure(x[None]), EmpiricalSpdMeasure(y[None])
-        s = sym_log(x).array  # log difference
+        s = sym_log(x)  # log difference
         L = 100_000
         eig = build_projection_basis(RngState(10), d, L, "eig_uniform")
         vec = build_projection_basis(RngState(11), d, L, "vec_sphere")
