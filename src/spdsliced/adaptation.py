@@ -126,10 +126,12 @@ def _fixed_target(target_logs: np.ndarray, basis: ProjectionBasis | None, loss_k
 def _sliced_evaluate(logs: np.ndarray, st: np.ndarray, basis: ProjectionBasis, p: float):
     """Sliced loss between a source log stack and the target's sorted
     projected coordinates ``st`` (L, m); the context is the source's sort
-    order and sorted coordinates (L, n)."""
+    order, as flat indices into the (L, n) coordinates, and its sorted coordinates."""
     cs = basis.project_symmetric(logs)
-    ss = np.sort(cs, axis=-1)
-    return _mean_wpp(ss, st, p), (np.argsort(cs, axis=-1), ss)
+    order = np.argsort(cs, axis=-1)
+    order += np.arange(0, cs.size, cs.shape[-1])[:, None]
+    ss = np.take(cs, order)
+    return _mean_wpp(ss, st, p), (order, ss)
 
 
 def _sliced_gradient(ctx, st: np.ndarray, basis: ProjectionBasis, p: float) -> np.ndarray:
@@ -137,23 +139,23 @@ def _sliced_gradient(ctx, st: np.ndarray, basis: ProjectionBasis, p: float) -> n
 
     The per-slice 1D gradient is exact almost everywhere: each sorted
     matching term |s_(k) - t_(k)|^p differentiates to the usual signed
-    power, scattered back through the sort and chained through the linear
-    projection S -> <A_l, S>.
+    power (at p = 2 the difference), scattered back through the sort and
+    chained through the linear projection S -> <A_l, S>.
     """
-    order_s, ss = ctx
+    order, ss = ctx
     n, m = ss.shape[-1], st.shape[-1]
     if n == m:
         diff = ss - st
-        g_sorted = (p / n) * np.abs(diff) ** (p - 1.0) * np.sign(diff)
+        g_sorted = (p / n) * (diff if p == 2.0 else np.abs(diff) ** (p - 1.0) * np.sign(diff))
     else:
         lens, ix, iy = _merged_quantile_grid(n, m)
         diff = ss[:, ix] - st[:, iy]
-        contrib = lens * p * np.abs(diff) ** (p - 1.0) * np.sign(diff)
+        contrib = lens * p * (diff if p == 2.0 else np.abs(diff) ** (p - 1.0) * np.sign(diff))
         g_sorted = np.zeros_like(ss)
         rows = np.arange(ss.shape[0])[:, None]
         np.add.at(g_sorted, (rows, ix[None, :]), contrib)
     grad_coords = np.empty_like(g_sorted)
-    np.put_along_axis(grad_coords, order_s, g_sorted, axis=-1)
+    grad_coords.reshape(-1)[order] = g_sorted  # a view of the fresh array
     return (grad_coords.T @ basis.flat).reshape(n, basis.dim, basis.dim) / basis.count
 
 

@@ -156,8 +156,9 @@ def _generator_eig(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if np.any(mats) and np.array_equal(mats, -np.swapaxes(mats, -2, -1)):
         lam, u = _eigh(1j * mats)
         return -1j * lam, u
-    w, q = _eigh(symmetrize(mats))
-    if not np.all(w <= EXP_CAP):  # a NaN, from a non-finite input, fails too
+    with np.errstate(over="ignore"):  # an overflow is reported by _finite
+        w, q = _eigh(_finite(symmetrize(mats), "symmetrized stack"))
+    if not np.all(w <= EXP_CAP):  # a NaN fails too
         raise OverflowError(f"eigenvalue {np.max(w):.3e} exceeds the exponential cap {EXP_CAP}")
     return w, q
 

@@ -748,6 +748,113 @@ class TestDescentMatchesTwoEvaluationOracle:
         assert np.all(np.diff(trace.losses) <= 0.0)
 
 
+# -- p = 2 runs on squares; the sort order is one flat index --------------------
+#
+# At p = 2 the loss squares each gap and the gradient is the gap itself,
+# where the float powers |d|**2.0 and |d|**1.0 * sign(d) ran a pow loop for
+# the same bits.  One exception: where ss - st is -0.0, the gradient entry
+# is -0.0 and the float power's (sign(-0.0) = 0.0) was +0.0.  The two are
+# equal as numbers and no state can tell them apart.
+
+_EDGE_VALUES = np.array([0.0, -0.0, 5e-324, -5e-324, 1.4e154, -1.4e154])
+
+
+def _edge_rows(rng, rows, cols):
+    # Random values across exponents, one in five replaced by an edge value:
+    # +-0, the smallest subnormal and 1.4e154, whose square overflows.
+    vals = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-320, 300, (rows, cols))
+    edge = rng.random((rows, cols)) < 0.2
+    vals[edge] = rng.choice(_EDGE_VALUES, int(edge.sum()))
+    return vals
+
+
+def _float_power_wpp_rows(xs, ys, p):
+    from spdsliced.sliced import _merged_quantile_grid
+
+    n, m = xs.shape[-1], ys.shape[-1]
+    if n == m:
+        return np.mean(np.abs(xs - ys) ** p, axis=-1)
+    lens, ix, iy = _merged_quantile_grid(n, m)
+    return (np.abs(xs[..., ix] - ys[..., iy]) ** p) @ lens
+
+
+def _float_power_gradient(order_s, ss, st, basis, p):
+    # The gradient through the float power and put_along_axis, from the
+    # row-wise sort order.
+    from spdsliced.sliced import _merged_quantile_grid
+
+    n, m = ss.shape[-1], st.shape[-1]
+    if n == m:
+        diff = ss - st
+        g_sorted = (p / n) * np.abs(diff) ** (p - 1.0) * np.sign(diff)
+    else:
+        lens, ix, iy = _merged_quantile_grid(n, m)
+        diff = ss[:, ix] - st[:, iy]
+        contrib = lens * p * np.abs(diff) ** (p - 1.0) * np.sign(diff)
+        g_sorted = np.zeros_like(ss)
+        np.add.at(g_sorted, (np.arange(ss.shape[0])[:, None], ix), contrib)
+    grad_coords = np.empty_like(g_sorted)
+    np.put_along_axis(grad_coords, order_s, g_sorted, axis=-1)
+    return _scatter(grad_coords, basis)
+
+
+def _same_bits(got, want):
+    return np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+_SHAPES = pytest.mark.parametrize("n, m", [(1, 1), (4, 4), (4, 3)],
+                                  ids=["single", "n-eq-m", "n-ne-m"])
+
+
+class TestSquareKernelsMatchFloatPower:
+    @_SHAPES
+    def test_wpp_rows(self, n, m):
+        from spdsliced.sliced import _wpp_rows
+
+        rng = np.random.default_rng(91)
+        xs = np.sort(_edge_rows(rng, 25_000, n), axis=-1)  # 10^5 values at n = 4
+        ys = np.sort(_edge_rows(rng, 25_000, m), axis=-1)
+        with np.errstate(over="ignore"):
+            got, want = _wpp_rows(xs, ys, 2.0), _float_power_wpp_rows(xs, ys, 2.0)
+        assert np.isinf(want).any() and np.isfinite(want).any()
+        assert (want == 0.0).any() and (want < 1e-300).sum() > (want == 0.0).sum()
+        assert _same_bits(got, want)
+
+    @_SHAPES
+    def test_sliced_gradient(self, n, m):
+        # A basis of one direction per coordinate (the identity, its count 1)
+        # hands the scattered coordinates through unsummed: each entry is
+        # compared, not a sum over the slices that could absorb it.
+        from types import SimpleNamespace
+
+        d = 10
+        basis = SimpleNamespace(flat=np.eye(d * d), dim=d, count=1)
+        rng = np.random.default_rng(92)
+        cs = _edge_rows(rng, d * d, 1000 * n)
+        st = np.sort(_edge_rows(rng, d * d, 1000 * m), axis=-1)
+        order_s = np.argsort(cs, axis=-1)
+        ss = np.take_along_axis(cs, order_s, axis=-1)
+        flat = order_s + np.arange(0, cs.size, cs.shape[-1])[:, None]
+        got = _sliced_gradient((flat, ss), st, basis, 2.0)
+        want = _float_power_gradient(order_s, ss, st, basis, 2.0)
+        assert np.array_equal(got, want)
+        # The bits differ only at zeros (the sign-of-zero exception above).
+        assert np.all((got.view(np.int64) == want.view(np.int64)) | (want == 0.0))
+        tiny = np.abs(want) < 1e-300
+        assert tiny.sum() > (want == 0.0).sum() and (np.abs(want) > 1e290).any()
+
+    @pytest.mark.parametrize("m", [10, 7], ids=["n-eq-m", "n-ne-m"])
+    @pytest.mark.parametrize("kind", sorted(_SLICED_KINDS))
+    def test_order_three_matches_oracle(self, kind, m):
+        basis = build_projection_basis(RngState(94), 3, 24, _SLICED_KINDS[kind])
+        state = wishart_measure(95, 10, 3).logs.copy()
+        fixed = _fixed_target(wishart_measure(96, m, 3).logs, basis, kind)
+        loss, grads = _sliced_evaluate_and_gradient(state, fixed, basis, 3.0)
+        want_loss, want = _oracle_fixed_sliced_loss_grad(state, fixed, basis, 3.0, True)
+        assert loss == want_loss
+        assert _same_bits(grads, want)
+
+
 # -- each matmul contraction against the einsum it replaced ---------------------
 #
 # The matmul forms sum in another order than the einsums, so they agree to a

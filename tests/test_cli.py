@@ -1023,10 +1023,10 @@ def test_overflowing_shift_angle_is_numerical_failure(tmp_path, capsys):
 
 
 def test_shift_whose_exponential_overflows_writes_nothing(tmp_path, capsys):
-    # The finite shifted logs symmetrize to inf, and eigh gives NaN
-    # eigenvalues: the exponential cap must reject them.
+    # The finite shifted logs symmetrize to inf: the overflow is named
+    # before eigh can turn it into NaN eigenvalues.
     assert _shifted_gen_wishart(tmp_path, "--shift-identity", "1e308") == 4
-    assert capsys.readouterr().err == "error: eigenvalue nan exceeds the exponential cap 700.0\n"
+    assert capsys.readouterr().err == "error: symmetrized stack overflowed to non-finite values\n"
     assert not (tmp_path / "t.json").exists()
     assert not (tmp_path / "s.json").exists()
 

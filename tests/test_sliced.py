@@ -164,6 +164,16 @@ class TestWasserstein1d:
         # 3^1000 overflows; the W_p^p helper the estimators share reports it.
         with pytest.raises(OverflowError):
             wasserstein_1d([0.0], [3.0], 1000.0)
+        # Finite samples whose squared gap overflows, at the default order.
+        with pytest.raises(OverflowError):
+            wasserstein_1d([1e200, -1e200], [0.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        # A non-finite sample is bad input, not an overflow of W_p^p.
+        for x, y in (([bad, 1.0], [0.0, 1.0]), ([0.0, 1.0], [1.0, bad])):
+            with pytest.raises(ValueError, match="must be finite"):
+                wasserstein_1d(x, y)
 
 
 class TestSpdsw:
