@@ -195,8 +195,8 @@ class KernelRidgeFit:
 
 
 def kernel_ridge_fit(gram: GramMatrix, targets, alpha: float) -> KernelRidgeFit:
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
+    if not 0.0 < alpha < np.inf:  # a NaN alpha fails too
+        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
     y = np.asarray(targets, dtype=float)
     if y.shape != (gram.size,):
         raise SizeMismatch(f"targets shape {y.shape} does not match Gram size {gram.size}")

@@ -9,6 +9,8 @@ Each operation has one batched kernel, and the single-matrix functions are
 stack-of-one calls of it.  Every matrix function rebuilt from eigenpairs goes
 through :func:`reconstruct`; pairwise squared distances between vector rows
 go through :func:`pairwise_sq_dists`; stacks are chunked by :func:`stack_map`.
+One element budget, ``_CHUNK_ELEMS``, bounds both a chunk of a stack and a
+column block of the pairwise distances, so no temporary grows with n * m.
 """
 
 from __future__ import annotations
@@ -41,10 +43,10 @@ LOEWNER_GAP_FACTOR = 1e-10
 # differences to the BLAS-backed Gram expansion.
 _DIRECT_PAIRS = 250_000
 
-# Element budget of one chunk of :func:`stack_map`: the only input to the
-# chunk boundaries, which therefore never depend on the worker count.
+# Element budget of one chunk of :func:`stack_map`, and of one column block of
+# the pairwise distances: the only input to the chunk and block boundaries,
+# which therefore never depend on the worker count.
 _CHUNK_ELEMS = 40_000
-_ROW_BLOCK_ELEMS = 1_000_000  # fixed: einsum sums a lone pair of >8192 features in another order
 # Workers of the stack maps run in this context; the CLI sets it per call.
 THREADS: contextvars.ContextVar[int | None] = contextvars.ContextVar("threads", default=None)
 _pools = {}  # (pid, workers) -> ThreadPoolExecutor; a forked child makes its own
@@ -184,14 +186,19 @@ def pairwise_ai_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     and y (m, d, d), through the whitened stacks X^{-1/2} Y X^{-1/2}."""
     wx, qx = eigh_stack(x)
     inv_sqrts = reconstruct(1.0 / np.sqrt(wx), qx)
+    out = np.empty((len(x), len(y)))
+    cols = min(len(y), max(1, _CHUNK_ELEMS // y[0].size))  # per-matrix work: blocks keep the bits
 
-    def rows(i, j):
-        w = np.linalg.eigvalsh(symmetrize(inv_sqrts[i:j, None] @ y @ inv_sqrts[i:j, None]))
-        if np.any(w[..., 0] <= pd_tolerance(w)):
-            raise NotPositiveDefinite("whitened matrix lost positive definiteness")
-        return np.sqrt(np.sum(np.log(w) ** 2, axis=-1))
+    def rows(i, stop):
+        for j in range(0, len(y), cols):
+            w = np.linalg.eigvalsh(symmetrize(inv_sqrts[i:stop, None] @ y[j:j + cols]
+                                              @ inv_sqrts[i:stop, None]))
+            if np.any(w[..., 0] <= pd_tolerance(w)):
+                raise NotPositiveDefinite("whitened matrix lost positive definiteness")
+            out[i:stop, j:j + cols] = np.sqrt(np.sum(np.log(w) ** 2, axis=-1))
 
-    return np.concatenate(stack_map(rows, len(x), y.size))
+    stack_map(rows, len(x), cols * y[0].size)
+    return out
 
 
 def _log_divided_differences(w: np.ndarray) -> np.ndarray:
@@ -316,8 +323,12 @@ def pairwise_sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     Up to ``_DIRECT_PAIRS`` pairs the differences are formed exactly, over
     the row chunks of :func:`stack_map`, each split into column blocks of
-    at most ``_ROW_BLOCK_ELEMS`` elements per row; beyond, the Gram
-    expansion is clipped at zero.  When ``y is x`` only the
+    ``cols`` rows of y, about ``_CHUNK_ELEMS`` elements per row of x (at
+    least two rows of y); beyond, the Gram expansion is clipped at zero.
+    Every pair is summed inside a block of two or more pairs, because
+    ``np.einsum`` sums a lone (1, 1, D) pair in another order: the last
+    block of a row ends at m, overlapping the one before, and with m == 1 a
+    one-row chunk borrows a neighbouring row.  When ``y is x`` only the
     blocks on or above the diagonal are formed and the rest is mirrored:
     (x_j - x_i)^2 equals (x_i - x_j)^2 exactly, so this is bit-identical.
     """
@@ -326,13 +337,15 @@ def pairwise_sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         sq = (x * x).sum(axis=1)[:, None] + (y * y).sum(axis=1)[None, :] - 2.0 * (x @ y.T)
         return np.maximum(sq, 0.0)
     out = np.empty((n, m))
-    cols = min(m, max(1, _ROW_BLOCK_ELEMS // dim))
+    cols = min(m, max(2, _CHUNK_ELEMS // dim))
 
-    def rows(i, stop):  # a one-row chunk of one-column blocks borrows a row: no lone pair
+    def rows(i, stop):
         lo, hi = (max(0, i - 1), max(2, stop)) if stop - i == 1 == cols and n > 1 else (i, stop)
         for j in range(i if y is x else 0, m, cols):
-            diff = x[lo:hi, None, :] - y[None, j:j + cols, :]
+            j = min(j, m - cols)
+            diff = x[lo:hi, None, :] - y[None, j:j + cols, :]  # its layout sets einsum's order
             out[i:stop, j:j + cols] = np.einsum("ijk,ijk->ij", diff, diff)[i - lo:stop - lo]
+            del diff  # before the next block is formed
 
     stack_map(rows, n, cols * dim)
     if y is x:

@@ -170,6 +170,12 @@ def _abs_power(diff: np.ndarray, p: float) -> np.ndarray:
     return np.square(diff) if p == 2.0 else np.abs(diff) ** p
 
 
+def _check_order(p: float) -> None:
+    """ValueError unless 1 <= p < inf: a NaN order fails too."""
+    if not 1.0 <= p < math.inf:
+        raise ValueError(f"order p must be finite and >= 1, got {p!r}")
+
+
 def wasserstein_1d(x, y, p: float = 2.0) -> float:
     """W_p^p between two uniform empirical measures on the line.
 
@@ -177,8 +183,7 @@ def wasserstein_1d(x, y, p: float = 2.0) -> float:
     quantile-function integral exactly on the merged quantile grid.
     Returns the p-th power.
     """
-    if p < 1.0:
-        raise ValueError("order p must be >= 1")
+    _check_order(p)
     x = np.sort(np.asarray(x, dtype=float).ravel())
     y = np.sort(np.asarray(y, dtype=float).ravel())
     if x.size == 0 or y.size == 0:
@@ -210,8 +215,7 @@ def _check_pair(
     name, kind = SLICED_ESTIMATORS.get(estimator, (estimator, None))
     if kind is not None and basis.sampler_kind != kind:
         raise ValueError(f"{name} requires a {kind!r} basis, got {basis.sampler_kind!r}")
-    if p < 1.0:
-        raise ValueError("order p must be >= 1")
+    _check_order(p)
     if mu.dim != nu.dim or mu.dim != basis.dim:
         raise DimensionMismatch(
             f"dimensions differ: mu {mu.dim}, nu {nu.dim}, basis {basis.dim}"

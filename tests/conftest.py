@@ -26,7 +26,8 @@ def wishart_measure(seed, n, d, dof=None, scale=None):
 
 
 # Chunk budget of the split runs: small enough that every test stack splits
-# into several chunks of stack_map.
+# into several chunks of stack_map, and every pairwise-distance row into
+# several column blocks.
 SPLIT_BUDGET = 64
 
 

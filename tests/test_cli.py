@@ -844,6 +844,16 @@ GOLDEN_COMMANDS.update({
         dict(zip(("r.json", "predictions.csv"), digests)))
     for sigma, digests in _RIDGE_RUNS.items()
 })
+# kernel-ridge on features of D = 500 * 100 = 5e4 entries, wider than the
+# chunk budget, so every distance block is two pairs wide and an odd row
+# ends in a block that overlaps the one before.  Pinned from the tree whose
+# blocks were up to 10^6 elements wide.
+GOLDEN_COMMANDS["kernel-ridge-wide"] = (
+    ["kernel-ridge", "--train", "train.json", "--test", "test.json", "--folds", "3",
+     "--projections", "500", "--quantiles", "100", "--seed", "2",
+     "--output", "r.json", "--output-predictions", "predictions.csv"],
+    {"r.json": "9f55e64c55e036cd6914752dab0e64b435230f635cb89e9285e51d94883792b1",
+     "predictions.csv": "3c4840180eaf3699c7c192055eb37aa426fbcf5f1c5be19df18fcb750b322e70"})
 
 # gen-wishart scaled by the first matrix of k0.json, a non-diagonal 3x3,
 # plainly and per class: --class-scale-step -> digests of the dataset and

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ from spdsliced import (
     geodesic_coordinate,
     kernel_ridge_fit,
     kernel_ridge_predict,
+    linalg,
     median_heuristic_bandwidth,
     midpoint_quantile_levels,
     quantile_feature,
@@ -20,7 +22,7 @@ from spdsliced import (
 from spdsliced.errors import BasisMismatch, IllConditioned, SizeMismatch
 from spdsliced.kernels import GramMatrix, feature_sq_distances, gaussian_weights, kfold_indices
 
-from conftest import random_spd, wishart_measure
+from conftest import on_threads, random_spd, wishart_measure
 
 
 def features_for(seeds, basis, levels=None, n=40, d=3):
@@ -204,6 +206,13 @@ class TestKernelRidge:
         with pytest.raises(IllConditioned):
             kernel_ridge_fit(gram, np.arange(5.0), alpha=1e-16)
 
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_alpha_that_is_not_positive_and_finite_rejected(self, alpha):
+        # A NaN or infinite ridge would pass into the system and its eigvalsh.
+        gram = GramMatrix(entries=np.eye(3), bandwidth=1.0)
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            kernel_ridge_fit(gram, np.arange(3.0), alpha=alpha)
+
     def test_determinism(self):
         def run():
             basis = build_projection_basis(RngState(3), 3, 16)
@@ -247,6 +256,22 @@ def test_feature_sq_distances_memory_is_bounded():
         tracemalloc.stop()
     assert sq.shape == (60, 60)
     assert peak < 100e6
+
+
+def test_feature_sq_distances_blocks_stay_within_the_chunk_budget():
+    # 40 features of M = L = 100, as in a kernel-ridge fold: beyond the
+    # stacked features and the output, each of two workers holds one
+    # difference block of about _CHUNK_ELEMS elements.
+    basis = build_projection_basis(RngState(9), 3, 100)
+    feats = features_for(range(40), basis, midpoint_quantile_levels(100), n=20)
+    tracemalloc.start()
+    try:
+        sq = on_threads(2, lambda: feature_sq_distances(feats))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sq.shape == (40, 40)
+    assert peak < (40 * 10_000 + 40 * 40 + 4 * linalg._CHUNK_ELEMS) * 8
 
 
 def test_kernel_ridge_memory_is_bounded():

@@ -3,6 +3,7 @@ import signal
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,7 +47,9 @@ from spdsliced.linalg import (
     vech_isometric,
 )
 
-from conftest import assert_all_equal, on_threads, random_spd, random_sym, wishart_measure
+from conftest import (
+    SPLIT_BUDGET, assert_all_equal, on_threads, random_spd, random_sym, wishart_measure,
+)
 
 
 class TestLogExp:
@@ -375,6 +378,26 @@ def _plain_sq_dists(x, y):
     return np.einsum("ijk,ijk->ij", diff, diff)
 
 
+def _two_pair_sq_dists(x, y):
+    """Each pair summed inside a two-pair einsum, the order every block of
+    pairwise_sq_dists keeps: einsum sums a lone (1, 1, D) pair in another."""
+    out = np.empty((len(x), len(y)))
+    for i, j in np.ndindex(out.shape):
+        diff = np.stack([x[i] - y[j]] * 2)[None]
+        out[i, j] = np.einsum("ijk,ijk->ij", diff, diff)[0, 0]
+    return out
+
+
+def _whitened_ai_dists(x, y):
+    """Affine-invariant distances from one whitened (n, m, d, d) stack."""
+    w, q = np.linalg.eigh(x)
+    inv_sqrts = (q * (1.0 / np.sqrt(w))[:, None, :]) @ np.swapaxes(q, 1, 2)
+    w = np.linalg.eigvalsh(symmetrize(inv_sqrts[:, None] @ y @ inv_sqrts[:, None]))
+    if np.any(w[..., 0] <= linalg.pd_tolerance(w)):
+        raise NotPositiveDefinite("whitened matrix lost positive definiteness")
+    return np.sqrt(np.sum(np.log(w) ** 2, axis=-1))
+
+
 class TestStackReconstruction:
     def test_log_stack_matches_einsum_form(self, nprng):
         mats = np.stack([random_spd(nprng, 6) for _ in range(50)])
@@ -445,6 +468,56 @@ class TestPairwiseSqDists:
         vs = vech_isometric(log_stack(wishart_stack(RngState(1), 150, 20, 40)))
         vt = vech_isometric(log_stack(wishart_stack(RngState(2), 120, 20, 40)))
         assert np.array_equal(pairwise_sq_dists(vs, vt), _plain_sq_dists(vs, vt))
+
+    @pytest.mark.parametrize("budget", [None, SPLIT_BUDGET], ids=["default", "split"])
+    @pytest.mark.parametrize("n, m, dim", [
+        (40, None, 10_000), (30, 25, 10), (7, None, 13), (1, None, 5), (5, 1, 10_000),
+        (3, 3, 9000), (4, 101, 20_000),
+    ])  # m None: y is x.  (4, 101, 20_000) once ended its rows in a lone pair.
+    def test_every_pair_summed_as_in_a_two_pair_block(self, monkeypatch, budget, n, m, dim):
+        if budget is not None:
+            monkeypatch.setattr(linalg, "_CHUNK_ELEMS", budget)
+        rng = np.random.default_rng(n * dim)
+        x = rng.standard_normal((n, dim))
+        y = x if m is None else rng.standard_normal((m, dim))
+        assert np.array_equal(pairwise_sq_dists(x, y), _two_pair_sq_dists(x, y))
+
+
+class TestPairwiseAiDists:
+    @pytest.mark.parametrize("budget", [None, SPLIT_BUDGET], ids=["default", "split"])
+    @pytest.mark.parametrize("n, m, d", [(9, 7, 3), (1, 1, 4), (3, 401, 10), (2, 3, 150)])
+    def test_column_blocks_match_one_whitened_stack(self, monkeypatch, budget, n, m, d):
+        if budget is not None:
+            monkeypatch.setattr(linalg, "_CHUNK_ELEMS", budget)
+        x, y = wishart_stack(RngState(n), n, d, 2 * d), wishart_stack(RngState(m), m, d, 2 * d)
+        assert np.array_equal(pairwise_ai_dists(x, y), _whitened_ai_dists(x, y))
+
+    @pytest.mark.parametrize("budget", [None, SPLIT_BUDGET], ids=["default", "split"])
+    def test_indefinite_matrix_in_last_block_raises_the_same(self, monkeypatch, budget):
+        if budget is not None:
+            monkeypatch.setattr(linalg, "_CHUNK_ELEMS", budget)
+        x, y = wishart_stack(RngState(1), 3, 4, 9), wishart_stack(RngState(2), 10, 4, 9)
+        y[9] = np.diag([1.0, 1.0, 1.0, -1.0])
+        errors = []
+        for fn in (pairwise_ai_dists, _whitened_ai_dists):
+            with pytest.raises(NotPositiveDefinite) as exc:
+                fn(x, y)
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1]
+
+    def test_memory_is_bounded_in_the_column_count(self):
+        # A whole (1, 5000, 20, 20) row of whitened matrices is 16 MB, and
+        # one row held three of them; a column block holds _CHUNK_ELEMS
+        # elements, so two workers hold a few blocks of 320 kB.
+        x, y = wishart_stack(RngState(1), 4, 20, 40), wishart_stack(RngState(2), 5000, 20, 40)
+        tracemalloc.start()
+        try:
+            dists = on_threads(2, lambda: pairwise_ai_dists(x, y))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dists.shape == (4, 5000)
+        assert peak < 16 * linalg._CHUNK_ELEMS * 8
 
 
 class TestStackMap:

@@ -168,12 +168,31 @@ class TestWasserstein1d:
         with pytest.raises(OverflowError):
             wasserstein_1d([1e200, -1e200], [0.0, 1.0])
 
+    @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+    def test_non_finite_order_rejected(self, p):
+        # p < 1 is false for NaN, and the mean of |gap|^inf is no W_inf.
+        with pytest.raises(ValueError, match="order p must be finite"):
+            wasserstein_1d([0.0, 1.0], [0.5, 2.0], p)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_samples_rejected(self, bad):
         # A non-finite sample is bad input, not an overflow of W_p^p.
         for x, y in (([bad, 1.0], [0.0, 1.0]), ([0.0, 1.0], [1.0, bad])):
             with pytest.raises(ValueError, match="must be finite"):
                 wasserstein_1d(x, y)
+
+
+@pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("estimator, kind", [
+    (spdsw, "eig_uniform"), (log_sw, "vec_sphere"), (sym_sw, "eig_uniform"), (hspdsw, "eig_uniform"),
+])
+def test_sliced_estimators_reject_non_finite_order(estimator, kind, p):
+    mu, nu = wishart_measure(1, 6, 3), wishart_measure(2, 5, 3)
+    if estimator is sym_sw:
+        mu, nu = EmpiricalSymMeasure(mu.logs), EmpiricalSymMeasure(nu.logs)
+    basis = build_projection_basis(RngState(3), 3, 4, kind)
+    with pytest.raises(ValueError, match="order p must be finite"):
+        estimator(mu, nu, basis, p)
 
 
 class TestSpdsw:
