@@ -134,7 +134,7 @@ def load_spd_dataset(path: str) -> LabeledSpdDataset:
         raise DataValidationError(f"cannot read dataset {path!r}: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format_version") != FORMAT_VERSION:
         raise DataValidationError(f"{path!r}: unsupported or missing format_version")
-    d, n, matrices = doc.get("dim"), doc.get("count"), doc.get("matrices")
+    d, n, matrices, labels = (doc.get(key) for key in ("dim", "count", "matrices", "labels"))
     if type(d) is not int or type(n) is not int or not isinstance(matrices, list):
         raise DataValidationError(f"{path!r}: dim and count must be integers and matrices a list")
     if d < 1 or n < 1 or len(matrices) != n:
@@ -146,12 +146,12 @@ def load_spd_dataset(path: str) -> LabeledSpdDataset:
         pts = np.asarray(matrices, dtype=float).reshape(n, d, d)
     except (TypeError, ValueError, OverflowError) as exc:
         raise DataValidationError(f"{path!r}: matrices are not {n} rows of {d * d} numbers") from exc
+    del doc, matrices  # orjson's parse tree, before the checks and logs allocate
     if not np.all(np.isfinite(pts)):
         raise DataValidationError(f"{path!r}: non-finite entries")
-    asym = np.max(np.abs(pts - np.swapaxes(pts, -2, -1)))
+    asym = np.max(pts - np.swapaxes(pts, -2, -1))  # antisymmetric: its largest entry is |.|'s
     if asym > SYMMETRY_TOLERANCE:
         raise DataValidationError(f"{path!r}: asymmetry {asym:.3e} exceeds {SYMMETRY_TOLERANCE}")
-    labels = doc.get("labels")
     if labels is not None:
         if not isinstance(labels, list) or len(labels) != n:
             raise DataValidationError(f"{path!r}: labels must be a list of length count {n}")

@@ -265,6 +265,7 @@ def run_benchmark_runtime(
                     rng=RngState((seed + rep) % 2**64), epsilon=epsilon, exact_size_cap=n * n,
                 )
                 times[metric].append(time.perf_counter() - start)
+                del mu, nu  # before the next metric's measures fill their logs
         for metric in metrics:
             if metric in skipped:
                 rows.append({"metric": metric, "n": int(n), "skipped": True,

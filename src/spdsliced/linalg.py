@@ -6,11 +6,11 @@ real symmetric matrix, or of the Hermitian iK of a skew K, by LAPACK through
 distances and the Daleckii-Krein derivatives are built on top of it; the UDU^T
 factorization is read off a Cholesky factor of the index-reversed matrix.
 Each operation has one batched kernel, and the single-matrix functions are
-stack-of-one calls of it.  Every matrix function rebuilt from eigenpairs goes
-through :func:`reconstruct`; pairwise squared distances between vector rows
-go through :func:`pairwise_sq_dists`; stacks are chunked by :func:`stack_map`.
-One element budget, ``_CHUNK_ELEMS``, bounds both a chunk of a stack and a
-column block of the pairwise distances, so no temporary grows with n * m.
+stack-of-one calls of it.  Every matrix function rebuilt from eigenpairs is the batched
+matmul of :func:`reconstruct`, which :func:`log_stack` runs on each chunk it decomposes; pairwise
+squared distances go through :func:`pairwise_sq_dists`; stacks are chunked by :func:`stack_map`.
+One element budget, ``_CHUNK_ELEMS``, sizes a chunk of a stack (of Wishart draws too, serially)
+and a column block of the pairwise distances, so no temporary grows with n or n * m.
 """
 
 from __future__ import annotations
@@ -85,7 +85,8 @@ def stack_map(fn, count: int, item_elems: int) -> list:
 def symmetrize(a: np.ndarray) -> np.ndarray:
     """Return (A + A^T)/2, batched over leading axes."""
     a = np.asarray(a, dtype=float)
-    return 0.5 * (a + np.swapaxes(a, -2, -1))
+    out = a + np.swapaxes(a, -2, -1)
+    return np.multiply(out, 0.5, out=out)
 
 
 def _finite(x, what: str):
@@ -103,10 +104,8 @@ def pd_tolerance(eigenvalues: np.ndarray) -> np.ndarray:
 
 
 def reconstruct(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Q diag(f) Q^H from eigenvectors Q and (transformed) eigenvalues f, for
-    one matrix (d, d) or a stack (b, d, d), by batched matmul chunk by chunk."""
-    if vectors.ndim == 2:
-        return reconstruct(values[None], vectors[None])[0]
+    """Q diag(f) Q^H from a stack of eigenvectors Q (b, d, d) and (transformed)
+    eigenvalues f, by batched matmul chunk by chunk."""
     out = np.empty(vectors.shape, vectors.dtype)
     stack_map(lambda i, j: np.matmul(vectors[i:j] * values[i:j, None, :],
                                      np.swapaxes(vectors[i:j], -2, -1).conj(), out=out[i:j]),
@@ -278,20 +277,31 @@ def udu_stack(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def eigh_stack(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Batched eigendecomposition of SPD matrices (b, d, d), checked positive definite."""
     w, q = _eigh(np.asarray(mats, dtype=float))
+    return _check_pd(w), q
+
+
+def _check_pd(w: np.ndarray, first: int = 0) -> np.ndarray:
+    """Eigenvalues ``w`` of matrices ``first``, ``first + 1``, ..., checked positive definite."""
     bad = w[..., 0] <= pd_tolerance(w)
     if np.any(bad):
         k = int(np.argmax(bad))
-        raise NotPositiveDefinite(
-            f"matrix {k} in the stack has smallest eigenvalue "
-            f"{w[k, 0]:.3e} at or below tolerance"
-        )
-    return w, q
+        raise NotPositiveDefinite(f"matrix {first + k} in the stack has smallest eigenvalue "
+                                  f"{w[k, 0]:.3e} at or below tolerance")
+    return w
 
 
 def log_stack(mats: np.ndarray) -> np.ndarray:
-    """Matrix logarithms of a stack of SPD matrices (b, d, d)."""
-    w, q = eigh_stack(mats)
-    return reconstruct(np.log(w), q)
+    """Matrix logarithms of a stack of SPD matrices (b, d, d), checked like :func:`eigh_stack`;
+    each chunk is decomposed and rebuilt in turn, so no (b, d, d) temporary is formed."""
+    mats = np.asarray(mats, dtype=float)
+    out = np.empty(mats.shape)
+
+    def chunk(i, j):
+        w, q = np.linalg.eigh(mats[i:j])
+        np.matmul(q * np.log(_check_pd(w, i))[:, None, :], np.swapaxes(q, 1, 2), out=out[i:j])
+
+    stack_map(chunk, len(mats), mats.shape[-1] ** 2)
+    return out
 
 
 def exp_stack(mats: np.ndarray) -> np.ndarray:

@@ -18,11 +18,11 @@ from functools import cached_property
 
 import numpy as np
 
+from . import linalg
 from .errors import DegenerateSample, DimensionMismatch, NotPositiveDefinite, NotUnitNorm
 from .linalg import eigh_stack, stack_map, sym_dim, sym_stack, symmetrize, unvech_isometric
 
 _UINT64_MAX = 2**64 - 1
-_WISHART_CHUNK_ELEMS = 20_000_000  # normals per chunk of a Wishart stack
 
 
 def _block_counter(index: int) -> np.ndarray:
@@ -167,20 +167,19 @@ def _scale_factor(d: int, scale) -> np.ndarray | None:
 def wishart_stack(rng, count: int, d: int, dof: int, scale=None) -> np.ndarray:
     """Stack of ``count`` normalized Wishart draws, shape (count, d, d).
 
-    Draws sequentially from one stream in memory-bounded chunks; positive
-    definiteness is almost sure for dof >= d and re-validated downstream.
+    Draws serially from one stream in chunks of ``linalg._CHUNK_ELEMS`` normals, or one
+    matrix; positive definiteness is almost sure for dof >= d and re-validated downstream.
     """
     if dof < d:
         raise ValueError(f"dof ({dof}) must be at least the dimension ({d})")
     gen = _as_generator(rng)
     factor = _scale_factor(d, scale)
     out = np.empty((count, d, d))
-    step = max(1, _WISHART_CHUNK_ELEMS // (dof * d))
+    step = max(1, linalg._CHUNK_ELEMS // (dof * d))
     for start in range(0, count, step):
-        stop = min(start + step, count)
-        g = gen.standard_normal((stop - start, dof, d))
+        g = gen.standard_normal((min(step, count - start), dof, d))
         z = g if factor is None else g @ factor.T
-        out[start:stop] = symmetrize(np.swapaxes(z, 1, 2) @ z) / dof
+        out[start:start + step] = symmetrize(np.swapaxes(z, 1, 2) @ z) / dof
     return out
 
 

@@ -166,8 +166,8 @@ def _wpp_rows(xs_sorted: np.ndarray, ys_sorted: np.ndarray, p: float) -> np.ndar
 
 
 def _abs_power(diff: np.ndarray, p: float) -> np.ndarray:
-    """|d|^p, as a square at p = 2: the float power's bits, without its pow loop."""
-    return np.square(diff) if p == 2.0 else np.abs(diff) ** p
+    """|d|^p, as a square in place at p = 2: the float power's bits, without its pow loop."""
+    return np.square(diff, out=diff) if p == 2.0 else np.abs(diff) ** p
 
 
 def _check_order(p: float) -> None:
@@ -242,9 +242,9 @@ def _mean_wpp(xs_sorted: np.ndarray, ys_sorted: np.ndarray, p: float) -> float:
 
 
 def _sliced_mean(coords_mu: np.ndarray, coords_nu: np.ndarray, p: float) -> float:
-    # Rebinding drops the unsorted coordinates before W_p^p allocates.
-    coords_mu = np.sort(coords_mu, axis=-1)
-    coords_nu = np.sort(coords_nu, axis=-1)
+    """Mean W_p^p between the coordinate rows; sorts its (fresh) arguments in place."""
+    coords_mu.sort(axis=-1)
+    coords_nu.sort(axis=-1)
     return _mean_wpp(coords_mu, coords_nu, p)
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,18 @@ def on_workers(monkeypatch):
         return results + [on_threads(n, fn) for n in (1, 2, 3)]
 
     return run
+
+
+def peak_bytes(fn):
+    """``(fn(), peak)``: the tracemalloc peak of a call made after a warm-up
+    call, so first-call caches and imports are not counted."""
+    fn()
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def assert_all_equal(results):

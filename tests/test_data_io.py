@@ -15,6 +15,8 @@ from spdsliced import (
 )
 from spdsliced.errors import DataValidationError
 
+from conftest import on_threads, peak_bytes
+
 # Off-diagonal values whose spelling differs between orjson and the stdlib
 # (the [1e-5, 1e-4) decade, exponents above 1e16), subnormals and -0.0,
 # each in a symmetric 2x2 matrix whose diagonal keeps it positive definite.
@@ -100,6 +102,16 @@ class TestDatasetRoundTrip:
         assert doc["format_version"] == "1"
         assert doc["dim"] == 2 and doc["count"] == 2
         assert len(doc["matrices"][0]) == 4
+
+    def test_load_memory_is_the_parse(self, tmp_path):
+        # A 4.9 MB file of (600, 20, 20): its bytes and orjson's parse tree
+        # set the peak (12,609,711 bytes). It was 16,305,499 while the tree
+        # stayed alive through the checks and the logs.
+        path = str(tmp_path / "d.json")
+        save_spd_dataset(path, wishart_stack(RngState(3), 600, 20, 40))
+        data, peak = peak_bytes(lambda: on_threads(2, lambda: load_spd_dataset(path)))
+        assert len(data.measure) == 600
+        assert peak < 14_000_000
 
 
 class TestDatasetValidation:

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +21,7 @@ from spdsliced import (
 from spdsliced.errors import BasisMismatch, IllConditioned, SizeMismatch
 from spdsliced.kernels import GramMatrix, feature_sq_distances, gaussian_weights, kfold_indices
 
-from conftest import on_threads, random_spd, wishart_measure
+from conftest import on_threads, peak_bytes, random_spd, wishart_measure
 
 
 def features_for(seeds, basis, levels=None, n=40, d=3):
@@ -248,12 +247,7 @@ def test_feature_sq_distances_memory_is_bounded():
     # 60 features of M = L = 100: a full (60, 60, 10^4) difference is 288 MB.
     basis = build_projection_basis(RngState(9), 3, 100)
     feats = features_for(range(60), basis, midpoint_quantile_levels(100), n=20)
-    tracemalloc.start()
-    try:
-        sq = feature_sq_distances(feats)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    sq, peak = peak_bytes(lambda: feature_sq_distances(feats))
     assert sq.shape == (60, 60)
     assert peak < 100e6
 
@@ -264,12 +258,7 @@ def test_feature_sq_distances_blocks_stay_within_the_chunk_budget():
     # difference block of about _CHUNK_ELEMS elements.
     basis = build_projection_basis(RngState(9), 3, 100)
     feats = features_for(range(40), basis, midpoint_quantile_levels(100), n=20)
-    tracemalloc.start()
-    try:
-        sq = on_threads(2, lambda: feature_sq_distances(feats))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    sq, peak = peak_bytes(lambda: on_threads(2, lambda: feature_sq_distances(feats)))
     assert sq.shape == (40, 40)
     assert peak < (40 * 10_000 + 40 * 40 + 4 * linalg._CHUNK_ELEMS) * 8
 
@@ -280,12 +269,7 @@ def test_kernel_ridge_memory_is_bounded():
     feats = features_for(range(200), basis, midpoint_quantile_levels(100), n=20)
     targets = np.linspace(0.0, 1.0, 200)
     sigma = median_heuristic_bandwidth(feats)
-    tracemalloc.start()
-    try:
-        fit = kernel_ridge_fit(gaussian_kernel(feats, sigma), targets, 1e-3)
-        preds = kernel_ridge_predict(feats, fit, feats, sigma)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    preds, peak = peak_bytes(lambda: kernel_ridge_predict(
+        feats, kernel_ridge_fit(gaussian_kernel(feats, sigma), targets, 1e-3), feats, sigma))
     assert preds.shape == (200,)
     assert peak < 100e6

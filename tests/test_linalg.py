@@ -3,7 +3,6 @@ import signal
 import sys
 import threading
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -48,7 +47,8 @@ from spdsliced.linalg import (
 )
 
 from conftest import (
-    SPLIT_BUDGET, assert_all_equal, on_threads, random_spd, random_sym, wishart_measure,
+    SPLIT_BUDGET, assert_all_equal, on_threads, peak_bytes, random_spd, random_sym,
+    wishart_measure,
 )
 
 
@@ -437,6 +437,51 @@ class TestStackReconstruction:
         assert np.array_equal(reconstruct(np.log(w), q), whole)
 
 
+class TestFusedLog:
+    """log_stack decomposes and rebuilds each chunk in turn: the same bits,
+    checks and messages as eigh_stack followed by reconstruct."""
+
+    @pytest.mark.parametrize("d", [2, 5, 20])
+    def test_equals_eigh_stack_then_reconstruct(self, on_workers, d):
+        mats = wishart_stack(RngState(d), 37, d, 2 * d)
+
+        def both():
+            w, q = eigh_stack(mats)
+            return log_stack(mats), reconstruct(np.log(w), q)
+
+        runs = on_workers(both)
+        assert len(stack_map(lambda i, j: None, len(mats), d * d)) > 1  # split, as in the runs
+        for fused, unfused in runs:
+            assert fused.tobytes() == unfused.tobytes()
+        assert_all_equal([fused for fused, _ in runs])
+
+    def test_non_pd_matrix_in_a_later_chunk_raises_like_eigh_stack(self, on_workers):
+        # Chunks of SPLIT_BUDGET // 16 = 4 matrices: 17 and 23 sit in the
+        # fifth and sixth, and the first of them is named.
+        mats = wishart_stack(RngState(6), 30, 4, 9)
+        mats[17] = mats[23] = np.diag([1.0, 1.0, 1.0, -1.0])
+
+        def messages():
+            with pytest.raises(NotPositiveDefinite) as fused:
+                log_stack(mats)
+            with pytest.raises(NotPositiveDefinite) as unfused:
+                eigh_stack(mats)
+            return str(fused.value), str(unfused.value)
+
+        runs = on_workers(messages)
+        assert runs[0][0].startswith("matrix 17 in the stack has smallest eigenvalue")
+        assert all(fused == unfused == runs[0][0] for fused, unfused in runs)
+
+    def test_memory_is_the_output_plus_a_few_chunks(self):
+        # (5000, 10, 10) is 4 MB, a chunk of _CHUNK_ELEMS elements 320 kB.
+        # Measured at two workers: 9,372,676 bytes while the whole
+        # eigenvector stack was formed before the rebuild, 5,156,534 now.
+        mats = wishart_stack(RngState(1), 5000, 10, 20)
+        logs, peak = peak_bytes(lambda: on_threads(2, lambda: log_stack(mats)))
+        assert logs.shape == mats.shape
+        assert peak < mats.nbytes + 6 * linalg._CHUNK_ELEMS * 8
+
+
 class TestPairwiseSqDists:
     def test_bit_identical_on_kernel_features(self):
         basis = build_projection_basis(RngState(5), 3, 100)
@@ -510,12 +555,7 @@ class TestPairwiseAiDists:
         # one row held three of them; a column block holds _CHUNK_ELEMS
         # elements, so two workers hold a few blocks of 320 kB.
         x, y = wishart_stack(RngState(1), 4, 20, 40), wishart_stack(RngState(2), 5000, 20, 40)
-        tracemalloc.start()
-        try:
-            dists = on_threads(2, lambda: pairwise_ai_dists(x, y))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        dists, peak = peak_bytes(lambda: on_threads(2, lambda: pairwise_ai_dists(x, y)))
         assert dists.shape == (4, 5000)
         assert peak < 16 * linalg._CHUNK_ELEMS * 8
 

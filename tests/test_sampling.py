@@ -1,5 +1,4 @@
 import hashlib
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,10 +12,12 @@ from spdsliced import (
     sample_wishart,
     wishart_stack,
 )
-from spdsliced import sampling
+from spdsliced import linalg, sampling
 from spdsliced.errors import NotPositiveDefinite, NotUnitNorm
 from spdsliced.linalg import pd_tolerance, sym_dim, symmetrize, unvech_isometric
 from spdsliced.sampling import ProjectionBasis, sample_sphere_batch
+
+from conftest import peak_bytes
 
 
 class TestRngState:
@@ -272,6 +273,41 @@ class TestWishart:
         assert np.array_equal(stacked, again)
 
     @staticmethod
+    def _serial_chunk_oracle(rng, count, d, dof, scale, chunk_elems=20_000_000):
+        # The draw loop as it was with its own 20M-normal budget.
+        gen = rng.generator()
+        factor = sampling._scale_factor(d, scale)
+        out = np.empty((count, d, d))
+        step = max(1, chunk_elems // (dof * d))
+        for start in range(0, count, step):
+            stop = min(start + step, count)
+            g = gen.standard_normal((stop - start, dof, d))
+            z = g if factor is None else g @ factor.T
+            out[start:stop] = symmetrize(np.swapaxes(z, 1, 2) @ z) / dof
+        return out
+
+    @pytest.mark.parametrize("scaled", [False, True], ids=["identity", "scaled"])
+    @pytest.mark.parametrize("count, d, dof", [(7, 3, 5), (450, 10, 20), (3, 20, 2001)])
+    @pytest.mark.parametrize("budget", [1, None, 10**12],
+                             ids=["one-matrix", "default", "one-chunk"])
+    def test_draws_do_not_depend_on_the_budget(self, monkeypatch, budget, count, d, dof, scaled):
+        # (450, 10, 20) splits into three chunks at the default budget, and a
+        # (20, 2001) draw holds more than _CHUNK_ELEMS normals on its own.
+        if budget is not None:
+            monkeypatch.setattr(linalg, "_CHUNK_ELEMS", budget)
+        scale = np.diag(np.linspace(1.0, 2.0, d)) if scaled else None
+        got = wishart_stack(RngState(count + d), count, d, dof, scale=scale)
+        want = self._serial_chunk_oracle(RngState(count + d), count, d, dof, scale)
+        assert np.array_equal(got, want)
+
+    def test_memory_is_the_output_plus_one_chunk(self):
+        # (20000, 10, 10) is 16 MB. A chunk draws _CHUNK_ELEMS normals and
+        # forms products of half that size. Measured: 80,067,416 bytes while
+        # one 20M-normal chunk held the whole stack, 16,707,416 now.
+        draws, peak = peak_bytes(lambda: wishart_stack(RngState(2), 20_000, 10, 20))
+        assert peak < draws.nbytes + 3 * linalg._CHUNK_ELEMS * 8
+
+    @staticmethod
     def _einsum_oracle(rng, count, d, dof, scale):
         # The draw with its Gram product as the einsum it was before it
         # became a batched matmul (one chunk at these sizes).
@@ -344,18 +380,12 @@ class TestProjectionBasis:
     def test_build_memory_is_bounded(self):
         # (10^4, 20, 20) directions are 32 MB. The basis takes ownership of
         # the built array, so the peak is that output plus the 4 MB boolean
-        # mask of the exact symmetry check: 36,065,848 to 36,066,272 bytes
+        # mask of the exact symmetry check: 36,065,848 to 36,071,848 bytes
         # after a warm-up call, depending on what else the process holds.
         # It was 132,067,520 while ProjectionBasis copied the array and
         # checked it with allclose. Chunks must not add another O(L d^2)
         # array.
-        build_projection_basis(RngState(1), 3, 5)  # first-call caches
-        tracemalloc.start()
-        try:
-            basis = build_projection_basis(RngState(0), 20, 10_000)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        basis, peak = peak_bytes(lambda: build_projection_basis(RngState(0), 20, 10_000))
         assert basis.count == 10_000
         assert peak <= 36_100_000
 
