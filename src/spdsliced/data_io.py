@@ -107,9 +107,28 @@ def encode_spd_dataset(points, labels=None) -> bytes:
         "count": int(n),
     }
     if labels is not None:
-        doc["labels"] = [int(v) for v in np.asarray(labels).ravel()]
+        doc["labels"] = _label_list(labels, n)
     doc["matrices"] = pts.reshape(n, d * d)
     return orjson.dumps(doc, option=orjson.OPT_SERIALIZE_NUMPY)
+
+
+def _checked_labels(labels, n: int, where: str) -> list:
+    """``labels`` if they are the format's labels of ``n`` matrices, a list of ``n`` exact
+    integers in 0..2**63-1, else DataValidationError prefixed by ``where``."""
+    if not isinstance(labels, list) or len(labels) != n:
+        raise DataValidationError(f"{where}labels must be a list of length count {n}")
+    if not all(type(v) is int and 0 <= v < _LABEL_LIMIT for v in labels):
+        raise DataValidationError(f"{where}labels must be integers in 0..2**63-1")
+    return labels
+
+
+def _label_list(labels, n: int) -> list:
+    """Labels to write, checked as the loader checks them: numpy integers become ints,
+    while a float or a boolean is refused rather than truncated."""
+    values = np.asarray(labels, dtype=object).ravel().tolist()
+    if all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in values):
+        values = [int(v) for v in values]
+    return _checked_labels(values, n, "cannot save: ")
 
 
 def save_spd_dataset(path: str, points, labels=None) -> None:
@@ -153,11 +172,7 @@ def load_spd_dataset(path: str) -> LabeledSpdDataset:
     if asym > SYMMETRY_TOLERANCE:
         raise DataValidationError(f"{path!r}: asymmetry {asym:.3e} exceeds {SYMMETRY_TOLERANCE}")
     if labels is not None:
-        if not isinstance(labels, list) or len(labels) != n:
-            raise DataValidationError(f"{path!r}: labels must be a list of length count {n}")
-        if not all(type(v) is int and 0 <= v < _LABEL_LIMIT for v in labels):
-            raise DataValidationError(f"{path!r}: labels must be integers in 0..2**63-1")
-        labels = np.asarray(labels, dtype=int)
+        labels = np.asarray(_checked_labels(labels, n, f"{path!r}: "), dtype=int)
     measure = EmpiricalSpdMeasure(pts)
     try:
         measure.logs

@@ -239,8 +239,9 @@ def run_benchmark_runtime(
     max_cost_bytes: float = 2e8,
     dof: int | None = None,
 ) -> ExperimentReport:
-    """Wall time of each discrepancy versus the number of samples; fresh
-    measures per repeat so every run pays its full cost (logs included).
+    """Wall time of each discrepancy versus the number of samples.  Each repeat draws
+    one read-only Wishart stack per side; every metric gets fresh measures that share
+    those stacks as their points, so each run pays its full cost (logs included).
     Cost-matrix metrics are skipped where n^2 doubles exceed the byte cap."""
     t0 = time.perf_counter()
     dof = 2 * d if dof is None else dof
@@ -250,15 +251,15 @@ def run_benchmark_runtime(
         skipped = {m for m in metrics if m in COST_METRICS and 8.0 * n * n > max_cost_bytes}
         times: dict[str, list[float]] = {m: [] for m in metrics}
         # One data pair per repeat, shared by all metrics (paired timing);
-        # fresh measures per metric so each run pays its full cost, logs
-        # included.
+        # fresh measures per metric, adopting the same frozen stacks, so each
+        # run pays its full cost, logs included.
         for rep in range(repeats):
             a = wishart_stack(base.substream(2 * rep + 1), n, d, dof)
             b = wishart_stack(base.substream(2 * rep + 2), n, d, dof)
             for metric in metrics:
                 if metric in skipped:
                     continue
-                mu, nu = EmpiricalSpdMeasure(a), EmpiricalSpdMeasure(b)
+                mu, nu = EmpiricalSpdMeasure._owning(a), EmpiricalSpdMeasure._owning(b)
                 start = time.perf_counter()
                 compute_distance(
                     mu, nu, metric, projections=projections,
@@ -311,8 +312,8 @@ def run_sample_complexity(
                 stream = RngState(seed).substream(
                     int(d) * 1_000_000_000 + int(n) * 100_000 + rep * 100
                 )
-                mu = EmpiricalSpdMeasure(wishart_stack(stream, n, d, dof))
-                nu = EmpiricalSpdMeasure(wishart_stack(stream.substream(1), n, d, dof))
+                mu = EmpiricalSpdMeasure._owning(wishart_stack(stream, n, d, dof))
+                nu = EmpiricalSpdMeasure._owning(wishart_stack(stream.substream(1), n, d, dof))
                 for metric in metrics:
                     report = compute_distance(mu, nu, metric, projections,
                                               rng=stream.substream(2), exact_size_cap=n * n)
@@ -353,8 +354,8 @@ def run_projection_complexity(
     for d in dims:
         dof = 2 * d
         stream = RngState(seed).substream(int(d) * 1_000_000_000)
-        mu = EmpiricalSpdMeasure(wishart_stack(stream, n, d, dof))
-        nu = EmpiricalSpdMeasure(wishart_stack(stream.substream(1), n, d, dof))
+        mu = EmpiricalSpdMeasure._owning(wishart_stack(stream, n, d, dof))
+        nu = EmpiricalSpdMeasure._owning(wishart_stack(stream.substream(1), n, d, dof))
         table = mc_error_estimate(
             mu, nu, 2.0, list(L_grid), repeats, stream.substream(2), L_star=L_star
         )

@@ -62,7 +62,7 @@ def stack_map(fn, count: int, item_elems: int) -> list:
     is raised after all finish."""
     step = max(1, _CHUNK_ELEMS // max(1, item_elems))
     bounds = [(i, min(i + step, count)) for i in range(0, count, step)]
-    workers = THREADS.get() or int(os.environ.get("SPDSLICED_THREADS") or 0) or (
+    workers = THREADS.get() or _env_threads() or (
         len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
     if len(bounds) < 2 or workers < 2:
         return [fn(*bound) for bound in bounds]
@@ -80,6 +80,21 @@ def stack_map(fn, count: int, item_elems: int) -> list:
             futures[k].set_exception(exc)
     wait(futures)
     return [future.result() for future in futures]
+
+
+def _env_threads() -> int | None:
+    """SPDSLICED_THREADS under the rule of the CLI's --threads, a positive integer
+    (ValueError naming the variable otherwise); None when it is unset."""
+    text = os.environ.get("SPDSLICED_THREADS")
+    if text is None:
+        return None
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ValueError(f"SPDSLICED_THREADS must be a positive integer, got {text!r}")
+    return value
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:

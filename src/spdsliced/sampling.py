@@ -213,6 +213,8 @@ class ProjectionBasis:
     def _adopt(self, dirs: np.ndarray, symmetric) -> None:
         """Validate ``dirs``, freeze it and make it the directions;
         ``symmetric(a, a^T)`` is the symmetry test."""
+        if self.count < 1:
+            raise ValueError("count must be >= 1")
         if dirs.shape != (self.count, self.dim, self.dim):
             raise DimensionMismatch(
                 f"directions have shape {dirs.shape}, expected {(self.count, self.dim, self.dim)}"

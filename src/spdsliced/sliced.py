@@ -32,13 +32,37 @@ DEGENERATE_GAP = 1e-9
 _RESAMPLE_STREAM_OFFSET = 2**48
 
 
+def _symmetric_bits(a) -> bool:
+    """Whether (A + A^T)/2 returns the bits of ``a``: a float64 (n, d, d) array, bitwise
+    symmetric (so signed zeros match too) and with 2A finite (so the sum cannot overflow)."""
+    if not (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.ndim == 3):
+        return False
+    bits = a.view(np.uint64)
+    with np.errstate(over="ignore"):  # an overflow (or a NaN) only fails the test
+        extremes = 2.0 * np.array([a.max(initial=0.0), a.min(initial=0.0)])
+    return bool(np.all(np.isfinite(extremes))) and np.array_equal(bits, np.swapaxes(bits, 1, 2))
+
+
 class EmpiricalSymMeasure:
     """Uniformly weighted points in the space of symmetric matrices."""
 
     __slots__ = ("points", "_logs")
 
     def __init__(self, points):
-        pts = sym_stack(points)
+        self._adopt(sym_stack(points))  # own the frozen copy
+
+    @classmethod
+    def _owning(cls, stack: np.ndarray):
+        """Measure that takes ownership of a freshly built stack, with no copy, where
+        symmetrizing it would return its own bits (:func:`_symmetric_bits`).  Any other
+        stack goes through :func:`sym_stack`, which copies it or raises what ``cls(stack)``
+        raises."""
+        measure = object.__new__(cls)
+        measure._adopt(stack if _symmetric_bits(stack) else sym_stack(stack))
+        return measure
+
+    def _adopt(self, pts: np.ndarray) -> None:
+        """Freeze the checked, symmetric float stack ``pts`` and make it the points."""
         if pts.shape[0] < 1:
             raise EmptyMeasure("an empirical measure needs at least one point")
         pts.flags.writeable = False
@@ -72,8 +96,7 @@ class EmpiricalSpdMeasure(EmpiricalSymMeasure):
     def log_pushforward(self) -> EmpiricalSymMeasure:
         """The measure pushed to the log space (shares the cached logs)."""
         out = EmpiricalSymMeasure.__new__(EmpiricalSymMeasure)
-        out.points = self.logs
-        out._logs = None
+        out._adopt(self.logs)
         return out
 
 
@@ -156,11 +179,12 @@ def _merged_quantile_grid(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.nd
     return lens, ix, iy
 
 
-def _wpp_rows(xs_sorted: np.ndarray, ys_sorted: np.ndarray, p: float) -> np.ndarray:
-    """W_p^p along the last axis of pre-sorted coordinate rows."""
+def _wpp_rows(xs_sorted: np.ndarray, ys_sorted: np.ndarray, p: float, out=None) -> np.ndarray:
+    """W_p^p along the last axis of pre-sorted coordinate rows; equal sizes form their
+    difference in ``out`` (which may be one of the rows' own arrays) when given."""
     n, m = xs_sorted.shape[-1], ys_sorted.shape[-1]
     if n == m:
-        return np.mean(_abs_power(xs_sorted - ys_sorted, p), axis=-1)
+        return np.mean(_abs_power(np.subtract(xs_sorted, ys_sorted, out=out), p), axis=-1)
     lens, ix, iy = _merged_quantile_grid(n, m)
     return _abs_power(xs_sorted[..., ix] - ys_sorted[..., iy], p) @ lens
 
@@ -234,18 +258,20 @@ def _report(estimator: str, basis: ProjectionBasis, p: float, value: float,
     )
 
 
-def _mean_wpp(xs_sorted: np.ndarray, ys_sorted: np.ndarray, p: float) -> float:
-    """Mean over the rows of W_p^p between pre-sorted coordinate rows."""
+def _mean_wpp(xs_sorted: np.ndarray, ys_sorted: np.ndarray, p: float, out=None) -> float:
+    """Mean over the rows of W_p^p between pre-sorted coordinate rows (``out`` as for
+    :func:`_wpp_rows`)."""
     with np.errstate(over="ignore"):  # an overflow is reported by _finite
-        value = float(np.mean(_wpp_rows(xs_sorted, ys_sorted, p)))
+        value = float(np.mean(_wpp_rows(xs_sorted, ys_sorted, p, out)))
     return _finite(value, f"W_p^p at order {p:g}")
 
 
 def _sliced_mean(coords_mu: np.ndarray, coords_nu: np.ndarray, p: float) -> float:
-    """Mean W_p^p between the coordinate rows; sorts its (fresh) arguments in place."""
+    """Mean W_p^p between the coordinate rows; sorts its (fresh) arguments in place,
+    and forms an equal-size difference in ``coords_mu``."""
     coords_mu.sort(axis=-1)
     coords_nu.sort(axis=-1)
-    return _mean_wpp(coords_mu, coords_nu, p)
+    return _mean_wpp(coords_mu, coords_nu, p, out=coords_mu)
 
 
 def _frobenius_sliced(estimator: str, mu, nu, basis: ProjectionBasis, p: float,

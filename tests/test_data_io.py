@@ -103,6 +103,22 @@ class TestDatasetRoundTrip:
         assert doc["dim"] == 2 and doc["count"] == 2
         assert len(doc["matrices"][0]) == 4
 
+    @pytest.mark.parametrize("labels", [[-1], [0, 1, 0], [2**63], [1.5], [True],
+                                        np.array([0.0]), np.array([True])])
+    def test_writer_refuses_labels_the_loader_rejects(self, tmp_path, labels):
+        # Each was written at one time: the first three as files the loader
+        # then refused, the last four truncated to the label 1 or 0.
+        path = tmp_path / "d.json"
+        with pytest.raises(DataValidationError, match="cannot save: labels must be"):
+            save_spd_dataset(str(path), wishart_stack(RngState(4), 1, 2, 5), labels)
+        assert os.listdir(tmp_path) == []  # refused before anything was staged
+
+    def test_writer_takes_numpy_integer_labels(self, tmp_path):
+        path = str(tmp_path / "d.json")
+        save_spd_dataset(path, wishart_stack(RngState(4), 3, 2, 5),
+                         [np.int64(2), np.uint64(2**63 - 1), 0])
+        assert load_spd_dataset(path).labels.tolist() == [2, 2**63 - 1, 0]
+
     def test_load_memory_is_the_parse(self, tmp_path):
         # A 4.9 MB file of (600, 20, 20): its bytes and orjson's parse tree
         # set the peak (12,609,711 bytes). It was 16,305,499 while the tree

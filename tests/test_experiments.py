@@ -28,8 +28,11 @@ from spdsliced.experiments import (
     run_projection_complexity,
     run_sample_complexity,
 )
+from spdsliced import linalg
 from spdsliced.linalg import exp_stack, log_stack, symmetrize
 from spdsliced.sampling import build_projection_basis
+
+from conftest import on_threads, peak_bytes
 
 
 @pytest.fixture
@@ -123,6 +126,38 @@ class TestBenchmarkRuntime:
         assert lew[200]["skipped"]
         spdsw_rows = [r for r in report.rows if r["metric"] == "spdsw"]
         assert not any(r["skipped"] for r in spdsw_rows)
+
+
+    def test_memory_is_one_stack_and_one_log_stack_per_side(self):
+        # (2000, 20, 20) is 6.4 MB, (L, n) = (200, 2000) coordinates 3.2 MB.
+        # Measured at two workers: 48,647,441 bytes while each measure
+        # symmetrized a copy of its stack and the W_2^2 difference was a
+        # third (L, n) array, 32,647,129 now.
+        n, d, projections = 2000, 20, 200
+        _, peak = peak_bytes(lambda: on_threads(2, lambda: run_benchmark_runtime(
+            n_grid=(n,), d=d, metrics=("spdsw", "logsw"), repeats=1)))
+        stack, coords = n * d * d * 8, projections * n * 8
+        assert peak < 4 * stack + 2 * coords + 8 * linalg._CHUNK_ELEMS * 8
+
+    def test_metrics_share_the_stacks_and_fill_their_own_logs(self, monkeypatch):
+        calls = []
+
+        def record(mu, nu, metric, **kwargs):
+            calls.append((metric, mu, nu, mu._logs is None and nu._logs is None))
+            return compute_distance(mu, nu, metric, **kwargs)
+
+        monkeypatch.setattr(experiments, "compute_distance", record)
+        run_benchmark_runtime(n_grid=(30,), d=3, projections=5,
+                              metrics=("spdsw", "logsw", "lew"), repeats=2, seed=1)
+        assert [c[0] for c in calls] == ["spdsw", "logsw", "lew"] * 2
+        assert all(fresh for *_, fresh in calls)  # logs filled inside the timed call
+        assert all(mu._logs is not None for _, mu, _, _ in calls)
+        for rep in (calls[:3], calls[3:]):
+            (_, mu0, nu0, _), *rest = rep
+            assert not mu0.points.flags.writeable and mu0.points is not nu0.points
+            assert all(mu.points is mu0.points and nu.points is nu0.points and mu is not mu0
+                       for _, mu, nu, _ in rest)
+        assert calls[0][1].points is not calls[3][1].points  # a fresh draw per repeat
 
 
 class TestGenWishart:

@@ -595,11 +595,13 @@ class TestStackMap:
         assert pool._max_workers == 1 and len(pool._threads) == 1
         assert threads <= {threading.get_ident()} | {t.ident for t in pool._threads}
 
-    @pytest.mark.parametrize("text", ["abc", "1.5"])
+    @pytest.mark.parametrize("text", ["abc", "1.5", "0", "-3", ""])
     def test_environment_count_that_is_no_integer_is_rejected(self, monkeypatch, text):
-        # The CLI turns this into a usage error before any stack map runs.
+        # The CLI's --threads rule: a positive integer.  The CLI turns the
+        # same values into a usage error before any stack map runs.
         monkeypatch.setenv("SPDSLICED_THREADS", text)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"SPDSLICED_THREADS must be a positive integer, "
+                                             f"got {text!r}"):
             stack_map(lambda i, j: None, 3, 1)
 
     def test_results_come_back_in_chunk_order(self, monkeypatch):

@@ -369,6 +369,12 @@ class TestProjectionBasis:
         with pytest.raises(NotUnitNorm):
             ProjectionBasis._owning(1, 1, np.full((1, 1, 1), 0.5), "eig_uniform", RngState(5))
 
+    def test_empty_basis_is_refused_as_the_builder_refuses_it(self):
+        with pytest.raises(ValueError, match="count must be >= 1"):
+            ProjectionBasis(dim=2, count=0, directions=np.empty((0, 2, 2)), sampler_kind="eig_uniform")
+        with pytest.raises(ValueError, match="count must be >= 1"):
+            build_projection_basis(RngState(1), 2, 0)
+
     def test_projection_shape(self):
         basis = build_projection_basis(RngState(1), 3, 7)
         mats = np.stack([np.eye(3)] * 4)

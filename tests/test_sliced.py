@@ -29,11 +29,13 @@ from spdsliced.errors import (
     EmptyMeasure,
     NotUnitNorm,
 )
-from spdsliced import sliced
+from spdsliced import linalg, sliced, wishart_stack
 from spdsliced.sampling import ProjectionBasis
 from spdsliced.sliced import DiscrepancyReport
 
-from conftest import assert_all_equal, random_spd, random_sym, wishart_measure
+from conftest import (
+    assert_all_equal, on_threads, peak_bytes, random_spd, random_sym, wishart_measure,
+)
 
 
 def unit_sym(rng, d):
@@ -57,6 +59,46 @@ def brute_force_wpp(x, y, p):
     xr = np.sort(np.repeat(x, common // n))
     yr = np.sort(np.repeat(y, common // m))
     return float(np.mean(np.abs(xr - yr) ** p))
+
+
+def _outcome(make):
+    """The bits of ``make().points``, or the type and message of what it raised."""
+    try:
+        return make().points.view(np.uint64).tobytes()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestOwningMeasure:
+    def test_adopts_a_wishart_stack_and_the_public_constructor_copies(self):
+        stack = wishart_stack(RngState(4), 30, 3, 6)
+        owned = EmpiricalSpdMeasure._owning(stack)
+        assert owned.points is stack and not stack.flags.writeable
+        copied = EmpiricalSpdMeasure(stack)
+        assert not np.shares_memory(copied.points, stack)
+        assert _outcome(lambda: copied) == _outcome(lambda: owned)
+
+    @pytest.mark.parametrize("stack", [
+        lambda: np.ones((2, 2, 3)),  # not square
+        lambda: np.ones((2, 2)),  # not a stack
+        lambda: np.where(np.eye(2) > 0, np.nan, 0.0)[None],
+        lambda: np.where(np.eye(2) > 0, np.inf, 0.0)[None],
+        lambda: np.where(np.eye(2) > 0, -np.inf, 0.0)[None],
+        lambda: np.diag([1e308, 1.0])[None],  # (A + A^T)/2 overflows
+        lambda: np.array([[[2.0, 1.0], [0.5, 2.0]]]),  # asymmetric: symmetrized
+        lambda: np.array([[[1.0, -0.0], [0.0, 1.0]]]),  # signed zeros differ
+        lambda: np.eye(2, dtype=np.float32)[None],
+        lambda: np.empty((0, 2, 2)),
+        lambda: [np.eye(2)],
+    ])
+    def test_raises_or_keeps_what_the_public_constructor_does(self, stack):
+        assert _outcome(lambda: EmpiricalSpdMeasure._owning(stack())) == _outcome(
+            lambda: EmpiricalSpdMeasure(stack()))
+
+    def test_asymmetric_stack_is_copied(self):
+        stack = np.array([[[2.0, 1.0], [0.5, 2.0]]])
+        owned = EmpiricalSpdMeasure._owning(stack)
+        assert owned.points is not stack and stack.flags.writeable
 
 
 class TestGeodesicCoordinate:
@@ -239,6 +281,19 @@ class TestSpdsw:
             wasserstein_1d(coords_mu, coords_nu, 2.0)
             - brute_force_wpp(coords_mu, coords_nu, 2.0)
         ) <= 1e-12
+
+    def test_difference_is_formed_in_the_coordinates(self):
+        # (2000, 20, 20) is 6.4 MB, (L, n) = (200, 2000) coordinates 3.2 MB.
+        # Measured at two workers: 19,204,324 bytes, two log stacks and the
+        # two coordinate arrays; the W_2^2 difference in a fresh (L, n)
+        # array added 3.2 MB.
+        n, d, count = 2000, 20, 200
+        a, b = (wishart_stack(RngState(seed), n, d, 2 * d) for seed in (1, 2))
+        basis = build_projection_basis(RngState(3), d, count)
+        report, peak = peak_bytes(lambda: on_threads(2, lambda: spdsw(
+            EmpiricalSpdMeasure._owning(a), EmpiricalSpdMeasure._owning(b), basis)))
+        assert report.value == spdsw(EmpiricalSpdMeasure(a), EmpiricalSpdMeasure(b), basis).value
+        assert peak < 2 * a.nbytes + 2 * count * n * 8 + 4 * linalg._CHUNK_ELEMS * 8
 
     def test_dimension_mismatch(self):
         mu = wishart_measure(1, 5, 3)
