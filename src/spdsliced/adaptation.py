@@ -40,8 +40,8 @@ from .sampling import ProjectionBasis, RngState, build_projection_basis
 from .sliced import (
     SLICED_ESTIMATORS,
     EmpiricalSpdMeasure,
+    _matched,
     _mean_wpp,
-    _merged_quantile_grid,
 )
 
 PARTICLE_LOSSES = ("spdsw", "logsw", "lew", "les")
@@ -143,17 +143,14 @@ def _sliced_gradient(ctx, st: np.ndarray, basis: ProjectionBasis, p: float) -> n
     chained through the linear projection S -> <A_l, S>.
     """
     order, ss = ctx
-    n, m = ss.shape[-1], st.shape[-1]
-    if n == m:
-        diff = ss - st
-        g_sorted = (p / n) * (diff if p == 2.0 else np.abs(diff) ** (p - 1.0) * np.sign(diff))
+    n = ss.shape[-1]
+    diff, lens, ix = _matched(ss, st)
+    slope = diff if p == 2.0 else np.abs(diff) ** (p - 1.0) * np.sign(diff)
+    if lens is None:
+        g_sorted = (p / n) * slope
     else:
-        lens, ix, iy = _merged_quantile_grid(n, m)
-        diff = ss[:, ix] - st[:, iy]
-        contrib = lens * p * (diff if p == 2.0 else np.abs(diff) ** (p - 1.0) * np.sign(diff))
         g_sorted = np.zeros_like(ss)
-        rows = np.arange(ss.shape[0])[:, None]
-        np.add.at(g_sorted, (rows, ix[None, :]), contrib)
+        np.add.at(g_sorted, (np.arange(len(ss))[:, None], ix), lens * p * slope)
     grad_coords = np.empty_like(g_sorted)
     grad_coords.reshape(-1)[order] = g_sorted  # a view of the fresh array
     return (grad_coords.T @ basis.flat).reshape(n, basis.dim, basis.dim) / basis.count

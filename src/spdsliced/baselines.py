@@ -1,8 +1,9 @@
 """Exact and entropic Wasserstein baselines on precomputed ground costs.
 
-Exact transport between uniform empirical measures reduces to a balanced
-assignment (solved by scipy's shortest-augmenting-path routine); Sinkhorn
-runs unconditionally in the log domain.
+Exact transport between uniform empirical measures of sizes n and m is one
+balanced assignment on their common-denominator grid of lcm(n, m) atoms
+(solved by scipy's shortest-augmenting-path routine), for every pair of
+sizes; Sinkhorn runs unconditionally in the log domain.
 """
 
 from __future__ import annotations
@@ -127,30 +128,25 @@ def _assignment_solver():
 
 
 def exact_wasserstein(cost: CostMatrix, size_cap: int = EXACT_SIZE_CAP) -> TransportPlan:
-    """Optimal transport between uniform marginals, solved as a balanced
-    assignment (n == m) or on the replicated common-denominator grid for
-    small unequal sizes."""
+    """Optimal transport between uniform marginals: one balanced assignment on the
+    common-denominator grid, row i repeated lcm/n times and column j lcm/m times (at
+    n == m the cost matrix itself), each grid atom carrying mass 1/lcm."""
     linear_sum_assignment = _assignment_solver().linear_sum_assignment
     n, m = cost.shape
     if n * m > size_cap:
         raise InstanceTooLarge(f"instance {n}x{m} exceeds the size cap {size_cap}")
-    if n == m:
-        rows, cols = linear_sum_assignment(cost.entries)
-        plan = np.zeros((n, m))
-        plan[rows, cols] = 1.0 / n
-        value = float(cost.entries[rows, cols].sum() / n)
-        return TransportPlan(plan=plan, cost=value)
     common = math.lcm(n, m)
-    if common > _LCM_CAP:
-        raise InstanceTooLarge(
-            f"unequal sizes {n} and {m} need a replicated grid of {common} > {_LCM_CAP}"
-        )
+    if n != m and common > _LCM_CAP:
+        raise InstanceTooLarge(f"unequal sizes {n} and {m} need a replicated grid of "
+                               f"{common} > {_LCM_CAP}")
     rep_i = np.repeat(np.arange(n), common // n)
     rep_j = np.repeat(np.arange(m), common // m)
-    rows, cols = linear_sum_assignment(cost.entries[np.ix_(rep_i, rep_j)])
+    rows, cols = linear_sum_assignment(
+        cost.entries if n == m else cost.entries[np.ix_(rep_i, rep_j)])
+    rows, cols = rep_i[rows], rep_j[cols]
     plan = np.zeros((n, m))
-    np.add.at(plan, (rep_i[rows], rep_j[cols]), 1.0 / common)
-    value = float(np.sum(plan * cost.entries))
+    np.add.at(plan, (rows, cols), 1.0 / common)
+    value = float(cost.entries[rows, cols].sum() / common)
     return TransportPlan(plan=plan, cost=value)
 
 

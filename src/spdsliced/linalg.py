@@ -233,15 +233,16 @@ def _log_divided_differences(w: np.ndarray) -> np.ndarray:
 
 
 def _exp_divided_differences(w: np.ndarray) -> np.ndarray:
-    """Loewner matrix of the exp: (e^{w_i} - e^{w_j})/(w_i - w_j), via
-    expm1 of the gap (stable for all gaps), limit e^{w_i} on the diagonal."""
+    """Loewner matrix of the exp: (e^{w_i} - e^{w_j})/(w_i - w_j), via expm1 of the gap,
+    limit e^{w_i} where expm1(gap)/gap is not finite at a gap below 1: 0/0 on the
+    diagonal, and numpy's complex division, which overflows at subnormal gaps."""
     wi = w[..., :, None]
     wj = w[..., None, :]
     gap = wi - wj
-    zero = gap == 0.0
-    safe_gap = np.where(zero, 1.0, gap)
-    g = np.exp(wj) * (np.expm1(safe_gap) / safe_gap)
-    return np.where(zero, np.exp(wi), g)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite past a gap of 1 stays so
+        quotient = np.expm1(gap) / gap
+        g = np.exp(wj) * quotient
+    return np.where(~np.isfinite(quotient) & (np.abs(gap) < 1.0), np.exp(wi), g)
 
 
 def _daleckii_krein(q: np.ndarray, g: np.ndarray, h: np.ndarray) -> np.ndarray:

@@ -819,6 +819,11 @@ class TestSquareKernelsMatchFloatPower:
         assert np.isinf(want).any() and np.isfinite(want).any()
         assert (want == 0.0).any() and (want < 1e-300).sum() > (want == 0.0).sum()
         assert _same_bits(got, want)
+        # Other orders raise |d| to p in place, with the float power's bits.
+        for p in (1.0, 1.5, 3.0):
+            with np.errstate(over="ignore", under="ignore"):
+                got, want = _wpp_rows(xs, ys, p), _float_power_wpp_rows(xs, ys, p)
+            assert _same_bits(got, want)
 
     @_SHAPES
     def test_sliced_gradient(self, n, m):

@@ -47,6 +47,24 @@ def linprog_transport(cost):
     return res.fun
 
 
+def _oracle_exact_wasserstein(entries):
+    """The two-branch solver the single grid replaced: a plain assignment at
+    n == m, the replicated grid at n != m with the cost summed over the plan."""
+    n, m = entries.shape
+    if n == m:
+        rows, cols = linear_sum_assignment(entries)
+        plan = np.zeros((n, m))
+        plan[rows, cols] = 1.0 / n
+        return plan, float(entries[rows, cols].sum() / n)
+    common = math.lcm(n, m)
+    rep_i = np.repeat(np.arange(n), common // n)
+    rep_j = np.repeat(np.arange(m), common // m)
+    rows, cols = linear_sum_assignment(entries[np.ix_(rep_i, rep_j)])
+    plan = np.zeros((n, m))
+    np.add.at(plan, (rep_i[rows], rep_j[cols]), 1.0 / common)
+    return plan, float(np.sum(plan * entries))
+
+
 class TestCostMatrix:
     def test_zero_diagonal_on_self(self):
         mu = wishart_measure(1, 8, 3)
@@ -135,6 +153,41 @@ class TestExactWasserstein:
         cost = CostMatrix(entries=entries, ground_metric="log_euclidean", power=2.0)
         with pytest.raises(InstanceTooLarge):
             exact_wasserstein(cost, size_cap=10**9)
+
+
+class TestOneAssignmentGrid:
+    @pytest.mark.parametrize("n, m", [(1, 1), (5, 5), (40, 40), (30, 25), (7, 5), (12, 8),
+                                      (25, 30), (1, 4), (6, 9)])
+    def test_matches_two_branch_oracle(self, n, m):
+        # Integer-valued costs leave ties, so the plan check covers the
+        # solver's tie-breaking on the grid too.
+        rng = np.random.default_rng(1000 * n + m)
+        for entries in (rng.uniform(0.0, 5.0, (n, m)), rng.integers(0, 4, (n, m)) * 1.0):
+            got = exact_wasserstein(
+                CostMatrix(entries=entries, ground_metric="log_euclidean", power=2.0))
+            plan, cost = _oracle_exact_wasserstein(entries)
+            assert np.array_equal(got.plan, plan)
+            if n == m:
+                assert got.cost == cost
+            else:  # the plan's atoms are summed in another order
+                assert abs(got.cost - cost) <= 1e-15 * cost
+
+    def test_equal_sizes_solve_the_cost_matrix_itself(self, monkeypatch):
+        seen = []
+
+        def solve(grid):
+            seen.append(grid)
+            return linear_sum_assignment(grid)
+
+        monkeypatch.setattr(baselines, "_assignment_solver",
+                            lambda: types.SimpleNamespace(linear_sum_assignment=solve))
+        cost = CostMatrix(entries=np.arange(36.0).reshape(6, 6) % 7,
+                          ground_metric="log_euclidean", power=2.0)
+        exact_wasserstein(cost)
+        assert seen[0] is cost.entries
+        exact_wasserstein(CostMatrix(entries=np.ones((6, 4)), ground_metric="log_euclidean",
+                                     power=2.0))
+        assert seen[1].shape == (12, 12)
 
 
 _IMPORT_ORDER_PROBE = """

@@ -1,12 +1,15 @@
 import argparse
 import functools
 import hashlib
+import importlib
+import importlib.util
 import inspect
 import itertools
 import json
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -357,6 +360,33 @@ class TestOverflowingStep:
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.fixture(scope="module")
+def small_shifted_pair(tmp_path_factory):
+    d = tmp_path_factory.mktemp("small-shifted")
+    s, t = d / "s.json", d / "t.json"
+    assert main(["gen-wishart", "--d", "5", "--n", "12", "--dof", "10", "--seed", "3",
+                 "--classes", "2", "--shift-angle", "0.5",
+                 "--output", str(s), "--output-shifted", str(t)]) == 0
+    return str(s), str(t)
+
+
+@pytest.mark.parametrize("lr, extra", [
+    ("5e-324", ["--loss", "lew"]),
+    ("1e-320", ["--loss", "lew"]),
+    ("5e-324", ["--loss", "les", "--epsilon", "5"]),
+], ids=["lew-5e-324", "lew-1e-320", "les-5e-324"])
+def test_subnormal_transform_step_is_taken(small_shifted_pair, lr, extra, tmp_path):
+    # A subnormal step leaves the rotation generator with subnormal imaginary
+    # eigenvalue gaps, whose complex expm1(gap)/gap overflows; the Loewner
+    # matrix takes its diagonal limit there, so the gradient stays finite and
+    # no RuntimeWarning is raised.  A NaN gradient halved the step to 0.0.
+    s, t = small_shifted_pair
+    out = tmp_path / "r.json"
+    assert main(["adapt", "--source", s, "--target", t, "--mode", "transform", *extra,
+                 "--lr", lr, "--epochs", "3", "--output", str(out)]) == 0
+    assert 0.0 < json.loads(out.read_text())["rows"][0]["final_learning_rate"] <= float(lr)
+
+
 def test_sigma_parses_median_or_positive_number(monkeypatch):
     ridge = ["kernel-ridge", "--train", "m.json"]
     assert _runner_keywords(monkeypatch, ridge)["sigma"] == "median"
@@ -510,6 +540,18 @@ class TestPublicSurface:
 
     def test_loss_choices_match_particle_losses(self):
         assert tuple(_choices("adapt", "--loss")) == PARTICLE_LOSSES
+
+    def test_traced_boundaries_resolve(self, monkeypatch):
+        # The traced benchmark run wraps each (module, attr) of the tracer's
+        # BOUNDARIES with getattr; a name the package drops fails here first.
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("_perfbench_tracer", path)
+        tracer = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, tracer)  # its dataclasses look it up
+        spec.loader.exec_module(tracer)
+        for boundary in tracer.BOUNDARIES:
+            module = importlib.import_module(f"spdsliced.{boundary.module}")
+            assert callable(getattr(module, boundary.attr)), boundary
 
 
 class TestCommandLayer:

@@ -295,6 +295,22 @@ class TestSpdsw:
         assert report.value == spdsw(EmpiricalSpdMeasure(a), EmpiricalSpdMeasure(b), basis).value
         assert peak < 2 * a.nbytes + 2 * count * n * 8 + 4 * linalg._CHUNK_ELEMS * 8
 
+    @pytest.mark.parametrize("n, m, p", [(1999, 2000, 2.0), (2000, 2000, 1.5),
+                                         (2000, 2000, 2.0)])
+    def test_matching_holds_no_more_than_the_differences(self, n, m, p):
+        # Cached logs, so the peak is the (L, n) and (L, m) coordinates, the
+        # chunks and the matching.  At n != m that is the merged-grid gather
+        # with the target's gather subtracted into it: two (L, n + m - 1)
+        # arrays, where a third held their difference (25.7 MB).  At n == m
+        # the difference is formed in the coordinates and raised to p in
+        # place, where |d|**p made two fresh (L, n) arrays (12.8 MB at p = 1.5).
+        d, count = 5, 200
+        mu, nu = wishart_measure(1, n, d), wishart_measure(2, m, d)
+        basis = build_projection_basis(RngState(3), d, count)
+        _, peak = peak_bytes(lambda: on_threads(2, lambda: spdsw(mu, nu, basis, p)))
+        grid = 0 if n == m else 2 * count * (n + m - math.gcd(n, m)) * 8
+        assert peak < count * (n + m) * 8 + grid + 4 * linalg._CHUNK_ELEMS * 8
+
     def test_dimension_mismatch(self):
         mu = wishart_measure(1, 5, 3)
         nu = wishart_measure(2, 5, 4)
