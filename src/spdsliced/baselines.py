@@ -137,8 +137,9 @@ def exact_wasserstein(cost: CostMatrix, size_cap: int = EXACT_SIZE_CAP) -> Trans
         raise InstanceTooLarge(f"instance {n}x{m} exceeds the size cap {size_cap}")
     common = math.lcm(n, m)
     if n != m and common > _LCM_CAP:
-        raise InstanceTooLarge(f"unequal sizes {n} and {m} need a replicated grid of "
-                               f"{common} > {_LCM_CAP}")
+        raise InstanceTooLarge(
+            f"unequal sizes {n} and {m} need a replicated grid of {common} > {_LCM_CAP}"
+        )
     rep_i = np.repeat(np.arange(n), common // n)
     rep_j = np.repeat(np.arange(m), common // m)
     rows, cols = linear_sum_assignment(

@@ -239,10 +239,12 @@ def _exp_divided_differences(w: np.ndarray) -> np.ndarray:
     wi = w[..., :, None]
     wj = w[..., None, :]
     gap = wi - wj
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite past a gap of 1 stays so
-        quotient = np.expm1(gap) / gap
-        g = np.exp(wj) * quotient
-    return np.where(~np.isfinite(quotient) & (np.abs(gap) < 1.0), np.exp(wi), g)
+    quotient = np.expm1(gap)  # overflows (and warns) only past a gap of ~709
+    with np.errstate(over="ignore", invalid="ignore"):  # the division alone: 0/0, subnormal gaps
+        np.divide(quotient, gap, out=quotient)
+    limit = ~np.isfinite(quotient) & (np.abs(gap) < 1.0)
+    quotient[limit] = 1.0
+    return np.where(limit, np.exp(wi), np.exp(wj) * quotient)
 
 
 def _daleckii_krein(q: np.ndarray, g: np.ndarray, h: np.ndarray) -> np.ndarray:

@@ -390,8 +390,13 @@ def mc_error_estimate(
                 )
                 errors[r] = abs(spdsw(mu, nu, basis, p).value - reference)
         half_ci = 1.96 * errors.std(ddof=1) / np.sqrt(errors.size) if errors.size > 1 else 0.0
-        rows.append({"L": int(L), "mean_abs_error": float(errors.mean()),
-                     "ci95_low": float(errors.mean() - half_ci),
-                     "ci95_high": float(errors.mean() + half_ci),
-                     "repetitions": int(errors.size)})
+        rows.append(
+            {
+                "L": int(L),
+                "mean_abs_error": float(errors.mean()),
+                "ci95_low": float(errors.mean() - half_ci),
+                "ci95_high": float(errors.mean() + half_ci),
+                "repetitions": int(errors.size),
+            }
+        )
     return rows
