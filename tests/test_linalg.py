@@ -257,6 +257,19 @@ class TestExpm:
             assert np.max(np.abs(r.T @ r - np.eye(d))) <= 1e-12, e
         assert raised and min(raised) > 6
 
+    def test_loewner_limits_are_silent_and_overflows_warn(self):
+        # The diagonal and subnormal imaginary gaps, where numpy's complex division
+        # overflows, take the limit e^{w_i} without a warning; an entry past exp's
+        # range still warns, whether expm1 of the gap or exp of an eigenvalue overflows.
+        w = np.array([[0.0 + 0.0j, 5e-324j, 1.0 + 1e-320j]])
+        g = _exp_divided_differences(w)
+        assert np.all(np.isfinite(g))
+        assert np.array_equal(np.diagonal(g[0]), np.exp(w[0]))
+        assert g[0, 0, 1] == np.exp(w[0, 0]) and g[0, 1, 0] == np.exp(w[0, 1])
+        for w in (np.array([[-100.0, 700.0]]), np.array([[710.0, 710.5]])):
+            with pytest.warns(RuntimeWarning, match="overflow"):
+                _exp_divided_differences(w)
+
 
 def _daleckii_krein_einsum(q, g, h):
     # The sandwich as two einsums, before it became batched matmuls.
